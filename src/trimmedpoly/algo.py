@@ -489,19 +489,25 @@ def _yates(coeffs: list[int], nv: int, d: int, mod: PrimeModulus,
 
 
 def run_counted(task, *args, **kwargs):
-    """Run ``task(*args)`` with a fresh OpCounter attached to the modulus
-    found among the arguments; returns (result, counter)."""
-    mod = None
+    """Run ``task(*args)`` with one fresh OpCounter attached to every
+    distinct modulus object found among the arguments, so that equal but
+    separate moduli (say, a poly and a grid each loaded from its own
+    file) are all counted; returns (result, counter)."""
+    moduli = []
     for arg in args:
-        if isinstance(arg, PrimeModulus):
-            mod = arg
-            break
-        candidate = getattr(arg, "modulus", None)
-        if isinstance(candidate, PrimeModulus):
-            mod = candidate
-            break
-    if mod is None:
+        mod = arg if isinstance(arg, PrimeModulus) else getattr(
+            arg, "modulus", None)
+        if isinstance(mod, PrimeModulus) and all(mod is not m for m in moduli):
+            moduli.append(mod)
+    if not moduli:
         raise ValueError("no modulus found among the task arguments")
-    with mod.counting() as counter:
+    counter = OpCounter()
+    saved = [mod.counter for mod in moduli]
+    for mod in moduli:
+        mod.counter = counter
+    try:
         result = task(*args, **kwargs)
+    finally:
+        for mod, prev in zip(moduli, saved):
+            mod.counter = prev
     return result, counter

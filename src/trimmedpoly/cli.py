@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -25,10 +26,10 @@ from .combinat import CapacityError, ebc, ebc_cum, enumerate_trimmed, rank, unra
 from .field import PrimeModulus
 from .jsonio import (
     eval_table_from_dict,
-    eval_table_to_dict,
     grid_from_dict,
     sparse_poly_from_dict,
-    sparse_poly_to_dict,
+    write_eval_table,
+    write_sparse_poly,
 )
 from .linalg import ZeroPivotError, build_vandermonde, lu_decompose
 from .poly import ValidationError, from_sparse, random_poly, to_sparse
@@ -63,10 +64,22 @@ def _read_json(path: str) -> dict:
     return obj
 
 
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")
+def _write_atomic(path: str, write) -> None:
+    """Call ``write(handle)`` on a sibling temporary file, then move it onto
+    ``path``. If anything fails, the temporary file is removed and an
+    earlier file at ``path`` is left as it was."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            write(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def cmd_eval(args) -> int:
@@ -79,7 +92,8 @@ def cmd_eval(args) -> int:
         else:
             grid = Grid.random(poly.modulus, poly.n, poly.d, args.seed)
         table = trimmed_eval(poly, grid)
-        _write_json(args.out, eval_table_to_dict(table))
+        _write_atomic(args.out,
+                      lambda handle: write_eval_table(table, handle))
     except (ValidationError, CapacityError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         return _fail(str(exc))
@@ -90,8 +104,9 @@ def cmd_interp(args) -> int:
     try:
         table = eval_table_from_dict(_read_json(args.evals))
         grid = grid_from_dict(_read_json(args.grid))
-        poly = trimmed_interp(table, grid)
-        _write_json(args.out, sparse_poly_to_dict(to_sparse(poly)))
+        sparse = to_sparse(trimmed_interp(table, grid))
+        _write_atomic(args.out,
+                      lambda handle: write_sparse_poly(sparse, handle))
     except (ValidationError, CapacityError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         return _fail(str(exc))
@@ -104,6 +119,10 @@ def cmd_roundtrip(args) -> int:
         if args.n < 0 or args.d < 1 or args.D < 0 or args.trials < 0:
             raise ValidationError(
                 "need n >= 0, d >= 1, D >= 0 and trials >= 0")
+        if modulus.p < args.d + 1:
+            raise ValidationError(
+                f"need p >= d+1 for distinct nodes, got p={modulus.p}, "
+                f"d={args.d}")
         ebc_cum(args.n, args.D, args.d)  # capacity guard before any trial
     except (ValidationError, CapacityError, ValueError) as exc:
         return _fail(str(exc))
@@ -240,9 +259,9 @@ def cmd_bench(args) -> int:
                 f"{name},{n},{d},{D},{modulus.p},{size},{elapsed},"
                 f"{counter.mul_count},{counter.add_count},"
                 f"{counter.inv_count},{ratio:.6f}")
+    text = "\n".join(lines) + "\n"
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _write_atomic(args.out, lambda handle: handle.write(text))
     except OSError as exc:
         return _fail(str(exc))
     return 0

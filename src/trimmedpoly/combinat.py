@@ -11,9 +11,17 @@ which is how the tables here are filled.
 
 The canonical order on these vectors is last-coordinate-major: sort by
 the last coordinate ascending, then recursively order the remaining
-prefix under the reduced sum budget. Every coefficient vector and
+prefix under the reduced sum budget. That is exactly lexicographic order
+on the reversed vector, so ``sorted(vectors, key=lambda e: e[::-1])``
+lists admissible vectors in canonical order. Every coefficient vector and
 evaluation table in this package is addressed by ``rank`` in this order,
 so that fixing the last coordinate always selects a contiguous slice.
+
+``rank`` and ``unrank`` read one cached prefix table per (n, d, D): row m
+holds the running sums S_m[k] = sum_{y<k} ebc_cum(m, y, d). Under the
+remaining budget b, the vectors that precede value e in coordinate m+1
+number sum_{j<e} ebc_cum(m, b-j, d) = S_m[b+1] - S_m[b+1-e], so a rank
+is n table differences and an unrank is n bisections.
 
 Counts are guarded at 2^63: parameter choices whose vector count exceeds
 that are not materializable anyway and raise CapacityError.
@@ -21,7 +29,9 @@ that are not materializable anyway and raise CapacityError.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import accumulate
 
 COUNT_LIMIT = (1 << 63) - 1
 
@@ -128,9 +138,18 @@ class EbcTable:
         return self.cums[m][D]
 
 
+_INT = frozenset((int,))
+
+
 def check_index(exponents, n: int, d: int, D: int) -> tuple[int, ...]:
     """Validate an exponent vector against (n, d, D); returns it as a tuple."""
     exps = tuple(exponents)
+    # A few whole-tuple builtin calls accept the common case; anything they
+    # do not accept (a bad vector, or an int subclass) gets the full check.
+    if (len(exps) == n and _INT.issuperset(map(type, exps))
+            and min(exps, default=0) >= 0 and max(exps, default=0) <= d
+            and sum(exps) <= D):
+        return exps
     if len(exps) != n:
         raise ValueError(f"expected {n} exponents, got {len(exps)}")
     for i, e in enumerate(exps):
@@ -168,21 +187,45 @@ def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
     return _enumerate(n, d, min(D, n * d))
 
 
+@lru_cache(maxsize=None)
+def _prefix_sums(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
+    """Rows S_0..S_{n-1} of the rank table; D is already within [-1, n*d]."""
+    ebc_cum(n, D, d)  # capacity guard; bounds every entry difference
+    rows = []
+    for m in range(n):
+        cum = _rows(m, d)[1]
+        top = m * d
+        rows.append(tuple(accumulate(
+            (cum[min(y, top)] for y in range(D + 1)), initial=0)))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def ranker(n: int, d: int, D: int):
+    """The rank function of (n, d, D) for vectors that already passed
+    ``check_index(exps, n, d, D)``; it does not validate them again."""
+    _check_params(n, d)
+    top = max(min(D, n * d), -1)
+    rows = tuple(reversed(_prefix_sums(n, d, top)))
+
+    def rank_of(exps) -> int:
+        r = 0
+        b = top + 1
+        for sums, e in zip(rows, reversed(exps)):
+            r += sums[b] - sums[b - e]
+            b -= e
+        return r
+
+    return rank_of
+
+
 def rank(exponents, n: int, d: int, D: int) -> int:
     """Position of an exponent vector in the canonical order.
 
-    O(n*d) via the block structure: vectors whose last coordinate is j
-    occupy one contiguous block per j, of size ebc_cum(n-1, D-j, d).
+    O(n) lookups in the cached prefix table of (n, d, D).
     """
     exps = check_index(exponents, n, d, D)
-    r = 0
-    budget = D
-    for m in range(n, 0, -1):
-        e = exps[m - 1]
-        for j in range(e):
-            r += ebc_cum(m - 1, budget - j, d)
-        budget -= e
-    return r
+    return ranker(n, d, D)(exps)
 
 
 def unrank(position: int, n: int, d: int, D: int) -> tuple[int, ...]:
@@ -193,17 +236,14 @@ def unrank(position: int, n: int, d: int, D: int) -> tuple[int, ...]:
         raise ValueError(
             f"position {position} outside [0, {total}) for "
             f"(n={n}, d={d}, D={D})")
+    top = min(D, n * d)
     r = position
-    budget = D
+    b = top + 1
     out = []
-    for m in range(n, 0, -1):
-        j = 0
-        while True:
-            block = ebc_cum(m - 1, budget - j, d)
-            if r < block:
-                break
-            r -= block
-            j += 1
-        out.append(j)
-        budget -= j
+    for sums in reversed(_prefix_sums(n, d, top)):
+        # sums is strictly increasing; this coordinate's value is b - x
+        x = bisect_left(sums, sums[b] - r, 0, b + 1)
+        r -= sums[b] - sums[x]
+        out.append(b - x)
+        b = x
     return tuple(reversed(out))

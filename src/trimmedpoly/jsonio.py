@@ -3,12 +3,16 @@
 The modulus and every field element are decimal strings (JSON numbers
 lose exactness past 53 bits); structural integers (n, d, D, exponents)
 stay numeric. One ``p`` key per document.
+
+``write_sparse_poly`` and ``write_eval_table`` stream the bytes that
+``json.dump(<kind>_to_dict(obj), handle, indent=2)`` plus a newline would
+write, one list element per chunk, without building the dict or the
+whole text.
 """
 
 from __future__ import annotations
 
 from .algo import EvalTable, Grid
-from .combinat import rank
 from .field import PrimeModulus
 from .poly import SparsePoly, ValidationError
 
@@ -44,16 +48,47 @@ def _parse_modulus(obj: dict, what: str) -> PrimeModulus:
         raise ValidationError(str(exc)) from exc
 
 
+def _write_document(handle, head, key: str, items) -> None:
+    """Stream ``{**head, key: [*items]}`` in json.dump's indent=2 layout,
+    plus a newline. ``head`` holds (key, encoded JSON scalar) pairs and
+    ``items`` yields each list element encoded at indent level 2."""
+    def chunks():
+        yield "{\n" + "".join(f'  "{k}": {v},\n' for k, v in head) \
+            + f'  "{key}": ['
+        sep = "\n    "
+        for item in items:
+            yield sep + item
+            sep = ",\n    "
+        yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"
+
+    handle.writelines(chunks())
+
+
+def _canonical_terms(sparse: SparsePoly) -> list:
+    """Terms in canonical order: lexicographic on the reversed exponents."""
+    return sorted(sparse.terms, key=lambda t: t[0][::-1])
+
+
 def sparse_poly_to_dict(sparse: SparsePoly) -> dict:
-    ranked = sorted(sparse.terms,
-                    key=lambda t: rank(t[0], sparse.n, sparse.d, sparse.D))
     return {
         "p": str(sparse.modulus.p),
         "n": sparse.n,
         "d": sparse.d,
         "D": sparse.D,
-        "terms": [{"exp": list(e), "coeff": str(c)} for e, c in ranked],
+        "terms": [{"exp": list(e), "coeff": str(c)}
+                  for e, c in _canonical_terms(sparse)],
     }
+
+
+def write_sparse_poly(sparse: SparsePoly, handle) -> None:
+    """Write the ``sparse_poly_to_dict`` document to a text handle."""
+    head = (("p", f'"{sparse.modulus.p}"'), ("n", sparse.n),
+            ("d", sparse.d), ("D", sparse.D))
+    exp = ("[\n        " + ",\n        ".join(["%d"] * sparse.n)
+           + "\n      ]" if sparse.n else "[]")
+    term = '{\n      "exp": ' + exp + ',\n      "coeff": "%d"\n    }'
+    _write_document(handle, head, "terms",
+                    (term % (*e, c) for e, c in _canonical_terms(sparse)))
 
 
 def sparse_poly_from_dict(obj: dict) -> SparsePoly:
@@ -65,13 +100,25 @@ def sparse_poly_from_dict(obj: dict) -> SparsePoly:
     raw_terms = _get(obj, "terms", list, what)
     terms = []
     for i, term in enumerate(raw_terms):
-        if not isinstance(term, dict):
-            raise ValidationError(f"term {i} is not an object")
-        exp = _get(term, "exp", list, f"term {i}")
-        coeff = _parse_scalar(_get(term, "coeff", (str, int), f"term {i}"),
-                              f"term {i} coefficient")
+        # Fast path for the usual {"exp": [...], "coeff": "<decimal>"};
+        # whatever it does not accept goes through _parse_term's checks.
+        try:
+            exp, coeff = term["exp"], int(term["coeff"], 10)
+        except (TypeError, KeyError, ValueError):
+            exp = None
+        if type(exp) is not list:
+            exp, coeff = _parse_term(i, term)
         terms.append((tuple(exp), coeff))
     return SparsePoly(modulus, n, d, D, terms)
+
+
+def _parse_term(i: int, term) -> tuple[list, int]:
+    if not isinstance(term, dict):
+        raise ValidationError(f"term {i} is not an object")
+    exp = _get(term, "exp", list, f"term {i}")
+    coeff = _parse_scalar(_get(term, "coeff", (str, int), f"term {i}"),
+                          f"term {i} coefficient")
+    return exp, coeff
 
 
 def grid_to_dict(grid: Grid) -> dict:
@@ -108,6 +155,14 @@ def eval_table_to_dict(table: EvalTable) -> dict:
         "D": table.D,
         "values": [str(v) for v in table.values],
     }
+
+
+def write_eval_table(table: EvalTable, handle) -> None:
+    """Write the ``eval_table_to_dict`` document to a text handle."""
+    head = (("p", f'"{table.modulus.p}"'), ("n", table.n), ("d", table.d),
+            ("D", table.D))
+    _write_document(handle, head, "values",
+                    (f'"{v}"' for v in table.values))
 
 
 def eval_table_from_dict(obj: dict) -> EvalTable:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from .combinat import check_index, ebc_cum, enumerate_trimmed, rank
+from .combinat import check_index, ebc_cum, enumerate_trimmed, ranker
 from .field import PrimeModulus
 
 
@@ -120,6 +120,19 @@ class SparsePoly:
         self.D = D
         self.terms = tuple(kept)
 
+    @classmethod
+    def _trusted(cls, modulus: PrimeModulus, n: int, d: int, D: int,
+                 terms) -> "SparsePoly":
+        """Wrap terms that are valid by construction: distinct admissible
+        exponent tuples, nonzero canonical residues, and D normalized."""
+        self = cls.__new__(cls)
+        self.modulus = modulus
+        self.n = n
+        self.d = d
+        self.D = D
+        self.terms = tuple(terms)
+        return self
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SparsePoly):
             return (self.modulus.p == other.modulus.p and self.n == other.n
@@ -136,18 +149,19 @@ def from_sparse(sparse: SparsePoly) -> TrimmedPoly:
     """Densify a term list into canonical-order coefficients."""
     size = ebc_cum(sparse.n, sparse.D, sparse.d) if sparse.D >= 0 else 0
     coeffs = [0] * size
-    for exps, coeff in sparse.terms:
-        coeffs[rank(exps, sparse.n, sparse.d, sparse.D)] = coeff
+    rank_of = ranker(sparse.n, sparse.d, sparse.D)
+    for exps, coeff in sparse.terms:  # validated when sparse was built
+        coeffs[rank_of(exps)] = coeff
     return TrimmedPoly(sparse.modulus, sparse.n, sparse.d, sparse.D, coeffs)
 
 
 def to_sparse(poly: TrimmedPoly) -> SparsePoly:
     """Inverse of ``from_sparse`` up to term order (rank order here)."""
     if poly.D < 0:
-        return SparsePoly(poly.modulus, poly.n, poly.d, poly.D, [])
+        return SparsePoly._trusted(poly.modulus, poly.n, poly.d, poly.D, ())
     indices = enumerate_trimmed(poly.n, poly.d, poly.D)
     terms = [(exps, c) for exps, c in zip(indices, poly.coeffs) if c]
-    return SparsePoly(poly.modulus, poly.n, poly.d, poly.D, terms)
+    return SparsePoly._trusted(poly.modulus, poly.n, poly.d, poly.D, terms)
 
 
 def split_top(poly: TrimmedPoly) -> list[TrimmedPoly]:

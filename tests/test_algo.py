@@ -360,6 +360,19 @@ def test_run_counted_finds_modulus():
         run_counted(lambda x: x, 3)
 
 
+def test_run_counted_counts_every_distinct_modulus():
+    # poly and grid on equal but separate moduli, as on the CLI path where
+    # each is loaded from its own file: the grid's factor construction
+    # must be counted too, exactly as on a shared modulus
+    poly = random_poly(4, 2, 4, PrimeModulus(65537), 0)
+    for grid_mod in (PrimeModulus(65537), poly.modulus):
+        grid = Grid.random(grid_mod, 4, 2, 0)
+        _, counter = run_counted(trimmed_eval, poly, grid)
+        assert (counter.mul_count, counter.add_count,
+                counter.inv_count) == (752, 316, 8)
+        assert poly.modulus.counter is None and grid_mod.counter is None
+
+
 def test_interp_counts_present():
     mod = PrimeModulus(65537)
     grid = Grid.random(mod, 3, 2, seed=2)

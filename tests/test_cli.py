@@ -128,6 +128,16 @@ def test_roundtrip_bad_params(capsys):
     capsys.readouterr()
 
 
+def test_roundtrip_prime_below_node_count_exits_1(capsys):
+    # p = 2 has no 4 distinct nodes for d = 3: a pre-flight error, not a
+    # traceback from grid construction
+    assert main(["roundtrip", "--n", "2", "--d", "3", "--D", "2",
+                 "--prime", "2", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "p >= d+1" in err
+
+
 def test_parse_sweep():
     instances = parse_sweep("n=2..4;d=1,2;D=nd/2,nd")
     assert (2, 1, 1) in instances and (2, 1, 2) in instances
@@ -236,4 +246,50 @@ def test_usage_errors_exit_1(capsys):
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["eval", "--poly", str(tmp_path / "absent.json"),
                  "--grid-gen", "seq", "--out", str(tmp_path / "o.json")]) == 1
+    capsys.readouterr()
+
+
+def test_eval_malformed_exponent_names_the_term(tmp_path, capsys):
+    for exp in ([1, "x"], [2, 0], [0]):
+        poly = write(tmp_path / "poly.json",
+                     dict(WORKED_POLY,
+                          terms=[{"exp": [0, 0], "coeff": "2"},
+                                 {"exp": exp, "coeff": "3"}]))
+        assert main(["eval", "--poly", poly, "--grid-gen", "seq",
+                     "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"bad term {tuple(exp)!r}" in err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "interp"])
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch,
+                                             command):
+    import trimmedpoly.cli as cli
+
+    def broken(obj, handle):
+        handle.write('{\n  "p": "5",')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_eval_table", broken)
+    monkeypatch.setattr(cli, "write_sparse_poly", broken)
+    grid = write(tmp_path / "grid.json", WORKED_GRID)
+    if command == "eval":
+        argv = ["eval", "--poly", write(tmp_path / "in.json", WORKED_POLY),
+                "--grid", grid]
+    else:
+        argv = ["interp", "--grid", grid, "--evals",
+                write(tmp_path / "in.json",
+                      {"p": "5", "n": 2, "d": 1, "D": 1,
+                       "values": ["2", "0", "1"]})]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["grid.json",
+                                                          "in.json"]
+    out.write_text("earlier output\n")
+    assert main(argv + ["--out", str(out)]) == 1
+    assert out.read_text() == "earlier output\n"
+    assert len(list(tmp_path.iterdir())) == 3
     capsys.readouterr()

@@ -105,6 +105,8 @@ def test_enumerate_properties():
                 idxs = enumerate_trimmed(n, d, D)
                 assert len(idxs) == ebc_cum(n, D, d)
                 assert len(set(idxs)) == len(idxs)
+                # canonical order is lexicographic on the reversed vector
+                assert sorted(idxs, key=lambda e: e[::-1]) == list(idxs)
                 for exps in idxs:
                     assert all(0 <= e <= d for e in exps)
                     assert sum(exps) <= D
@@ -134,9 +136,9 @@ def test_rank_examples():
 
 
 def test_rank_unrank_exhaustive_bijection():
-    for n in range(1, 6):
+    for n in range(0, 6):
         for d in range(1, 4):
-            for D in range(0, n * d + 1):
+            for D in range(0, n * d + 2):  # D above n*d clamps
                 idxs = enumerate_trimmed(n, d, D)
                 for position, exps in enumerate(idxs):
                     assert rank(exps, n, d, D) == position, (n, d, D, exps)
