@@ -18,7 +18,6 @@ from .algo import (
 )
 from .combinat import (
     CapacityError,
-    EbcTable,
     ebc,
     ebc_cum,
     enumerate_trimmed,
@@ -31,8 +30,6 @@ from .linalg import (
     SingularMatrixError,
     SquareMatrix,
     ZeroPivotError,
-    apply_lower_truncated,
-    apply_upper_truncated,
     build_vandermonde,
     invert,
     lu_decompose,
@@ -42,10 +39,8 @@ from .poly import (
     TrimmedPoly,
     ValidationError,
     from_sparse,
-    join_top,
     naive_eval_point,
     random_poly,
-    split_top,
     to_sparse,
 )
 
@@ -53,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "EbcTable",
     "EvalTable",
     "FieldElement",
     "Grid",
@@ -66,8 +60,6 @@ __all__ = [
     "TrimmedPoly",
     "ValidationError",
     "ZeroPivotError",
-    "apply_lower_truncated",
-    "apply_upper_truncated",
     "build_vandermonde",
     "ebc",
     "ebc_cum",
@@ -75,14 +67,12 @@ __all__ = [
     "from_sparse",
     "invert",
     "is_prime",
-    "join_top",
     "lu_decompose",
     "naive_eval_point",
     "naive_trimmed_eval",
     "random_poly",
     "rank",
     "run_counted",
-    "split_top",
     "to_sparse",
     "trimmed_eval",
     "trimmed_interp",

@@ -53,10 +53,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .combinat import ebc_cum, enumerate_trimmed
+from .combinat import clamp_budget, ebc_cum, enumerate_trimmed
 from .field import OpCounter, PrimeModulus
 from .linalg import build_vandermonde, invert, lu_decompose
-from .poly import TrimmedPoly, ValidationError, naive_eval_point
+from .poly import TrimmedPoly, ValidationError, dense_layout, naive_eval_point
 
 __all__ = [
     "Grid", "EvalTable", "trimmed_eval", "trimmed_interp",
@@ -138,17 +138,7 @@ class EvalTable:
 
     def __init__(self, modulus: PrimeModulus, n: int, d: int, D: int,
                  values) -> None:
-        if n < 0:
-            raise ValidationError(f"variable count must be >= 0, got {n}")
-        if d < 1:
-            raise ValidationError(f"individual degree must be >= 1, got {d}")
-        D = -1 if D < 0 else min(D, n * d)
-        expected = ebc_cum(n, D, d) if D >= 0 else 0
-        vals = tuple(modulus.residue(v) for v in values)
-        if len(vals) != expected:
-            raise ValidationError(
-                f"value table has length {len(vals)}, expected {expected} "
-                f"for (n={n}, d={d}, D={D})")
+        D, vals = dense_layout(modulus, n, d, D, values, "value table")
         self.modulus = modulus
         self.n = n
         self.d = d
@@ -169,10 +159,6 @@ class EvalTable:
 
 # Layout metadata, cached on the effective (clamped) budget.
 
-def _effective(nv: int, b: int, d: int) -> int:
-    return -1 if b < 0 else min(b, nv * d)
-
-
 @lru_cache(maxsize=None)
 def _degree_sums(nv: int, b: int, d: int) -> tuple[int, ...]:
     """Coordinate sum of each index of the (nv, b) layout, in order."""
@@ -180,7 +166,7 @@ def _degree_sums(nv: int, b: int, d: int) -> tuple[int, ...]:
         return (0,)
     out: list[int] = []
     for j in range(min(d, b) + 1):
-        sub = _degree_sums(nv - 1, _effective(nv - 1, b - j, d), d)
+        sub = _degree_sums(nv - 1, clamp_budget(nv - 1, d, b - j), d)
         out.extend(s + j for s in sub)
     return tuple(out)
 
@@ -198,8 +184,8 @@ def _embedding(nv: int, big: int, small: int, d: int) -> tuple[int, ...] | None:
     None when the two layouts coincide (equal effective budgets), which
     callers use as the aligned fast path.
     """
-    big_e = _effective(nv, big, d)
-    small_e = _effective(nv, small, d)
+    big_e = clamp_budget(nv, d, big)
+    small_e = clamp_budget(nv, d, small)
     if big_e == small_e:
         return None
     return _embedding_cached(nv, big_e, small_e, d)
@@ -214,7 +200,7 @@ def _block_offsets_cached(nv: int, b: int, d: int) -> tuple[int, ...]:
 
 
 def _block_offsets(nv: int, b: int, d: int) -> tuple[int, ...]:
-    return _block_offsets_cached(nv, _effective(nv, b, d), d)
+    return _block_offsets_cached(nv, clamp_budget(nv, d, b), d)
 
 
 # Combination kernels. Residue math is inlined with deferred reduction
@@ -294,7 +280,7 @@ def _level_plan(nv: int, b: int, d: int):
     jmax = min(d, b)
     offs = _block_offsets(nv, b, d)
     nv1 = nv - 1
-    child = tuple(_effective(nv1, b - j, d) for j in range(jmax + 1))
+    child = tuple(clamp_budget(nv1, d, b - j) for j in range(jmax + 1))
     expand_embs = []
     gather_embs = []
     for j in range(jmax + 1):

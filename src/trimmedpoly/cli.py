@@ -22,7 +22,7 @@ from .algo import (
     trimmed_interp,
     yates_eval,
 )
-from .combinat import CapacityError, ebc, ebc_cum, enumerate_trimmed, rank, unrank
+from .combinat import CapacityError, ebc_cum
 from .field import PrimeModulus
 from .jsonio import (
     eval_table_from_dict,
@@ -31,7 +31,6 @@ from .jsonio import (
     write_eval_table,
     write_sparse_poly,
 )
-from .linalg import ZeroPivotError, build_vandermonde, lu_decompose
 from .poly import ValidationError, from_sparse, random_poly, to_sparse
 
 BENCH_HEADER = "algo,n,d,D,p,N,wall_time_ns,mul,add,inv,mul_per_Nn"
@@ -272,80 +271,25 @@ def _instance_seed(n: int, d: int, D: int) -> int:
     return ((n * 131 + d) * 131 + D) * 131
 
 
-# Embedded invariant suites for `selftest`.
-
-def _suite_extended_pascal() -> None:
-    for n in range(1, 7):
-        for d in range(1, 5):
-            for k in range(n * d + 1):
-                window = sum(ebc(n - 1, k - j, d) for j in range(d + 1))
-                assert ebc(n, k, d) == window, (n, k, d)
-            for D in range(n * d + 1):
-                split = sum(ebc_cum(n - 1, D - i, d) for i in range(d + 1))
-                assert ebc_cum(n, D, d) == split, (n, D, d)
-
-
-def _suite_lu_reconstruction() -> None:
-    import random as _random
-
-    rng = _random.Random(7)
-    for p in (101, 65537):
-        modulus = PrimeModulus(p)
-        for d in range(1, 7):
-            nodes = rng.sample(range(p), d + 1)
-            van = build_vandermonde(nodes, modulus)
-            fac = lu_decompose(van)
-            assert fac.L @ fac.U == van, (p, nodes)
-        try:
-            lu_decompose(build_vandermonde([1, 1, 2], modulus))
-        except ZeroPivotError:
-            pass
-        else:
-            raise AssertionError("duplicate nodes must fail to decompose")
-
-
-def _suite_rank_unrank() -> None:
-    for n in range(1, 5):
-        for d in range(1, 4):
-            for D in range(n * d + 1):
-                for position, exps in enumerate(enumerate_trimmed(n, d, D)):
-                    assert rank(exps, n, d, D) == position
-                    assert unrank(position, n, d, D) == exps
-
-
-def _suite_yates_consistency() -> None:
-    modulus = PrimeModulus(17)
-    for n in range(1, 4):
-        for d in range(1, 3):
-            poly = random_poly(n, d, n * d, modulus, seed=n * 10 + d)
-            grid = Grid.random(modulus, n, d, seed=n + d)
-            assert yates_eval(poly, grid) == trimmed_eval(poly, grid)
-
-
-_SUITES = (
-    ("extended-pascal", _suite_extended_pascal),
-    ("lu-reconstruction", _suite_lu_reconstruction),
-    ("rank-unrank", _suite_rank_unrank),
-    ("yates-consistency", _suite_yates_consistency),
-)
-
-
 def cmd_selftest(args) -> int:
+    from .checks import SUITES  # not at module level: keeps CLI start-up lean
+
     results = {}
-    for name, suite in _SUITES:
+    errors = []
+    for name, check in SUITES:
         try:
-            suite()
+            check()
             results[name] = True
-        except Exception:
+        except Exception as exc:
             results[name] = False
+            errors.append(f"suite {name}: {type(exc).__name__}: {exc}\n")
     if args.json:
         print(json.dumps(results))
     else:
         for name, ok in results.items():
             print(f"suite {name}: {'pass' if ok else 'FAIL'}")
-    failed = [name for name, ok in results.items() if not ok]
-    if failed:
-        sys.stderr.write(f"failed suites: {', '.join(failed)}\n")
+    if errors:
+        sys.stderr.writelines(errors)
         return 2
     return 0
 
@@ -413,7 +357,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        return _fail("input nests too deeply or has too many variables")
 
 
 if __name__ == "__main__":

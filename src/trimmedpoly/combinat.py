@@ -67,6 +67,12 @@ def _rows(n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(row), tuple(cum)
 
 
+def clamp_budget(n: int, d: int, D: int) -> int:
+    """The canonical total-degree budget of (n, d, D): -1 for any negative
+    D, else min(D, n*d), since no vector in {0,...,d}^n sums above n*d."""
+    return -1 if D < 0 else min(D, n * d)
+
+
 def ebc(n: int, k: int, d: int) -> int:
     """Number of vectors in {0,...,d}^n with coordinate sum exactly k."""
     _check_params(n, d)
@@ -87,55 +93,6 @@ def ebc_cum(n: int, D: int, d: int) -> int:
     if value > COUNT_LIMIT:
         raise CapacityError(f"ebc_cum({n}, {D}, {d}) exceeds 2^63 - 1")
     return value
-
-
-class EbcTable:
-    """Precomputed count tables for 0 <= m <= n_max, 0 <= k <= D_max.
-
-    Construction rejects parameter choices where the total vector count
-    ebc_cum(n_max, D_max, d) would exceed the 2^63 guard.
-    """
-
-    __slots__ = ("n_max", "d", "D_max", "counts", "cums")
-
-    def __init__(self, n_max: int, d: int, D_max: int) -> None:
-        _check_params(n_max, d)
-        if D_max < 0:
-            raise ValueError(f"D_max must be >= 0, got {D_max}")
-        total = _rows(n_max, d)[1][min(D_max, n_max * d)]
-        if total > COUNT_LIMIT:
-            raise CapacityError(
-                f"ebc_cum({n_max}, {D_max}, {d}) = {total} exceeds 2^63 - 1")
-        self.n_max = n_max
-        self.d = d
-        self.D_max = D_max
-        counts = []
-        cums = []
-        for m in range(n_max + 1):
-            row, cum = _rows(m, d)
-            counts.append(tuple(row[:D_max + 1]))
-            cums.append(tuple(cum[:D_max + 1]))
-        self.counts = tuple(counts)
-        self.cums = tuple(cums)
-
-    def count(self, m: int, k: int) -> int:
-        if not 0 <= m <= self.n_max:
-            raise ValueError(f"m = {m} outside [0, {self.n_max}]")
-        if k < 0 or k > m * self.d:
-            return 0
-        if k > self.D_max:
-            raise ValueError(f"k = {k} exceeds table bound {self.D_max}")
-        return self.counts[m][k]
-
-    def cum(self, m: int, D: int) -> int:
-        if not 0 <= m <= self.n_max:
-            raise ValueError(f"m = {m} outside [0, {self.n_max}]")
-        if D < 0:
-            return 0
-        D = min(D, m * self.d)
-        if D > self.D_max:
-            raise ValueError(f"D = {D} exceeds table bound {self.D_max}")
-        return self.cums[m][D]
 
 
 _INT = frozenset((int,))
@@ -205,7 +162,7 @@ def ranker(n: int, d: int, D: int):
     """The rank function of (n, d, D) for vectors that already passed
     ``check_index(exps, n, d, D)``; it does not validate them again."""
     _check_params(n, d)
-    top = max(min(D, n * d), -1)
+    top = clamp_budget(n, d, D)
     rows = tuple(reversed(_prefix_sums(n, d, top)))
 
     def rank_of(exps) -> int:

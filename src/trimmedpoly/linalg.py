@@ -1,5 +1,4 @@
-"""Vandermonde matrices, pivot-free LU, inversion, and truncated
-triangular products over F_p.
+"""Vandermonde matrices, pivot-free LU and inversion over F_p.
 
 ``lu_decompose`` deliberately never pivots: the evaluation and
 interpolation recursions rely on the triangular shape of both factors to
@@ -160,53 +159,3 @@ def invert(matrix: SquareMatrix) -> SquareMatrix:
                          for a, b in zip(result[r], result[col])]
     return SquareMatrix(mod, result)
 
-
-def _combine(mod: PrimeModulus, pairs):
-    """Linear combination over scalar residues or equal-shape vectors."""
-    pairs = list(pairs)
-    first_entry = pairs[0][1]
-    if isinstance(first_entry, (list, tuple)):
-        length = len(first_entry)
-        acc = [0] * length
-        ctr = mod.counter
-        p = mod.p
-        for coeff, entry in pairs:
-            if len(entry) != length:
-                raise ValueError("vector entries must share one shape")
-            acc = [a + coeff * mod.residue(v) for a, v in zip(acc, entry)]
-            if ctr is not None:
-                ctr.mul_count += length
-                ctr.add_count += length
-        return [a % p for a in acc]
-    acc = 0
-    for coeff, entry in pairs:
-        acc = mod.add(acc, mod.mul(coeff, mod.residue(entry)))
-    return acc
-
-
-def apply_upper_truncated(upper: SquareMatrix, vec, k: int):
-    """First k+1 rows of U times vec, reading only columns i..k per row i.
-
-    Entries of vec may be residues/FieldElements or equal-shape coefficient
-    vectors; the combination is linear over either.
-    """
-    if not 0 <= k < upper.size:
-        raise ValueError(f"k = {k} outside [0, {upper.size})")
-    if len(vec) < k + 1:
-        raise ValueError(f"need at least {k + 1} entries, got {len(vec)}")
-    mod = upper.modulus
-    return [_combine(mod, ((upper.rows[i][j], vec[j])
-                           for j in range(i, k + 1)))
-            for i in range(k + 1)]
-
-
-def apply_lower_truncated(lower: SquareMatrix, vec, k: int):
-    """First k+1 rows of L times vec, reading only columns 0..i per row i."""
-    if not 0 <= k < lower.size:
-        raise ValueError(f"k = {k} outside [0, {lower.size})")
-    if len(vec) < k + 1:
-        raise ValueError(f"need at least {k + 1} entries, got {len(vec)}")
-    mod = lower.modulus
-    return [_combine(mod, ((lower.rows[i][j], vec[j])
-                           for j in range(i + 1)))
-            for i in range(k + 1)]

@@ -5,7 +5,7 @@ monomial (individual degree <= d, total degree <= D), flattened in the
 canonical order from ``combinat``. Because that order is last-variable
 major, the decomposition P = sum_i P_i * X_n^i used by the fast
 transforms is a plain partition of the coefficient vector into
-contiguous blocks (``split_top`` / ``join_top``).
+contiguous blocks.
 
 SparsePoly is the human-facing term list used by the JSON formats; it
 never participates in the algorithms.
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 
-from .combinat import check_index, ebc_cum, enumerate_trimmed, ranker
+from .combinat import (check_index, clamp_budget, ebc_cum, enumerate_trimmed,
+                       ranker)
 from .field import PrimeModulus
 
 
@@ -23,11 +24,28 @@ class ValidationError(ValueError):
     """Malformed domain input (bad exponent, shape mismatch, bad table)."""
 
 
-def _normalize_degree(n: int, d: int, D: int) -> int:
-    """Clamp a total-degree budget into canonical form; negatives -> -1."""
-    if D < 0:
-        return -1
-    return min(D, n * d)
+def _check_shape(n: int, d: int, D: int) -> int:
+    """Reject n < 0 and d < 1; return D in canonical form."""
+    if n < 0:
+        raise ValidationError(f"variable count must be >= 0, got {n}")
+    if d < 1:
+        raise ValidationError(f"individual degree must be >= 1, got {d}")
+    return clamp_budget(n, d, D)
+
+
+def dense_layout(modulus: PrimeModulus, n: int, d: int, D: int, values,
+                 what: str) -> tuple[int, tuple[int, ...]]:
+    """The checks shared by the dense containers (``TrimmedPoly`` and
+    ``algo.EvalTable``): returns the canonical D and the values as
+    residues, whose count must be ebc_cum(n, D, d)."""
+    D = _check_shape(n, d, D)
+    expected = ebc_cum(n, D, d)
+    vals = tuple(modulus.residue(v) for v in values)
+    if len(vals) != expected:
+        raise ValidationError(
+            f"{what} has length {len(vals)}, expected {expected} "
+            f"for (n={n}, d={d}, D={D})")
+    return D, vals
 
 
 class TrimmedPoly:
@@ -43,17 +61,8 @@ class TrimmedPoly:
 
     def __init__(self, modulus: PrimeModulus, n: int, d: int, D: int,
                  coeffs) -> None:
-        if n < 0:
-            raise ValidationError(f"variable count must be >= 0, got {n}")
-        if d < 1:
-            raise ValidationError(f"individual degree must be >= 1, got {d}")
-        D = _normalize_degree(n, d, D)
-        expected = ebc_cum(n, D, d) if D >= 0 else 0
-        vals = tuple(modulus.residue(c) for c in coeffs)
-        if len(vals) != expected:
-            raise ValidationError(
-                f"coefficient vector has length {len(vals)}, expected "
-                f"{expected} for (n={n}, d={d}, D={D})")
+        D, vals = dense_layout(modulus, n, d, D, coeffs,
+                               "coefficient vector")
         self.modulus = modulus
         self.n = n
         self.d = d
@@ -63,12 +72,7 @@ class TrimmedPoly:
     @classmethod
     def zero(cls, modulus: PrimeModulus, n: int, d: int,
              D: int) -> "TrimmedPoly":
-        D = _normalize_degree(n, d, D)
-        size = ebc_cum(n, D, d) if D >= 0 else 0
-        return cls(modulus, n, d, D, [0] * size)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return cls(modulus, n, d, D, [0] * ebc_cum(n, D, d))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TrimmedPoly):
@@ -96,16 +100,12 @@ class SparsePoly:
 
     def __init__(self, modulus: PrimeModulus, n: int, d: int, D: int,
                  terms) -> None:
-        if n < 0:
-            raise ValidationError(f"variable count must be >= 0, got {n}")
-        if d < 1:
-            raise ValidationError(f"individual degree must be >= 1, got {d}")
-        D = _normalize_degree(n, d, D)
+        D = _check_shape(n, d, D)
         seen = set()
         kept = []
         for exps, coeff in terms:
             try:
-                key = check_index(exps, n, d, D if D >= 0 else -1)
+                key = check_index(exps, n, d, D)
             except ValueError as exc:
                 raise ValidationError(f"bad term {tuple(exps)!r}: {exc}") from exc
             if key in seen:
@@ -147,8 +147,7 @@ class SparsePoly:
 
 def from_sparse(sparse: SparsePoly) -> TrimmedPoly:
     """Densify a term list into canonical-order coefficients."""
-    size = ebc_cum(sparse.n, sparse.D, sparse.d) if sparse.D >= 0 else 0
-    coeffs = [0] * size
+    coeffs = [0] * ebc_cum(sparse.n, sparse.D, sparse.d)
     rank_of = ranker(sparse.n, sparse.d, sparse.D)
     for exps, coeff in sparse.terms:  # validated when sparse was built
         coeffs[rank_of(exps)] = coeff
@@ -162,61 +161,6 @@ def to_sparse(poly: TrimmedPoly) -> SparsePoly:
     indices = enumerate_trimmed(poly.n, poly.d, poly.D)
     terms = [(exps, c) for exps, c in zip(indices, poly.coeffs) if c]
     return SparsePoly._trusted(poly.modulus, poly.n, poly.d, poly.D, terms)
-
-
-def split_top(poly: TrimmedPoly) -> list[TrimmedPoly]:
-    """The d+1 last-variable slices P_i with P = sum_i P_i * X_n^i.
-
-    P_i is (n-1)-variate with total-degree budget min(D-i, (n-1)d); for
-    D-i < 0 it is the empty polynomial. Each slice is a contiguous block
-    of the canonical coefficient vector.
-    """
-    if poly.n == 0:
-        raise ValidationError("cannot split a 0-variate polynomial")
-    n, d, D = poly.n, poly.d, poly.D
-    parts = []
-    offset = 0
-    for i in range(d + 1):
-        budget = _normalize_degree(n - 1, d, D - i)
-        size = ebc_cum(n - 1, budget, d) if budget >= 0 else 0
-        parts.append(TrimmedPoly(poly.modulus, n - 1, d, budget,
-                                 poly.coeffs[offset:offset + size]))
-        offset += size
-    return parts
-
-
-def join_top(parts) -> TrimmedPoly:
-    """Reassemble split_top output: P = sum_i parts[i] * X_n^i.
-
-    The parent total-degree bound is recovered as max_i(parts[i].D + i),
-    which is exact for any split_top output; inconsistent part budgets
-    raise.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValidationError("join_top needs at least one part")
-    d = parts[0].d
-    if len(parts) != d + 1:
-        raise ValidationError(
-            f"expected {d + 1} parts for individual degree {d}, "
-            f"got {len(parts)}")
-    m = parts[0].n
-    modulus = parts[0].modulus
-    budgets = [part.D for part in parts]
-    D = max((b + i for i, b in enumerate(budgets) if b >= 0), default=-1)
-    coeffs = []
-    for i, part in enumerate(parts):
-        if part.n != m or part.d != d or part.modulus.p != modulus.p:
-            raise ValidationError(
-                f"part {i} has shape (n={part.n}, d={part.d}, "
-                f"p={part.modulus.p}), expected (n={m}, d={d}, p={modulus.p})")
-        expected = _normalize_degree(m, d, D - i)
-        if part.D != expected:
-            raise ValidationError(
-                f"part {i} has total degree bound {part.D}, expected "
-                f"{expected} for a parent bound of {D}")
-        coeffs.extend(part.coeffs)
-    return TrimmedPoly(modulus, m + 1, d, D, coeffs)
 
 
 def naive_eval_point(poly: TrimmedPoly, point) -> int:
@@ -248,9 +192,7 @@ def naive_eval_point(poly: TrimmedPoly, point) -> int:
 def random_poly(n: int, d: int, D: int, modulus: PrimeModulus,
                 seed: int) -> TrimmedPoly:
     """Uniform i.i.d. coefficients from a deterministic seeded generator."""
-    D = _normalize_degree(n, d, D)
-    size = ebc_cum(n, D, d) if D >= 0 else 0
     rng = random.Random(seed)
     p = modulus.p
-    coeffs = [rng.randrange(p) for _ in range(size)]
+    coeffs = [rng.randrange(p) for _ in range(ebc_cum(n, D, d))]
     return TrimmedPoly(modulus, n, d, D, coeffs)

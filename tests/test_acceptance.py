@@ -21,6 +21,7 @@ whose constants are frozen here as regression thresholds:
 import random
 import time
 
+from trimmedpoly import checks
 from trimmedpoly.algo import (
     EvalTable,
     Grid,
@@ -28,15 +29,9 @@ from trimmedpoly.algo import (
     run_counted,
     trimmed_eval,
     trimmed_interp,
-    yates_eval,
 )
-from trimmedpoly.combinat import ebc, ebc_cum, enumerate_trimmed, rank, unrank
+from trimmedpoly.combinat import ebc_cum
 from trimmedpoly.field import PrimeModulus
-from trimmedpoly.linalg import (
-    ZeroPivotError,
-    build_vandermonde,
-    lu_decompose,
-)
 from trimmedpoly.poly import random_poly
 
 C_MUL_BOUND = 1.25
@@ -134,13 +129,7 @@ def test_criterion_2_round_trip_identities():
 
 def test_criterion_3_extended_pascal():
     start = time.perf_counter()
-    checked = 0
-    for n in range(1, 9):
-        for d in range(1, 6):
-            for k in range(0, n * d + 1):
-                window = sum(ebc(n - 1, k - j, d) for j in range(d + 1))
-                assert ebc(n, k, d) == window, (n, k, d)
-                checked += 1
+    checked = checks.extended_pascal()
     elapsed = time.perf_counter() - start
     _report(3, "extended Pascal identity", True,
             f"{checked} cells exhaustive, exact, {elapsed:.1f}s")
@@ -148,46 +137,16 @@ def test_criterion_3_extended_pascal():
 
 def test_criterion_4_lu_contract():
     start = time.perf_counter()
-    primes = [11, 101, 65537, 2**31 - 1, 2**61 - 1]
-    rng = random.Random(44)
-    for trial in range(100):
-        mod = _modulus(primes[trial % len(primes)])
-        d = rng.randint(1, 8)
-        nodes = rng.sample(range(min(mod.p, 10**7)), d + 1)
-        van = build_vandermonde(nodes, mod)
-        fac = lu_decompose(van)
-        assert fac.L @ fac.U == van, (mod.p, nodes)
-        dup = list(nodes)
-        dup[rng.randrange(1, d + 1)] = dup[0]
-        try:
-            lu_decompose(build_vandermonde(dup, mod))
-        except ZeroPivotError:
-            pass
-        else:
-            raise AssertionError(f"duplicate nodes must fail: {dup}")
+    trials = checks.lu_contract()
     elapsed = time.perf_counter() - start
     _report(4, "LU contract", True,
-            f"100 reconstructions + 100 duplicate rejections, exact, "
-            f"{elapsed:.1f}s")
+            f"{trials} reconstructions + {trials} duplicate rejections, "
+            f"exact, {elapsed:.1f}s")
 
 
 def test_criterion_5_full_cube_consistency():
     start = time.perf_counter()
-    count = 0
-    for n in range(1, 5):
-        for d in range(1, 4):
-            for p in (7, 65537):
-                mod = _modulus(p)
-                poly = random_poly(n, d, n * d, mod, seed=n * 19 + d)
-                grid = Grid.random(mod, n, d, seed=n + d + p)
-                fast = trimmed_eval(poly, grid)
-                full = yates_eval(poly, grid)
-                assert fast == full, (n, d, p)
-                # index correspondence: canonical rank == mixed radix
-                for r, exps in enumerate(enumerate_trimmed(n, d, n * d)):
-                    assert r == sum(e * (d + 1) ** i
-                                    for i, e in enumerate(exps))
-                count += 1
+    count = checks.full_cube_consistency()
     elapsed = time.perf_counter() - start
     _report(5, "full-cube consistency with the classical baseline", True,
             f"{count} instances at all (d+1)^n points, exact, {elapsed:.1f}s")
@@ -247,14 +206,7 @@ def test_criterion_6_operation_count_scaling():
 
 def test_criterion_7_rank_unrank_bijection():
     start = time.perf_counter()
-    checked = 0
-    for n in range(1, 6):
-        for d in range(1, 4):
-            for D in range(0, n * d + 1):
-                for position, exps in enumerate(enumerate_trimmed(n, d, D)):
-                    assert rank(exps, n, d, D) == position
-                    assert unrank(position, n, d, D) == exps
-                    checked += 1
+    checked = checks.rank_unrank_bijection()
     elapsed = time.perf_counter() - start
     _report(7, "rank/unrank bijection", True,
             f"{checked} positions exhaustive, exact, {elapsed:.1f}s")

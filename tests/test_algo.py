@@ -26,7 +26,6 @@ from trimmedpoly.poly import (
     from_sparse,
     naive_eval_point,
     random_poly,
-    split_top,
     to_sparse,
 )
 
@@ -294,14 +293,17 @@ def test_telescoping_identity_small_instance():
     poly = random_poly(n, d, D, mod, seed=12)
     grid = Grid.random(mod, n, d, seed=13)
     fac = lu_decompose(build_vandermonde(grid.rows[n - 1], mod))
-    parts = split_top(poly)
+    # parts[i] holds the terms of P_i, where P = sum_i P_i * X_n^i
+    parts = [[] for _ in range(d + 1)]
+    for exps, coeff in to_sparse(poly).terms:
+        parts[exps[-1]].append((exps[:-1], coeff))
     # q_j = sum_{i >= j} U[j][i] * parts[i], assembled sparsely
     q_polys = []
     for j in range(d + 1):
         terms = {}
         for i in range(j, d + 1):
             u = fac.U.rows[j][i]
-            for exps, coeff in to_sparse(parts[i]).terms:
+            for exps, coeff in parts[i]:
                 terms[exps] = (terms.get(exps, 0) + u * coeff) % mod.p
         budget = min(D - j, (n - 1) * d) if D - j >= 0 else -1
         q_polys.append(from_sparse(SparsePoly(

@@ -293,3 +293,43 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch,
     assert out.read_text() == "earlier output\n"
     assert len(list(tmp_path.iterdir())) == 3
     capsys.readouterr()
+
+
+def test_selftest_failure_names_suite_and_parameters(capsys, monkeypatch):
+    from trimmedpoly import checks
+
+    def failing():
+        raise AssertionError((3, 2, 5))
+
+    monkeypatch.setattr(checks, "SUITES", tuple(
+        (name, failing if name == "rank-unrank" else check)
+        for name, check in checks.SUITES))
+    assert main(["selftest"]) == 2
+    captured = capsys.readouterr()
+    assert "suite rank-unrank: FAIL" in captured.out
+    assert "suite rank-unrank: AssertionError: (3, 2, 5)" in \
+        captured.err.splitlines()
+
+
+@pytest.mark.parametrize("case", ["many-variables", "deep-json", "roundtrip"])
+def test_recursion_limit_exits_1_with_one_line(tmp_path, capsys, case):
+    out = tmp_path / "out.json"
+    if case == "many-variables":
+        poly = write(tmp_path / "poly.json",
+                     {"p": "5", "n": 2000, "d": 1, "D": 0, "terms": []})
+        argv = ["eval", "--poly", poly, "--grid-gen", "seq",
+                "--out", str(out)]
+    elif case == "deep-json":
+        poly = tmp_path / "poly.json"
+        poly.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        argv = ["eval", "--poly", str(poly), "--grid-gen", "seq",
+                "--out", str(out)]
+    else:
+        argv = ["roundtrip", "--n", "2000", "--d", "1", "--D", "1",
+                "--prime", "5", "--trials", "1"]
+    before = sorted(f.name for f in tmp_path.iterdir())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too deeply" in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == before

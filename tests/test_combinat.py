@@ -4,7 +4,6 @@ import pytest
 
 from trimmedpoly.combinat import (
     CapacityError,
-    EbcTable,
     ebc,
     ebc_cum,
     enumerate_trimmed,
@@ -71,25 +70,8 @@ def test_parameter_validation():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         ebc_cum(80, 80, 3)
-    with pytest.raises(CapacityError):
-        EbcTable(80, 3, 80)
     # just under the guard is fine
     assert ebc_cum(20, 20, 3) > 0
-
-
-def test_ebc_table_matches_functions():
-    table = EbcTable(6, 3, 12)
-    for m in range(7):
-        for k in range(13):
-            assert table.count(m, k) == ebc(m, k, 3)
-            assert table.cum(m, k) == ebc_cum(m, k, 3)
-    assert table.count(3, -1) == 0
-    assert table.cum(3, -2) == 0
-    assert table.cum(2, 13) == ebc_cum(2, 13, 3)  # clamps to m*d = 6
-    with pytest.raises(ValueError):
-        table.count(7, 0)
-    with pytest.raises(ValueError):
-        table.cum(6, 13)  # clamped budget 13 exceeds the stored bound 12
 
 
 def test_enumerate_examples():

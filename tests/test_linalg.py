@@ -7,8 +7,6 @@ from trimmedpoly.linalg import (
     SingularMatrixError,
     SquareMatrix,
     ZeroPivotError,
-    apply_lower_truncated,
-    apply_upper_truncated,
     build_vandermonde,
     invert,
     lu_decompose,
@@ -114,66 +112,3 @@ def test_invert_needs_pivoting():
     m = SquareMatrix(MOD5, [[0, 1], [1, 0]])
     assert invert(m) @ m == SquareMatrix.identity(MOD5, 2)
 
-
-def test_apply_upper_truncated():
-    van = build_vandermonde([0, 1, 2], MOD5)
-    fac = lu_decompose(van)
-    assert apply_upper_truncated(fac.U, [1, 1, 1], 2) == [1, 2, 2]
-    eye = SquareMatrix.identity(MOD5, 3)
-    assert apply_upper_truncated(eye, [2, 3, 4], 2) == [2, 3, 4]
-    assert apply_upper_truncated(eye, [2, 3, 4], 1) == [2, 3]
-    assert apply_upper_truncated(fac.U, [4, 1, 1], 0) == [4]  # U00 * v0
-    with pytest.raises(ValueError):
-        apply_upper_truncated(eye, [1], 1)
-    with pytest.raises(ValueError):
-        apply_upper_truncated(eye, [1, 2, 3], 3)
-
-
-def test_apply_lower_truncated():
-    van = build_vandermonde([0, 1, 2], MOD5)
-    fac = lu_decompose(van)
-    assert apply_lower_truncated(fac.L, [1, 1, 1], 2) == [1, 2, 4]
-    eye = SquareMatrix.identity(MOD5, 3)
-    assert apply_lower_truncated(eye, [2, 3, 4], 2) == [2, 3, 4]
-    assert apply_lower_truncated(fac.L, [3, 1, 1], 0) == [3]  # unit diagonal
-
-
-def test_apply_full_product_identity():
-    # gather(L, expand(U, v)) == M @ v in the untruncated case
-    rng = random.Random(9)
-    for _ in range(20):
-        d = rng.randint(1, 6)
-        mod = PrimeModulus(65537)
-        nodes = rng.sample(range(mod.p), d + 1)
-        van = build_vandermonde(nodes, mod)
-        fac = lu_decompose(van)
-        vec = [rng.randrange(mod.p) for _ in range(d + 1)]
-        through = apply_lower_truncated(
-            fac.L, apply_upper_truncated(fac.U, vec, d), d)
-        direct = [sum(row[j] * vec[j] for j in range(d + 1)) % mod.p
-                  for row in van.rows]
-        assert through == direct
-
-
-def test_apply_vector_entries():
-    # entries may be equal-shape coefficient vectors
-    van = build_vandermonde([0, 1, 2], MOD5)
-    fac = lu_decompose(van)
-    vecs = [[1, 0], [0, 1], [2, 3]]
-    out = apply_upper_truncated(fac.U, vecs, 2)
-    u = fac.U.rows
-    for i in range(3):
-        expected = [sum(u[i][j] * vecs[j][t] for j in range(i, 3)) % 5
-                    for t in range(2)]
-        assert out[i] == expected
-    with pytest.raises(ValueError):
-        apply_upper_truncated(fac.U, [[1, 0], [0, 1], [2]], 2)
-
-
-def test_apply_counts_ops():
-    mod = PrimeModulus(65537)
-    fac = lu_decompose(build_vandermonde([1, 2, 3], mod))
-    with mod.counting() as ctr:
-        apply_upper_truncated(fac.U, [1, 2, 3], 2)
-    # rows read j=i..2: 3 + 2 + 1 multiplications
-    assert ctr.mul_count == 6

@@ -10,10 +10,8 @@ from trimmedpoly.poly import (
     TrimmedPoly,
     ValidationError,
     from_sparse,
-    join_top,
     naive_eval_point,
     random_poly,
-    split_top,
     to_sparse,
 )
 
@@ -68,88 +66,6 @@ def test_degree_normalization():
     assert empty.D == -1 and empty.coeffs == ()
     with pytest.raises(ValidationError):
         TrimmedPoly(MOD5, 2, 1, 1, [1, 2])  # wrong length
-
-
-def test_split_top_worked_example():
-    parts = split_top(worked_poly())
-    assert len(parts) == 2
-    assert parts[0].coeffs == (2, 3) and parts[0].D == 1
-    assert parts[1].coeffs == (4,) and parts[1].D == 0
-
-
-def test_split_top_budgets_and_support():
-    rng = random.Random(11)
-    for _ in range(30):
-        n, d = rng.randint(1, 4), rng.randint(1, 3)
-        D = rng.randint(0, n * d)
-        poly = random_poly(n, d, D, MOD5, rng.randrange(1000))
-        parts = split_top(poly)
-        assert len(parts) == d + 1
-        for i, part in enumerate(parts):
-            budget = min(D - i, (n - 1) * d)
-            assert part.D == (budget if D - i >= 0 else -1)
-            for exps, coeff in to_sparse(part).terms:
-                assert sum(exps) <= D - i
-
-
-def test_split_constant_univariate():
-    poly = TrimmedPoly(MOD5, 1, 3, 0, [2])
-    parts = split_top(poly)
-    assert parts[0].coeffs == (2,)
-    assert all(part.D == -1 and part.coeffs == () for part in parts[1:])
-
-
-def test_split_full_cube_budgets():
-    poly = random_poly(3, 2, 6, MOD5, 0)
-    for part in split_top(poly):
-        assert part.D == 4  # clamped to (n-1)*d
-
-
-def test_split_zero_variables_rejected():
-    with pytest.raises(ValidationError):
-        split_top(TrimmedPoly(MOD5, 0, 1, 0, [3]))
-
-
-def test_join_top_inverse():
-    rng = random.Random(17)
-    for _ in range(40):
-        n, d = rng.randint(1, 4), rng.randint(1, 3)
-        D = rng.randint(0, n * d)
-        poly = random_poly(n, d, D, MOD5, rng.randrange(1000))
-        assert join_top(split_top(poly)) == poly
-
-
-def test_join_top_worked_example():
-    parts = [TrimmedPoly(MOD5, 1, 1, 1, [2, 3]),
-             TrimmedPoly(MOD5, 1, 1, 0, [4])]
-    assert join_top(parts).coeffs == (2, 3, 4)
-
-
-def test_join_top_zero_parts():
-    parts = [TrimmedPoly.zero(MOD5, 1, 1, 1), TrimmedPoly.zero(MOD5, 1, 1, 0)]
-    joined = join_top(parts)
-    assert joined.is_zero() and joined.D == 1
-
-
-def test_join_top_full_cube_budgets_are_consistent():
-    # budgets (1, 1) arise from splitting the full cube D = nd = 2
-    parts = [TrimmedPoly(MOD5, 1, 1, 1, [2, 3]),
-             TrimmedPoly(MOD5, 1, 1, 1, [4, 0])]
-    joined = join_top(parts)
-    assert joined.D == 2 and joined.coeffs == (2, 3, 4, 0)
-
-
-def test_join_top_shape_mismatch():
-    parts = [TrimmedPoly(MOD5, 1, 1, 0, [2]),
-             TrimmedPoly(MOD5, 1, 1, 1, [4, 1])]  # implies D=2, part0 bad
-    with pytest.raises(ValidationError):
-        join_top(parts)
-    with pytest.raises(ValidationError):
-        join_top([TrimmedPoly(MOD5, 1, 1, 1, [2, 3])])  # wrong part count
-    mixed = [TrimmedPoly(MOD5, 1, 1, 1, [2, 3]),
-             TrimmedPoly(PrimeModulus(7), 1, 1, 0, [4])]
-    with pytest.raises(ValidationError):
-        join_top(mixed)
 
 
 def test_naive_eval_point_examples():
