@@ -11,9 +11,10 @@ admitted; the smaller one is an order-preserving subsequence of the
 larger. ``_embedding`` caches those subsequence positions, so moving a
 block between budgets is pure index plumbing with no field operations.
 
-Recursion scheme
-----------------
-Both directions run on flat residue lists, built from two kernels:
+Stage scheme
+------------
+A stage applies one triangular matrix along the top (last) variable,
+with one of two kernels:
 
 - expand: combine blocks with the rows of an upper triangular matrix;
   row j touches blocks j..d, whose budgets never exceed the target
@@ -22,25 +23,34 @@ Both directions run on flat residue lists, built from two kernels:
   row j touches blocks 0..j, whose budgets never fall below the target,
   so each source restricts onto the target layout.
 
-Evaluation factors each level's Vandermonde matrix as V = L * U (pivot
-free, always possible on distinct nodes since every leading principal
-minor is itself a nonzero Vandermonde determinant) and runs
+Evaluation factors each variable's Vandermonde matrix as V = L * U
+(pivot free, always possible on distinct nodes since every leading
+principal minor is itself a nonzero Vandermonde determinant) and runs
+the 2n stages
 
-    expand with U  ->  recurse  ->  gather with L.
+    U_n, ..., U_1,  then  L_1, ..., L_n.
 
-Interpolation is the exact level-by-level inverse. Leading principal
+This is the divide-and-conquer "expand with U_n, transform each block in
+the other variables, gather with L_n" laid flat: the inner transforms of
+different blocks touch disjoint data, so each of their stages can run on
+all blocks at once, as one stage on the whole layout. Each stage needs
+its variable on top. {e in [0,d]^n : sum(e) <= b} is
+symmetric under permuting coordinates, so the relabelled vectors
+(e_n, e_1, ..., e_{n-1}) form the same (n, b) layout, and cached index
+tables move the data to that labelling (``down``) and back (``up``).
+
+Interpolation is the exact stage-by-stage inverse. Leading principal
 blocks of triangular matrices multiply blockwise, so each truncated
 combination is undone by the same-shaped combination with the inverted
-factor; inverting the whole level therefore means running the mirrored
-order with inverted factors:
+factor; the mirrored sequence with inverted factors inverts the whole:
 
-    gather with inv(L)  ->  recurse  ->  expand with inv(U).
+    inv(L)_n, ..., inv(L)_1,  then  inv(U)_1, ..., inv(U)_n.
 
 Note inv(U) * inv(L) is an exact upper*lower factorization of the
 inverse Vandermonde matrix, and both inverses always exist, for any
 distinct-node row. (A lower*upper factorization of the inverse, by
 contrast, fails to exist whenever a node other than the row's first is
-zero, and feeding its factors into the recursion computes the wrong
+zero, and feeding its factors into the stages computes the wrong
 polynomial; see the ledger-tests in tests/test_algo.py.)
 
 Multiplication/addition counts are tallied in bulk per combination pass
@@ -51,7 +61,9 @@ depend only on (n, d, D), never on coefficient values.
 from __future__ import annotations
 
 import random
+from array import array
 from functools import lru_cache
+from itertools import accumulate
 
 from .combinat import clamp_budget, ebc_cum, enumerate_trimmed
 from .field import OpCounter, PrimeModulus
@@ -162,13 +174,11 @@ class EvalTable:
 @lru_cache(maxsize=None)
 def _degree_sums(nv: int, b: int, d: int) -> tuple[int, ...]:
     """Coordinate sum of each index of the (nv, b) layout, in order."""
-    if nv == 0:
-        return (0,)
-    out: list[int] = []
-    for j in range(min(d, b) + 1):
-        sub = _degree_sums(nv - 1, clamp_budget(nv - 1, d, b - j), d)
-        out.extend(s + j for s in sub)
-    return tuple(out)
+    sums = [0]
+    for _ in range(nv):
+        sums = [s + j for j in range(min(d, b) + 1) for s in sums
+                if s <= b - j]
+    return tuple(sums)
 
 
 @lru_cache(maxsize=None)
@@ -191,16 +201,23 @@ def _embedding(nv: int, big: int, small: int, d: int) -> tuple[int, ...] | None:
     return _embedding_cached(nv, big_e, small_e, d)
 
 
-@lru_cache(maxsize=None)
-def _block_offsets_cached(nv: int, b: int, d: int) -> tuple[int, ...]:
-    offs = [0]
-    for j in range(min(d, b) + 1):
-        offs.append(offs[-1] + ebc_cum(nv - 1, b - j, d))
-    return tuple(offs)
+def _relabelling(nv1: int, b: int, d: int, offs) -> tuple[array, array]:
+    """(down, up) tables of the (nv1+1, b) layout with block offsets offs.
 
-
-def _block_offsets(nv: int, b: int, d: int) -> tuple[int, ...]:
-    return _block_offsets_cached(nv, clamp_budget(nv, d, b), d)
+    ``[data[i] for i in down]`` relabels (e_1, ..., e_nv) as (e_nv, e_1,
+    ..., e_{nv-1}), i.e. lists each prefix of the (nv1, b) layout with its
+    admissible top values j under it; ``up`` is the inverse.
+    """
+    seen = list(offs[:-1])
+    down = array("q")
+    for s in _degree_sums(nv1, clamp_budget(nv1, d, b), d):
+        for j in range(min(d, b - s) + 1):
+            down.append(seen[j])
+            seen[j] += 1
+    up = array("q", bytes(8 * len(down)))
+    for r, i in enumerate(down):
+        up[i] = r
+    return down, up
 
 
 # Combination kernels. Residue math is inlined with deferred reduction
@@ -209,20 +226,6 @@ def _block_offsets(nv: int, b: int, d: int) -> tuple[int, ...]:
 
 def _fused(coefs, cols, p: int) -> list[int]:
     """sum_i coefs[i] * cols[i], elementwise over equal-length columns."""
-    if len(cols) == 1:
-        c0 = coefs[0]
-        return [c0 * a % p for a in cols[0]]
-    if len(cols) == 2:
-        c0, c1 = coefs
-        return [(c0 * a + c1 * b) % p for a, b in zip(cols[0], cols[1])]
-    if len(cols) == 3:
-        c0, c1, c2 = coefs
-        return [(c0 * a + c1 * b + c2 * e) % p
-                for a, b, e in zip(cols[0], cols[1], cols[2])]
-    if len(cols) == 4:
-        c0, c1, c2, c3 = coefs
-        return [(c0 * a + c1 * b + c2 * e + c3 * f) % p
-                for a, b, e, f in zip(cols[0], cols[1], cols[2], cols[3])]
     acc = [coefs[0] * v for v in cols[0]]
     for c, col in zip(coefs[1:], cols[1:]):
         acc = [a + c * v for a, v in zip(acc, col)]
@@ -271,16 +274,16 @@ def _gather_blocks(coefs, blocks, embs, p: int,
 
 @lru_cache(maxsize=None)
 def _level_plan(nv: int, b: int, d: int):
-    """Per-level layout metadata shared by every call of the same shape.
+    """Layout metadata of every stage on the (nv, b) layout.
 
-    Returns (jmax, block offsets, child effective budgets, expand
-    embeddings per row, gather embeddings per row); embedding entries are
-    None when all sources of that row are already aligned.
+    Returns (jmax, block offsets, expand embeddings per row, gather
+    embeddings per row, down, up); embedding entries are None when all
+    sources of that row are already aligned.
     """
     jmax = min(d, b)
-    offs = _block_offsets(nv, b, d)
     nv1 = nv - 1
-    child = tuple(clamp_budget(nv1, d, b - j) for j in range(jmax + 1))
+    offs = tuple(accumulate((ebc_cum(nv1, b - j, d)
+                             for j in range(jmax + 1)), initial=0))
     expand_embs = []
     gather_embs = []
     for j in range(jmax + 1):
@@ -289,68 +292,43 @@ def _level_plan(nv: int, b: int, d: int):
         expand_embs.append(None if all(e is None for e in row) else row)
         row = tuple(_embedding(nv1, b - i, b - j, d) for i in range(j + 1))
         gather_embs.append(None if all(e is None for e in row) else row)
-    return jmax, offs, child, tuple(expand_embs), tuple(gather_embs)
-
-
-def _transform_uni(data: list[int], b: int, d: int, lower, upper, p: int,
-                   ctr: OpCounter | None, inverse: bool) -> list[int]:
-    """Univariate level: two truncated triangular products on scalars.
-
-    Counts match the generic path exactly: m(m+1) muls, m(m-1) adds for
-    m = min(d, b) + 1 entries.
-    """
-    m = min(d, b) + 1
-    if ctr is not None:
-        ctr.mul_count += m * (m + 1)
-        ctr.add_count += m * (m - 1)
-    if inverse:
-        mid = [sum(lower[j][h] * data[h] for h in range(j + 1)) % p
-               for j in range(m)]
-        return [sum(upper[j][t] * mid[t] for t in range(j, m)) % p
-                for j in range(m)]
-    mid = [sum(upper[j][t] * data[t] for t in range(j, m)) % p
-           for j in range(m)]
-    return [sum(lower[j][h] * mid[h] for h in range(j + 1)) % p
-            for j in range(m)]
+    return ((jmax, offs, tuple(expand_embs), tuple(gather_embs))
+            + _relabelling(nv1, b, d, offs))
 
 
 def _transform(data: list[int], nv: int, b: int, d: int, mod: PrimeModulus,
                factors, inverse: bool) -> list[int]:
-    """One level of the shared recursion; see the module docstring.
+    """The 2*nv stages of the module docstring on the (nv, b) layout.
 
-    ``factors[m-1]`` holds (lower rows, upper rows) for the level with m
-    variables remaining: (L, U) of the level's Vandermonde matrix when
-    ``inverse`` is False, their inverses when it is True. ``b`` is the
-    effective budget, >= 0.
+    ``factors[m-1]`` holds (lower rows, upper rows) for variable m: (L, U)
+    of its Vandermonde matrix when ``inverse`` is False, their inverses
+    when it is True. ``b`` is the effective budget, >= 0.
     """
     if nv == 0:
         return data
     p = mod.p
     ctr = mod.counter
-    lower, upper = factors[nv - 1]
-    if nv == 1:
-        return _transform_uni(data, b, d, lower, upper, p, ctr, inverse)
-    jmax, offs, child, expand_embs, gather_embs = _level_plan(nv, b, d)
-    blocks = [data[offs[i]:offs[i + 1]] for i in range(jmax + 1)]
-    parts = []
-    for j in range(jmax + 1):
-        if inverse:
-            combined = _gather_blocks(lower[j][:j + 1], blocks[:j + 1],
-                                      gather_embs[j], p, ctr)
-        else:
-            combined = _expand_blocks(upper[j][j:jmax + 1], blocks[j:],
-                                      expand_embs[j], p, ctr)
-        parts.append(_transform(combined, nv - 1, child[j], d, mod,
-                                factors, inverse))
-    out: list[int] = []
-    for j in range(jmax + 1):
-        if inverse:
-            out.extend(_expand_blocks(upper[j][j:jmax + 1], parts[j:],
-                                      expand_embs[j], p, ctr))
-        else:
-            out.extend(_gather_blocks(lower[j][:j + 1], parts[:j + 1],
-                                      gather_embs[j], p, ctr))
-    return out
+    jmax, offs, expand_embs, gather_embs, down, up = _level_plan(nv, b, d)
+    # Evaluation expands with U_nv..U_1, then gathers with L_1..L_nv;
+    # interpolation gathers with inv(L)_nv..inv(L)_1, then expands with
+    # inv(U)_1..inv(U)_nv. Between stages the next variable is relabelled
+    # to the top, down in the first half and up in the second.
+    stages = ([(m, not inverse, down) for m in range(nv, 0, -1)]
+              + [(m, inverse, up) for m in range(1, nv + 1)])
+    for k, (m, upper, perm) in enumerate(stages):
+        if k != 0 and k != nv:
+            data = [data[i] for i in perm]
+        rows = factors[m - 1][1 if upper else 0]
+        blocks = [data[offs[i]:offs[i + 1]] for i in range(jmax + 1)]
+        data = []
+        for j in range(jmax + 1):
+            if upper:
+                data.extend(_expand_blocks(rows[j][j:jmax + 1], blocks[j:],
+                                           expand_embs[j], p, ctr))
+            else:
+                data.extend(_gather_blocks(rows[j][:j + 1], blocks[:j + 1],
+                                           gather_embs[j], p, ctr))
+    return data
 
 
 def _check_grid_match(obj, grid: Grid, what: str) -> None:

@@ -1,7 +1,7 @@
 """Vandermonde matrices, pivot-free LU and inversion over F_p.
 
-``lu_decompose`` deliberately never pivots: the evaluation and
-interpolation recursions rely on the triangular shape of both factors to
+``lu_decompose`` deliberately never pivots: the staged evaluation and
+interpolation transforms rely on the triangular shape of both factors to
 control degree budgets, and row swaps would destroy it. For Vandermonde
 matrices on distinct nodes every leading principal minor is itself a
 nonzero Vandermonde determinant, so a zero pivot cannot occur; hitting

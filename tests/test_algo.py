@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -177,6 +178,31 @@ def test_univariate_degenerate_budget():
     poly = trimmed_interp(table, grid)
     assert poly.coeffs == (3,)
 
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_transforms_stack_depth_does_not_grow_with_n():
+    # 300 variables at (d, D) = (1, 1), N = 301. The count tables still
+    # recurse once per variable, so they are filled first at the default
+    # limit; the transforms must then run in a stack of fixed depth.
+    mod = PrimeModulus(65537)
+    n = 300
+    enumerate_trimmed(n, 1, 1)
+    poly = random_poly(n, 1, 1, mod, seed=3)
+    grid = Grid.sequential(mod, n, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        assert trimmed_interp(trimmed_eval(poly, grid), grid) == poly
+    finally:
+        sys.setrecursionlimit(limit)
 
 # Regression tests for the literal printed recipe (kept failing on
 # purpose-built inputs to document why the inverted-factor form is used;
@@ -374,6 +400,65 @@ def test_run_counted_counts_every_distinct_modulus():
                 counter.inv_count) == (752, 316, 8)
         assert poly.modulus.counter is None and grid_mod.counter is None
 
+
+
+def _stage_muls(n: int, d: int, D: int) -> int:
+    """Multiplications of the 2n stages, in closed form: along variable m,
+    the fiber whose other coordinates sum to s has l = min(d, D-s) + 1
+    entries and costs l(l+1)/2 in each of its two triangular stages. Each
+    fiber is named by its vector with e_m = 0."""
+    if D < 0:
+        return 0
+    exps = enumerate_trimmed(n, d, D)
+    total = 0
+    for m in range(n):
+        for e in exps:
+            if e[m] == 0:
+                ell = min(d, D - sum(e)) + 1
+                total += ell * (ell + 1)
+    return total
+
+
+def _factor_ops(grid: Grid, inverse: bool) -> tuple[int, int, int]:
+    """Counted cost of building the per-variable factors on their own."""
+    def build(grid):
+        for row in grid.rows:
+            fac = lu_decompose(build_vandermonde(row, grid.modulus))
+            if inverse:
+                invert(fac.L)
+                invert(fac.U)
+
+    _, counter = run_counted(build, grid)
+    return counter.mul_count, counter.add_count, counter.inv_count
+
+
+def test_transform_op_counts_closed_form():
+    # every shape with n <= 5, d <= 4, -1 <= D <= nd+1 and N <= 600, on a
+    # grid holding the node 0 and on a random one: total counts are the
+    # factor construction plus mul = sum of fiber costs, add = mul - 2nN
+    mod = PrimeModulus(65537)
+    cases = 0
+    for n in range(6):
+        for d in range(1, 5):
+            for D in range(-1, n * d + 2):
+                N = ebc_cum(n, D, d)
+                if N > 600:
+                    continue
+                muls = _stage_muls(n, d, D)
+                poly = random_poly(n, d, D, mod, seed=N)
+                for grid in (Grid.sequential(mod, n, d),
+                             Grid.random(mod, n, d, seed=D + 1)):
+                    table, ev = run_counted(trimmed_eval, poly, grid)
+                    _, inv = run_counted(trimmed_interp, table, grid)
+                    for counter, inverse in ((ev, False), (inv, True)):
+                        fmul, fadd, finv = (_factor_ops(grid, inverse)
+                                            if D >= 0 else (0, 0, 0))
+                        got = (counter.mul_count, counter.add_count,
+                               counter.inv_count)
+                        want = (fmul + muls, fadd + muls - 2 * n * N, finv)
+                        assert got == want, (n, d, D, grid.rows, inverse)
+                        cases += 1
+    assert cases > 600
 
 def test_interp_counts_present():
     mod = PrimeModulus(65537)
