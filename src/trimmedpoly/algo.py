@@ -3,25 +3,28 @@ oracle, and the full-grid baseline.
 
 Layout scheme
 -------------
-A coefficient vector or evaluation table for (nv variables, total budget
-b) is, in the canonical order, the concatenation of d+1 blocks indexed by
-the last coordinate j, where block j has layout (nv-1, b-j). Layouts for
-two budgets over the same variables differ only by which indices are
-admitted; the smaller one is an order-preserving subsequence of the
-larger. ``_embedding`` caches those subsequence positions, so moving a
-block between budgets is pure index plumbing with no field operations.
+At the boundary, a coefficient vector or evaluation table for (nv
+variables, total budget b) is in the canonical order: the concatenation
+of d+1 blocks indexed by the last coordinate j, where block j lists the
+(nv-1, b-j) layout canonically. Inside the transform each block is kept
+in degree order instead: its entries sorted by coordinate sum, ties
+broken canonically. In degree order the (nv-1, b-i) layout is the
+entries with sum <= b-i, so for i > j it is a prefix of the (nv-1, b-j)
+layout: moving a block to a smaller budget keeps its first entries, and
+moving it to a larger one pads it with zeros. Tables cached per shape
+permute the canonical order into degree-ordered blocks before the first
+stage (``enter``) and back after the last (``leave``).
 
 Stage scheme
 ------------
-A stage applies one triangular matrix along the top (last) variable,
-with one of two kernels:
-
-- expand: combine blocks with the rows of an upper triangular matrix;
-  row j touches blocks j..d, whose budgets never exceed the target
-  budget b-j, so each source embeds into the target layout.
-- gather: combine blocks with the rows of a lower triangular matrix;
-  row j touches blocks 0..j, whose budgets never fall below the target,
-  so each source restricts onto the target layout.
+A stage multiplies every fiber along the top (last) variable by a
+leading principal block of one triangular factor T: output block j is
+sum_i T[j][i] * block_i over the row's nonzero range, on the first
+len(block_j) positions. One kernel does both shapes. For an upper
+factor, row j reads blocks j..d, whose budgets never exceed b-j, so each
+source is a prefix of the target, zero-padded; for a lower factor, row
+j reads blocks 0..j, whose budgets never fall below b-j, so the target
+is a prefix of each source, which is cut.
 
 Evaluation factors each variable's Vandermonde matrix as V = L * U
 (pivot free, always possible on distinct nodes since every leading
@@ -37,7 +40,8 @@ all blocks at once, as one stage on the whole layout. Each stage needs
 its variable on top. {e in [0,d]^n : sum(e) <= b} is
 symmetric under permuting coordinates, so the relabelled vectors
 (e_n, e_1, ..., e_{n-1}) form the same (n, b) layout, and cached index
-tables move the data to that labelling (``down``) and back (``up``).
+tables move the degree-ordered blocks to that labelling (``down``) and
+back (``up``).
 
 Interpolation is the exact stage-by-stage inverse. Leading principal
 blocks of triangular matrices multiply blockwise, so each truncated
@@ -53,7 +57,7 @@ contrast, fails to exist whenever a node other than the row's first is
 zero, and feeding its factors into the stages computes the wrong
 polynomial; see the ledger-tests in tests/test_algo.py.)
 
-Multiplication/addition counts are tallied in bulk per combination pass
+Multiplication/addition counts are tallied in bulk per kernel call
 and equal the operations actually executed; for the fast transforms they
 depend only on (n, d, D), never on coefficient values.
 """
@@ -63,7 +67,7 @@ from __future__ import annotations
 import random
 from array import array
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .combinat import clamp_budget, ebc_cum, enumerate_trimmed
 from .field import OpCounter, PrimeModulus
@@ -182,118 +186,63 @@ def _degree_sums(nv: int, b: int, d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _embedding_cached(nv: int, big: int, small: int,
-                      d: int) -> tuple[int, ...]:
-    sums = _degree_sums(nv, big, d)
-    return tuple(r for r, s in enumerate(sums) if s <= small)
-
-
-def _embedding(nv: int, big: int, small: int, d: int) -> tuple[int, ...] | None:
-    """Positions of the (nv, small) layout inside the (nv, big) layout.
-
-    None when the two layouts coincide (equal effective budgets), which
-    callers use as the aligned fast path.
-    """
-    big_e = clamp_budget(nv, d, big)
-    small_e = clamp_budget(nv, d, small)
-    if big_e == small_e:
-        return None
-    return _embedding_cached(nv, big_e, small_e, d)
-
-
-def _relabelling(nv1: int, b: int, d: int, offs) -> tuple[array, array]:
-    """(down, up) tables of the (nv1+1, b) layout with block offsets offs.
-
-    ``[data[i] for i in down]`` relabels (e_1, ..., e_nv) as (e_nv, e_1,
-    ..., e_{nv-1}), i.e. lists each prefix of the (nv1, b) layout with its
-    admissible top values j under it; ``up`` is the inverse.
-    """
-    seen = list(offs[:-1])
-    down = array("q")
-    for s in _degree_sums(nv1, clamp_budget(nv1, d, b), d):
-        for j in range(min(d, b - s) + 1):
-            down.append(seen[j])
-            seen[j] += 1
-    up = array("q", bytes(8 * len(down)))
-    for r, i in enumerate(down):
-        up[i] = r
-    return down, up
-
-
-# Combination kernels. Residue math is inlined with deferred reduction
-# (partial sums stay below (d+1) * p^2, exact in Python ints); counters
-# are bumped with the exact number of executed muls/adds.
-
-def _fused(coefs, cols, p: int) -> list[int]:
-    """sum_i coefs[i] * cols[i], elementwise over equal-length columns."""
-    acc = [coefs[0] * v for v in cols[0]]
-    for c, col in zip(coefs[1:], cols[1:]):
-        acc = [a + c * v for a, v in zip(acc, col)]
-    return [a % p for a in acc]
-
-
-def _expand_blocks(coefs, blocks, embs, p: int,
-                   ctr: OpCounter | None) -> list[int]:
-    """sum_i coefs[i] * blocks[i], each block embedded into the layout of
-    blocks[0], whose budget dominates the others.
-
-    ``embs`` is None when every block already shares the target layout,
-    else a tuple of per-block position tuples (None entries aligned).
-    """
-    if ctr is not None:
-        total = sum(len(blk) for blk in blocks)
-        ctr.mul_count += total
-        ctr.add_count += total - len(blocks[0])
-    if embs is None:
-        return _fused(coefs, blocks, p)
-    acc = [coefs[0] * v for v in blocks[0]]
-    for c, blk, emb in zip(coefs[1:], blocks[1:], embs[1:]):
-        if emb is None:
-            acc = [a + c * v for a, v in zip(acc, blk)]
-        else:
-            for r, v in zip(emb, blk):
-                acc[r] += c * v
-    return [a % p for a in acc]
-
-
-def _gather_blocks(coefs, blocks, embs, p: int,
-                   ctr: OpCounter | None) -> list[int]:
-    """sum_i coefs[i] * blocks[i], each block restricted onto the layout
-    of blocks[-1], whose budget is dominated by the others."""
-    if embs is None:
-        cols = blocks
-    else:
-        cols = [blk if emb is None else [blk[r] for r in emb]
-                for blk, emb in zip(blocks, embs)]
-    if ctr is not None:
-        width = len(cols[-1])
-        ctr.mul_count += len(cols) * width
-        ctr.add_count += (len(cols) - 1) * width
-    return _fused(coefs, cols, p)
-
-
-@lru_cache(maxsize=None)
 def _level_plan(nv: int, b: int, d: int):
-    """Layout metadata of every stage on the (nv, b) layout.
+    """Layout tables of every stage on the (nv, b) layout.
 
-    Returns (jmax, block offsets, expand embeddings per row, gather
-    embeddings per row, down, up); embedding entries are None when all
-    sources of that row are already aligned.
+    Returns (jmax, block offsets, enter, leave, down, up). ``[data[i] for
+    i in enter]`` puts canonical data into the degree-ordered blocks of the
+    module docstring and ``leave`` is its inverse; in that internal order,
+    ``down`` relabels (e_1, ..., e_nv) as (e_nv, e_1, ..., e_{nv-1}) and
+    ``up`` is its inverse.
     """
     jmax = min(d, b)
     nv1 = nv - 1
+    sums = _degree_sums(nv1, clamp_budget(nv1, d, b), d)
     offs = tuple(accumulate((ebc_cum(nv1, b - j, d)
                              for j in range(jmax + 1)), initial=0))
-    expand_embs = []
-    gather_embs = []
-    for j in range(jmax + 1):
-        row = tuple(_embedding(nv1, b - j, b - i, d)
-                    for i in range(j, jmax + 1))
-        expand_embs.append(None if all(e is None for e in row) else row)
-        row = tuple(_embedding(nv1, b - i, b - j, d) for i in range(j + 1))
-        gather_embs.append(None if all(e is None for e in row) else row)
-    return ((jmax, offs, tuple(expand_embs), tuple(gather_embs))
-            + _relabelling(nv1, b, d, offs))
+    # Block j lists the prefixes (e_1, ..., e_nv1) with sum <= b-j:
+    # canonically in the order of ``sums``, internally as the first width_j
+    # entries of ``graded``, that order sorted stably by sum. ``enter``
+    # holds each one's canonical index, offs[j] plus the count of earlier
+    # prefixes that fit; ``leave`` holds offs[j] plus each fitting prefix
+    # i's rank in ``graded``, grank[i].
+    graded = sorted(range(len(sums)), key=sums.__getitem__)
+    grank = sorted(range(len(sums)), key=graded.__getitem__)
+    widths = [offs[j + 1] - offs[j] for j in range(jmax + 1)]
+    fits = [[s <= b - j for s in sums] for j in range(jmax + 1)]
+    enter, leave = array("q"), []
+    for j, fit in enumerate(fits):
+        index = list(accumulate(fit, initial=offs[j]))
+        enter.extend([index[g] for g in graded[:widths[j]]])
+        leave += [offs[j] + r for r in compress(grank, fit)]
+    # The relabelled canonical order lists each prefix i with its
+    # admissible top values j under it, from position start[i] on, so
+    # ``up`` finds the entry (prefix g, top j) at relabelled internal
+    # position leave[start[g] + j]; ``down`` is its inverse.
+    start = list(accumulate(map(sum, zip(*fits)), initial=0))
+    up = array("q", [leave[start[g] + j] for j, w in enumerate(widths)
+                     for g in graded[:w]])
+    down = array("q", bytes(8 * len(up)))
+    for r, i in enumerate(up):
+        down[i] = r
+    return jmax, offs, enter, array("q", leave), down, up
+
+
+# The combination kernel. Residue math is inlined with deferred reduction
+# (partial sums stay below (d+1) * p^2, exact in Python ints); the stage
+# loop bumps the counters with the exact number of executed muls/adds.
+
+def _combine(coefs, cols, w: int, p: int) -> list[int]:
+    """sum_i coefs[i] * cols[i] on the first w positions, where a column
+    shorter than w counts as zero-padded; cols[0] spans all w."""
+    c = coefs[0]
+    acc = [c * v for v in cols[0][:w]]
+    for c, col in zip(coefs[1:], cols[1:]):
+        if len(col) >= w:
+            acc = [a + c * v for a, v in zip(acc, col)]
+        else:
+            acc[:len(col)] = [a + c * v for a, v in zip(acc, col)]
+    return [a % p for a in acc]
 
 
 def _transform(data: list[int], nv: int, b: int, d: int, mod: PrimeModulus,
@@ -308,13 +257,14 @@ def _transform(data: list[int], nv: int, b: int, d: int, mod: PrimeModulus,
         return data
     p = mod.p
     ctr = mod.counter
-    jmax, offs, expand_embs, gather_embs, down, up = _level_plan(nv, b, d)
-    # Evaluation expands with U_nv..U_1, then gathers with L_1..L_nv;
-    # interpolation gathers with inv(L)_nv..inv(L)_1, then expands with
-    # inv(U)_1..inv(U)_nv. Between stages the next variable is relabelled
-    # to the top, down in the first half and up in the second.
+    jmax, offs, enter, leave, down, up = _level_plan(nv, b, d)
+    # Evaluation runs U_nv..U_1, then L_1..L_nv; interpolation runs
+    # inv(L)_nv..inv(L)_1, then inv(U)_1..inv(U)_nv. Between stages the
+    # next variable is relabelled to the top, down in the first half and
+    # up in the second.
     stages = ([(m, not inverse, down) for m in range(nv, 0, -1)]
               + [(m, inverse, up) for m in range(1, nv + 1)])
+    data = [data[i] for i in enter]
     for k, (m, upper, perm) in enumerate(stages):
         if k != 0 and k != nv:
             data = [data[i] for i in perm]
@@ -322,13 +272,17 @@ def _transform(data: list[int], nv: int, b: int, d: int, mod: PrimeModulus,
         blocks = [data[offs[i]:offs[i + 1]] for i in range(jmax + 1)]
         data = []
         for j in range(jmax + 1):
-            if upper:
-                data.extend(_expand_blocks(rows[j][j:jmax + 1], blocks[j:],
-                                           expand_embs[j], p, ctr))
-            else:
-                data.extend(_gather_blocks(rows[j][:j + 1], blocks[:j + 1],
-                                           gather_embs[j], p, ctr))
-    return data
+            # Row j of an upper factor reads the narrower blocks j..jmax,
+            # of a lower factor the wider blocks 0..j.
+            lo, hi = (j, jmax + 1) if upper else (0, j + 1)
+            cols = blocks[lo:hi]
+            w = len(blocks[j])
+            if ctr is not None:
+                muls = sum(min(len(col), w) for col in cols)
+                ctr.mul_count += muls
+                ctr.add_count += muls - w
+            data.extend(_combine(rows[j][lo:hi], cols, w, p))
+    return [data[i] for i in leave]
 
 
 def _check_grid_match(obj, grid: Grid, what: str) -> None:
@@ -342,26 +296,18 @@ def _check_grid_match(obj, grid: Grid, what: str) -> None:
             f"F_{grid.modulus.p}")
 
 
-def _eval_factors(grid: Grid):
-    mod = grid.modulus
+def _factors(grid: Grid, inverse: bool):
+    """Per-variable (lower rows, upper rows): the LU factors of the row's
+    Vandermonde matrix, or with ``inverse`` their inverses, whose product
+    inv(U) @ inv(L) is the inverse Vandermonde matrix; both inverses exist
+    for every distinct-node row."""
     out = []
     for row in grid.rows:
-        fac = lu_decompose(build_vandermonde(row, mod))
-        out.append((fac.L.rows, fac.U.rows))
-    return out
-
-
-def _interp_factors(grid: Grid):
-    """Inverted triangular factors per level: (inv(L), inv(U)).
-
-    Their product inv(U) @ inv(L) is the inverse Vandermonde matrix; both
-    inverses exist for every distinct-node row.
-    """
-    mod = grid.modulus
-    out = []
-    for row in grid.rows:
-        fac = lu_decompose(build_vandermonde(row, mod))
-        out.append((invert(fac.L).rows, invert(fac.U).rows))
+        fac = lu_decompose(build_vandermonde(row, grid.modulus))
+        lower, upper = fac.L, fac.U
+        if inverse:
+            lower, upper = invert(lower), invert(upper)
+        out.append((lower.rows, upper.rows))
     return out
 
 
@@ -376,7 +322,7 @@ def trimmed_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
     mod = poly.modulus
     if poly.D < 0:
         return EvalTable(mod, poly.n, poly.d, poly.D, [])
-    factors = _eval_factors(grid)
+    factors = _factors(grid, inverse=False)
     values = _transform(list(poly.coeffs), poly.n, poly.D, poly.d, mod,
                         factors, inverse=False)
     return EvalTable(mod, poly.n, poly.d, poly.D, values)
@@ -389,7 +335,7 @@ def trimmed_interp(table: EvalTable, grid: Grid) -> TrimmedPoly:
     mod = table.modulus
     if table.D < 0:
         return TrimmedPoly(mod, table.n, table.d, table.D, [])
-    factors = _interp_factors(grid)
+    factors = _factors(grid, inverse=True)
     coeffs = _transform(list(table.values), table.n, table.D, table.d, mod,
                         factors, inverse=True)
     return TrimmedPoly(mod, table.n, table.d, table.D, coeffs)

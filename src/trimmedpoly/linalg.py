@@ -42,10 +42,6 @@ class SquareMatrix:
         return cls(modulus, [[1 if i == j else 0 for j in range(m)]
                              for i in range(m)])
 
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SquareMatrix):
             return self.modulus.p == other.modulus.p and self.rows == other.rows

@@ -6,6 +6,7 @@ import pytest
 from trimmedpoly.algo import (
     EvalTable,
     Grid,
+    _level_plan,
     naive_trimmed_eval,
     run_counted,
     trimmed_eval,
@@ -203,6 +204,36 @@ def test_transforms_stack_depth_does_not_grow_with_n():
         assert trimmed_interp(trimmed_eval(poly, grid), grid) == poly
     finally:
         sys.setrecursionlimit(limit)
+
+def test_level_plan_blocks_are_degree_ordered():
+    # Every shape with 1 <= n <= 5, d <= 4 and 0 <= b <= nd. The stages
+    # combine blocks as prefixes of one another, which is right only if
+    # each top-variable block is in degree order.
+    for n in range(1, 6):
+        for d in range(1, 5):
+            for b in range(n * d + 1):
+                jmax, offs, enter, leave, down, up = _level_plan(n, b, d)
+                N = ebc_cum(n, b, d)
+                ident = list(range(N))
+                assert sorted(enter) == ident == sorted(down), (n, d, b)
+                assert [enter[i] for i in leave] == ident, (n, d, b)
+                assert [down[i] for i in up] == ident, (n, d, b)
+                exps = enumerate_trimmed(n, d, b)
+                for j in range(jmax + 1):
+                    block = enter[offs[j]:offs[j + 1]]
+                    assert sorted(block) == ident[offs[j]:offs[j + 1]]
+                    sums = [sum(exps[c]) for c in block]
+                    assert sums == sorted(sums), (n, d, b, j)
+                # down brings e_{n-1} to the top: the entry it moves to
+                # (e_n, e_1, ..., e_{n-1}) comes from (e_1, ..., e_n)
+                inner = [exps[c] for c in enter]
+                assert all(inner[i] == f[1:] + f[:1]
+                           for i, f in zip(down, inner)), (n, d, b)
+                perm = ident
+                for _ in range(n):
+                    perm = [perm[i] for i in down]
+                assert perm == ident, (n, d, b)
+
 
 # Regression tests for the literal printed recipe (kept failing on
 # purpose-built inputs to document why the inverted-factor form is used;
