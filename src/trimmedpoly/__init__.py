@@ -24,7 +24,7 @@ from .combinat import (
     rank,
     unrank,
 )
-from .field import FieldElement, OpCounter, PrimeModulus, is_prime
+from .field import OpCounter, PrimeModulus, is_prime
 from .linalg import (
     LUFactors,
     SingularMatrixError,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "EvalTable",
-    "FieldElement",
     "Grid",
     "LUFactors",
     "OpCounter",

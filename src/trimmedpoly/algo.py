@@ -69,7 +69,7 @@ from array import array
 from functools import lru_cache
 from itertools import accumulate, compress
 
-from .combinat import clamp_budget, ebc_cum, enumerate_trimmed
+from .combinat import count_rows, degree_sums, enumerate_trimmed
 from .field import OpCounter, PrimeModulus
 from .linalg import build_vandermonde, invert, lu_decompose
 from .poly import TrimmedPoly, ValidationError, dense_layout, naive_eval_point
@@ -176,16 +176,6 @@ class EvalTable:
 # Layout metadata, cached on the effective (clamped) budget.
 
 @lru_cache(maxsize=None)
-def _degree_sums(nv: int, b: int, d: int) -> tuple[int, ...]:
-    """Coordinate sum of each index of the (nv, b) layout, in order."""
-    sums = [0]
-    for _ in range(nv):
-        sums = [s + j for j in range(min(d, b) + 1) for s in sums
-                if s <= b - j]
-    return tuple(sums)
-
-
-@lru_cache(maxsize=None)
 def _level_plan(nv: int, b: int, d: int):
     """Layout tables of every stage on the (nv, b) layout.
 
@@ -196,11 +186,10 @@ def _level_plan(nv: int, b: int, d: int):
     ``up`` is its inverse.
     """
     jmax = min(d, b)
-    nv1 = nv - 1
-    sums = _degree_sums(nv1, clamp_budget(nv1, d, b), d)
-    offs = tuple(accumulate((ebc_cum(nv1, b - j, d)
-                             for j in range(jmax + 1)), initial=0))
-    # Block j lists the prefixes (e_1, ..., e_nv1) with sum <= b-j:
+    cum = count_rows(nv, d, b)[nv - 1]
+    offs = tuple(accumulate((cum[b - j] for j in range(jmax + 1)), initial=0))
+    sums = degree_sums(nv - 1, d, b)
+    # Block j lists the prefixes (e_1, ..., e_{nv-1}) with sum <= b-j:
     # canonically in the order of ``sums``, internally as the first width_j
     # entries of ``graded``, that order sorted stably by sum. ``enter``
     # holds each one's canonical index, offs[j] plus the count of earlier

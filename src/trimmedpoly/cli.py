@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except RecursionError:
-        return _fail("input nests too deeply or has too many variables")
+        return _fail("input nests too deeply")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ obey the (d+1)-window generalization of Pascal's rule,
 
     ebc(n, k, d) = sum_{j=0}^{d} ebc(n-1, k-j, d),
 
-which is how the tables here are filled.
+which is how the tables here are filled: iteratively, one variable at a
+time, and only up to the total-degree budget that is asked for.
 
 The canonical order on these vectors is last-coordinate-major: sort by
 the last coordinate ascending, then recursively order the remaining
@@ -17,21 +18,30 @@ lists admissible vectors in canonical order. Every coefficient vector and
 evaluation table in this package is addressed by ``rank`` in this order,
 so that fixing the last coordinate always selects a contiguous slice.
 
-``rank`` and ``unrank`` read one cached prefix table per (n, d, D): row m
-holds the running sums S_m[k] = sum_{y<k} ebc_cum(m, y, d). Under the
+The layout of (n, d, b), b a budget, is built here only. The cached
+``count_rows`` holds ebc_cum(m, k, d) for m <= n and k <= b; the counts,
+the rank table and the stage plan of ``algo`` read it. One walk from the
+last coordinate to the first, ``_levels``, gives the sums of the vectors
+(``degree_sums``, for the plan) and, with the counts, the vectors
+themselves (``enumerate_trimmed``).
+
+``rank`` and ``unrank`` read one prefix table per (n, d, D): row m holds
+the running sums S_m[k] = sum_{y<k} ebc_cum(m, y, d). Under the
 remaining budget b, the vectors that precede value e in coordinate m+1
 number sum_{j<e} ebc_cum(m, b-j, d) = S_m[b+1] - S_m[b+1-e], so a rank
 is n table differences and an unrank is n bisections.
 
 Counts are guarded at 2^63: parameter choices whose vector count exceeds
-that are not materializable anyway and raise CapacityError.
+that are not materializable anyway and raise CapacityError. The count
+rows stop as soon as one passes the guard, so ``ebc(n, k, d)`` raises
+whenever ebc_cum(n, k, d) would, even if the exact count fits.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
 COUNT_LIMIT = (1 << 63) - 1
 
@@ -48,23 +58,25 @@ def _check_params(n: int, d: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _rows(n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(exact counts, cumulative counts) for sums k = 0..n*d, unguarded."""
-    if n == 0:
-        return (1,), (1,)
-    prev, _ = _rows(n - 1, d)
-    top = n * d
-    row = []
-    for k in range(top + 1):
-        lo = max(0, k - d)
-        hi = min(k, (n - 1) * d)
-        row.append(sum(prev[lo:hi + 1]))
-    cum = []
-    running = 0
-    for v in row:
-        running += v
-        cum.append(running)
-    return tuple(row), tuple(cum)
+def count_rows(n: int, d: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """Rows m = 0..n of ebc_cum(m, k, d) for k = 0..b.
+
+    Row m follows from row m-1 by the window rule on cumulative counts,
+    cum_m[k] = sum_{j<=d} cum_{m-1}[k-j]. A row's entries never exceed its
+    last one and rows grow with m, so the build raises CapacityError as
+    soon as a last entry passes COUNT_LIMIT. With b = -1, the budget of an
+    empty layout, every row is empty.
+    """
+    row = (1,) * (b + 1)
+    rows = [row]
+    for m in range(1, n + 1):
+        run = list(accumulate(row, initial=0))
+        row = tuple(run[k + 1] - run[max(0, k - d)] for k in range(b + 1))
+        if row and row[-1] > COUNT_LIMIT:
+            raise CapacityError(
+                f"more than 2^63 - 1 vectors for (n={n}, d={d}, D={b})")
+        rows.append(row)
+    return tuple(rows)
 
 
 def clamp_budget(n: int, d: int, D: int) -> int:
@@ -78,21 +90,15 @@ def ebc(n: int, k: int, d: int) -> int:
     _check_params(n, d)
     if k < 0 or k > n * d:
         return 0
-    value = _rows(n, d)[0][k]
-    if value > COUNT_LIMIT:
-        raise CapacityError(f"ebc({n}, {k}, {d}) exceeds 2^63 - 1")
-    return value
+    row = count_rows(n, d, k)[n]
+    return row[k] - (row[k - 1] if k else 0)
 
 
 def ebc_cum(n: int, D: int, d: int) -> int:
     """Number of vectors in {0,...,d}^n with coordinate sum at most D."""
     _check_params(n, d)
-    if D < 0:
-        return 0
-    value = _rows(n, d)[1][min(D, n * d)]
-    if value > COUNT_LIMIT:
-        raise CapacityError(f"ebc_cum({n}, {D}, {d}) exceeds 2^63 - 1")
-    return value
+    b = clamp_budget(n, d, D)
+    return count_rows(n, d, b)[n][b] if b >= 0 else 0
 
 
 _INT = frozenset((int,))
@@ -122,16 +128,45 @@ def check_index(exponents, n: int, d: int, D: int) -> tuple[int, ...]:
     return exps
 
 
+def _levels(n: int, d: int, b: int) -> list[list[int]]:
+    """Levels 0..n of the (n, d, b) layout, b >= 0, from the last
+    coordinate, the most significant: level i lists the budget left under
+    each admissible suffix (e_{n-i+1}, ..., e_n), in canonical order. So
+    level n holds b minus the sum of each admissible vector."""
+    # The budgets left after each value 0..min(d, r) of a coordinate.
+    left = [range(r, r - min(d, r) - 1, -1) for r in range(b + 1)]
+    levels = [[b]]
+    for _ in range(n):
+        levels.append(list(chain.from_iterable(
+            map(left.__getitem__, levels[-1]))))
+    return levels
+
+
+def degree_sums(n: int, d: int, b: int) -> list[int]:
+    """Coordinate sum of each admissible vector of (n, d, b), b >= 0, in
+    canonical order."""
+    return [b - r for r in _levels(n, d, b)[n]]
+
+
 @lru_cache(maxsize=None)
-def _enumerate(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
-    if D < 0:
-        return ()
-    if n == 0:
-        return ((),)
-    out = []
-    for j in range(min(d, D) + 1):
-        out.extend(prefix + (j,) for prefix in _enumerate(n - 1, d, D - j))
-    return tuple(out)
+def _vectors(n: int, d: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """The admissible vectors of (n, d, b) in canonical order; b >= 0 is
+    the clamped budget.
+
+    Under a suffix with budget r left, coordinate k takes each value
+    j <= min(d, r) for a run of ebc_cum(k-1, r-j, d) positions, so column
+    k is one such run per entry of level n-k. Every step is linear in its
+    output, and the final zip consumes the columns lazily.
+    """
+    rows = count_rows(n, d, b)
+    cols = []
+    for k, rems in zip(range(n, 0, -1), _levels(n, d, b)):
+        below = rows[k - 1]
+        runs = {r: list(chain.from_iterable(
+            repeat(j, below[r - j]) for j in range(min(d, r) + 1)))
+            for r in set(rems)}
+        cols.append(chain.from_iterable(map(runs.__getitem__, rems)))
+    return tuple(zip(*reversed(cols))) if n else ((),)
 
 
 def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
@@ -139,22 +174,14 @@ def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
     _check_params(n, d)
     if D < 0:
         raise ValueError(f"total degree bound must be >= 0, got {D}")
-    if ebc_cum(n, D, d) > COUNT_LIMIT:  # raises CapacityError first
-        raise CapacityError("enumeration too large")
-    return _enumerate(n, d, min(D, n * d))
+    return _vectors(n, d, min(D, n * d))
 
 
 @lru_cache(maxsize=None)
 def _prefix_sums(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
     """Rows S_0..S_{n-1} of the rank table; D is already within [-1, n*d]."""
-    ebc_cum(n, D, d)  # capacity guard; bounds every entry difference
-    rows = []
-    for m in range(n):
-        cum = _rows(m, d)[1]
-        top = m * d
-        rows.append(tuple(accumulate(
-            (cum[min(y, top)] for y in range(D + 1)), initial=0)))
-    return tuple(rows)
+    return tuple(tuple(accumulate(row, initial=0))
+                 for row in count_rows(n, d, D)[:n])
 
 
 @lru_cache(maxsize=None)

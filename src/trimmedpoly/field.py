@@ -3,14 +3,11 @@
 Residues are canonical Python ints in [0, p). The rest of the package
 stores raw residues in its containers and shares a single PrimeModulus,
 which doubles as the unit-cost field-operation layer: its add/sub/mul/
-inv/pow methods work on ints and, when an OpCounter is attached via
-``counting()``, tally every executed operation. FieldElement wraps one
-residue for scalar work with operator syntax and modulus checking.
+inv/pow methods work on ints and, while an OpCounter is attached (see
+``algo.run_counted``), tally every executed operation.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 MAX_MODULUS = (1 << 62) - 1
 
@@ -46,8 +43,7 @@ def is_prime(n: int) -> bool:
 class OpCounter:
     """Running tally of executed field operations.
 
-    Subtraction and negation count as additions. Counts only grow during a
-    run; call ``reset()`` to clear explicitly.
+    Subtraction counts as an addition. Counts only grow during a run.
     """
 
     __slots__ = ("mul_count", "add_count", "inv_count")
@@ -56,14 +52,6 @@ class OpCounter:
         self.mul_count = 0
         self.add_count = 0
         self.inv_count = 0
-
-    def reset(self) -> None:
-        self.mul_count = 0
-        self.add_count = 0
-        self.inv_count = 0
-
-    def total(self) -> int:
-        return self.mul_count + self.add_count + self.inv_count
 
     def __repr__(self) -> str:
         return (f"OpCounter(mul={self.mul_count}, add={self.add_count}, "
@@ -96,33 +84,11 @@ class PrimeModulus:
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
 
-    def element(self, value) -> "FieldElement":
-        return FieldElement(self.residue(value), self)
-
     def residue(self, value) -> int:
-        """Canonicalize an int or FieldElement into [0, p)."""
-        if isinstance(value, FieldElement):
-            if value.modulus.p != self.p:
-                raise ValueError(
-                    f"modulus mismatch: {value.modulus.p} vs {self.p}")
-            return value.value
+        """Canonicalize an int into [0, p)."""
         if isinstance(value, int) and not isinstance(value, bool):
             return value % self.p
         raise TypeError(f"cannot coerce {type(value).__name__} to a residue")
-
-    @contextmanager
-    def counting(self):
-        """Attach a fresh OpCounter for the duration of the block.
-
-        Nested blocks shadow the outer counter; single-threaded use only.
-        """
-        prev = self.counter
-        ctr = OpCounter()
-        self.counter = ctr
-        try:
-            yield ctr
-        finally:
-            self.counter = prev
 
     # Raw residue ops. Inputs must already be canonical.
 
@@ -139,12 +105,6 @@ class PrimeModulus:
             c.add_count += 1
         s = a - b
         return s + self.p if s < 0 else s
-
-    def neg(self, a: int) -> int:
-        c = self.counter
-        if c is not None:
-            c.add_count += 1
-        return self.p - a if a else 0
 
     def mul(self, a: int, b: int) -> int:
         c = self.counter
@@ -185,72 +145,3 @@ class PrimeModulus:
             if not e:
                 return result
             base = self.mul(base, base)
-
-
-class FieldElement:
-    """A canonical residue bound to its PrimeModulus.
-
-    Immutable; binary operators require both operands to share the modulus.
-    """
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: PrimeModulus) -> None:
-        self.value = value % modulus.p
-        self.modulus = modulus
-
-    def _other(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(
-                f"expected FieldElement, got {type(other).__name__}")
-        if other.modulus.p != self.modulus.p:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus.p} vs {other.modulus.p}")
-        return other.value
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.modulus.add(self.value, self._other(other)),
-                            self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.modulus.sub(self.value, self._other(other)),
-                            self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.modulus.mul(self.value, self._other(other)),
-                            self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.modulus.neg(self.value), self.modulus)
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        return FieldElement(self.modulus.pow(self.value, exponent),
-                            self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.modulus.inv(self.value), self.modulus)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        o = self._other(other)
-        return FieldElement(self.modulus.mul(self.value, self.modulus.inv(o)),
-                            self.modulus)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return (self.value == other.value
-                    and self.modulus.p == other.modulus.p)
-        if isinstance(other, int):
-            return self.value == other % self.modulus.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus.p))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value} mod {self.modulus.p})"

@@ -37,11 +37,6 @@ class SquareMatrix:
         self.size = m
         self.rows = normalized
 
-    @classmethod
-    def identity(cls, modulus: PrimeModulus, m: int) -> "SquareMatrix":
-        return cls(modulus, [[1 if i == j else 0 for j in range(m)]
-                             for i in range(m)])
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SquareMatrix):
             return self.modulus.p == other.modulus.p and self.rows == other.rows

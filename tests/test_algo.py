@@ -13,7 +13,7 @@ from trimmedpoly.algo import (
     trimmed_interp,
     yates_eval,
 )
-from trimmedpoly.combinat import ebc_cum, enumerate_trimmed
+from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, rank, unrank
 from trimmedpoly.field import PrimeModulus
 from trimmedpoly.linalg import (
     ZeroPivotError,
@@ -190,17 +190,20 @@ def _stack_depth() -> int:
 
 
 def test_transforms_stack_depth_does_not_grow_with_n():
-    # 300 variables at (d, D) = (1, 1), N = 301. The count tables still
-    # recurse once per variable, so they are filled first at the default
-    # limit; the transforms must then run in a stack of fixed depth.
+    # 2000 variables at (d, D) = (1, 1), N = 2001. Counts, enumeration,
+    # rank, unrank and both transforms must run in a stack of fixed depth.
     mod = PrimeModulus(65537)
-    n = 300
-    enumerate_trimmed(n, 1, 1)
-    poly = random_poly(n, 1, 1, mod, seed=3)
-    grid = Grid.sequential(mod, n, 1)
+    n = 2000
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
+        assert ebc_cum(n, 1, 1) == n + 1
+        exps = enumerate_trimmed(n, 1, 1)
+        for r in (0, 1, n // 2, n):
+            assert rank(exps[r], n, 1, 1) == r
+            assert unrank(r, n, 1, 1) == exps[r]
+        poly = random_poly(n, 1, 1, mod, seed=3)
+        grid = Grid.sequential(mod, n, 1)
         assert trimmed_interp(trimmed_eval(poly, grid), grid) == poly
     finally:
         sys.setrecursionlimit(limit)

@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import pytest
 
 from trimmedpoly.combinat import (
     CapacityError,
+    count_rows,
     ebc,
     ebc_cum,
     enumerate_trimmed,
@@ -72,6 +74,23 @@ def test_capacity_guard():
         ebc_cum(80, 80, 3)
     # just under the guard is fine
     assert ebc_cum(20, 20, 3) > 0
+
+
+def test_count_rows_stop_at_budget_and_guard():
+    # Counts are built only up to the clamped budget, and the build stops
+    # at the first row whose count passes the guard: each peak < 10 MB.
+    count_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        assert ebc_cum(400, 0, 20) == 1
+        budget_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(CapacityError):
+            ebc_cum(2000, 1000, 1)
+        guard_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert budget_peak < 10 << 20 and guard_peak < 10 << 20
 
 
 def test_enumerate_examples():
