@@ -11,7 +11,6 @@ from .algo import (
     EvalTable,
     Grid,
     naive_trimmed_eval,
-    run_counted,
     trimmed_eval,
     trimmed_interp,
     yates_eval,
@@ -24,7 +23,7 @@ from .combinat import (
     rank,
     unrank,
 )
-from .field import OpCounter, PrimeModulus, is_prime
+from .field import OpCounter, PrimeModulus, is_prime, run_counted
 from .linalg import (
     LUFactors,
     SingularMatrixError,

@@ -70,13 +70,13 @@ from functools import lru_cache
 from itertools import accumulate, compress
 
 from .combinat import count_rows, degree_sums, enumerate_trimmed
-from .field import OpCounter, PrimeModulus
+from .field import PrimeModulus, active_counter
 from .linalg import build_vandermonde, invert, lu_decompose
 from .poly import TrimmedPoly, ValidationError, dense_layout, naive_eval_point
 
 __all__ = [
     "Grid", "EvalTable", "trimmed_eval", "trimmed_interp",
-    "naive_trimmed_eval", "yates_eval", "run_counted",
+    "naive_trimmed_eval", "yates_eval",
 ]
 
 
@@ -234,8 +234,8 @@ def _combine(coefs, cols, w: int, p: int) -> list[int]:
     return [a % p for a in acc]
 
 
-def _transform(data: list[int], nv: int, b: int, d: int, mod: PrimeModulus,
-               factors, inverse: bool) -> list[int]:
+def _transform(data: list[int], nv: int, b: int, d: int, p: int, factors,
+               inverse: bool) -> list[int]:
     """The 2*nv stages of the module docstring on the (nv, b) layout.
 
     ``factors[m-1]`` holds (lower rows, upper rows) for variable m: (L, U)
@@ -244,8 +244,7 @@ def _transform(data: list[int], nv: int, b: int, d: int, mod: PrimeModulus,
     """
     if nv == 0:
         return data
-    p = mod.p
-    ctr = mod.counter
+    ctr = active_counter.get()
     jmax, offs, enter, leave, down, up = _level_plan(nv, b, d)
     # Evaluation runs U_nv..U_1, then L_1..L_nv; interpolation runs
     # inv(L)_nv..inv(L)_1, then inv(U)_1..inv(U)_nv. Between stages the
@@ -312,7 +311,7 @@ def trimmed_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
     if poly.D < 0:
         return EvalTable(mod, poly.n, poly.d, poly.D, [])
     factors = _factors(grid, inverse=False)
-    values = _transform(list(poly.coeffs), poly.n, poly.D, poly.d, mod,
+    values = _transform(list(poly.coeffs), poly.n, poly.D, poly.d, mod.p,
                         factors, inverse=False)
     return EvalTable(mod, poly.n, poly.d, poly.D, values)
 
@@ -325,7 +324,7 @@ def trimmed_interp(table: EvalTable, grid: Grid) -> TrimmedPoly:
     if table.D < 0:
         return TrimmedPoly(mod, table.n, table.d, table.D, [])
     factors = _factors(grid, inverse=True)
-    coeffs = _transform(list(table.values), table.n, table.D, table.d, mod,
+    coeffs = _transform(list(table.values), table.n, table.D, table.d, mod.p,
                         factors, inverse=True)
     return TrimmedPoly(mod, table.n, table.d, table.D, coeffs)
 
@@ -361,18 +360,16 @@ def yates_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
             f"full-grid baseline needs D = n*d = {poly.n * poly.d}, "
             f"got D = {poly.D}")
     mod = poly.modulus
-    values = _yates(list(poly.coeffs), poly.n, poly.d, mod, grid.rows)
+    values = _yates(list(poly.coeffs), poly.n, poly.d, mod.p, grid.rows)
     return EvalTable(mod, poly.n, poly.d, poly.D, values)
 
 
-def _yates(coeffs: list[int], nv: int, d: int, mod: PrimeModulus,
-           rows) -> list[int]:
+def _yates(coeffs: list[int], nv: int, d: int, p: int, rows) -> list[int]:
     if nv == 0:
         return coeffs
-    p = mod.p
-    ctr = mod.counter
+    ctr = active_counter.get()
     width = (d + 1) ** (nv - 1)
-    subs = [_yates(coeffs[t * width:(t + 1) * width], nv - 1, d, mod, rows)
+    subs = [_yates(coeffs[t * width:(t + 1) * width], nv - 1, d, p, rows)
             for t in range(d + 1)]
     out: list[int] = []
     for z in rows[nv - 1]:
@@ -385,28 +382,3 @@ def _yates(coeffs: list[int], nv: int, d: int, mod: PrimeModulus,
             ctr.add_count += d * width
         out.extend(acc)
     return out
-
-
-def run_counted(task, *args, **kwargs):
-    """Run ``task(*args)`` with one fresh OpCounter attached to every
-    distinct modulus object found among the arguments, so that equal but
-    separate moduli (say, a poly and a grid each loaded from its own
-    file) are all counted; returns (result, counter)."""
-    moduli = []
-    for arg in args:
-        mod = arg if isinstance(arg, PrimeModulus) else getattr(
-            arg, "modulus", None)
-        if isinstance(mod, PrimeModulus) and all(mod is not m for m in moduli):
-            moduli.append(mod)
-    if not moduli:
-        raise ValueError("no modulus found among the task arguments")
-    counter = OpCounter()
-    saved = [mod.counter for mod in moduli]
-    for mod in moduli:
-        mod.counter = counter
-    try:
-        result = task(*args, **kwargs)
-    finally:
-        for mod, prev in zip(moduli, saved):
-            mod.counter = prev
-    return result, counter

@@ -17,13 +17,12 @@ from .algo import (
     EvalTable,
     Grid,
     naive_trimmed_eval,
-    run_counted,
     trimmed_eval,
     trimmed_interp,
     yates_eval,
 )
 from .combinat import CapacityError, ebc_cum
-from .field import PrimeModulus
+from .field import PrimeModulus, run_counted
 from .jsonio import (
     eval_table_from_dict,
     grid_from_dict,
@@ -34,6 +33,9 @@ from .jsonio import (
 from .poly import ValidationError, from_sparse, random_poly, to_sparse
 
 BENCH_HEADER = "algo,n,d,D,p,N,wall_time_ns,mul,add,inv,mul_per_Nn"
+# Cap on N^2 * n, the order of the quadratic oracle's field operations;
+# it runs at about 0.5 us per unit, so the cap is about a minute.
+ORACLE_LIMIT = 10**8
 _BENCH_ALGOS = {
     "trimmed": trimmed_eval,
     "naive": naive_trimmed_eval,
@@ -81,50 +83,49 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
+def _oracle_refusal(n: int, size: int) -> str | None:
+    """Why the quadratic oracle is not run on N = ``size`` points in ``n``
+    variables, or None if it fits the cap."""
+    cost = size * size * n
+    if cost > ORACLE_LIMIT:
+        return (f"oracle cost N^2*n = {cost} exceeds the limit "
+                f"{ORACLE_LIMIT}")
+    return None
+
+
 def cmd_eval(args) -> int:
-    try:
-        poly = from_sparse(sparse_poly_from_dict(_read_json(args.poly)))
-        if args.grid is not None:
-            grid = grid_from_dict(_read_json(args.grid))
-        elif args.grid_gen == "seq":
-            grid = Grid.sequential(poly.modulus, poly.n, poly.d)
-        else:
-            grid = Grid.random(poly.modulus, poly.n, poly.d, args.seed)
-        table = trimmed_eval(poly, grid)
-        _write_atomic(args.out,
-                      lambda handle: write_eval_table(table, handle))
-    except (ValidationError, CapacityError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    poly = from_sparse(sparse_poly_from_dict(_read_json(args.poly)))
+    if args.grid is not None:
+        grid = grid_from_dict(_read_json(args.grid))
+    elif args.grid_gen == "seq":
+        grid = Grid.sequential(poly.modulus, poly.n, poly.d)
+    else:
+        grid = Grid.random(poly.modulus, poly.n, poly.d, args.seed)
+    table = trimmed_eval(poly, grid)
+    _write_atomic(args.out, lambda handle: write_eval_table(table, handle))
     return 0
 
 
 def cmd_interp(args) -> int:
-    try:
-        table = eval_table_from_dict(_read_json(args.evals))
-        grid = grid_from_dict(_read_json(args.grid))
-        sparse = to_sparse(trimmed_interp(table, grid))
-        _write_atomic(args.out,
-                      lambda handle: write_sparse_poly(sparse, handle))
-    except (ValidationError, CapacityError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    table = eval_table_from_dict(_read_json(args.evals))
+    grid = grid_from_dict(_read_json(args.grid))
+    sparse = to_sparse(trimmed_interp(table, grid))
+    _write_atomic(args.out, lambda handle: write_sparse_poly(sparse, handle))
     return 0
 
 
 def cmd_roundtrip(args) -> int:
-    try:
-        modulus = PrimeModulus(args.prime)
-        if args.n < 0 or args.d < 1 or args.D < 0 or args.trials < 0:
-            raise ValidationError(
-                "need n >= 0, d >= 1, D >= 0 and trials >= 0")
-        if modulus.p < args.d + 1:
-            raise ValidationError(
-                f"need p >= d+1 for distinct nodes, got p={modulus.p}, "
-                f"d={args.d}")
-        ebc_cum(args.n, args.D, args.d)  # capacity guard before any trial
-    except (ValidationError, CapacityError, ValueError) as exc:
-        return _fail(str(exc))
+    modulus = PrimeModulus(args.prime)
+    if args.n < 0 or args.d < 1 or args.D < 0 or args.trials < 0:
+        raise ValidationError("need n >= 0, d >= 1, D >= 0 and trials >= 0")
+    if modulus.p < args.d + 1:
+        raise ValidationError(
+            f"need p >= d+1 for distinct nodes, got p={modulus.p}, "
+            f"d={args.d}")
+    # capacity guard and oracle budget before any trial
+    refusal = _oracle_refusal(args.n, ebc_cum(args.n, args.D, args.d))
+    if refusal:
+        raise ValidationError(refusal)
     for trial in range(args.trials):
         trial_seed = args.seed + trial
         poly = random_poly(args.n, args.d, args.D, modulus, trial_seed)
@@ -218,19 +219,16 @@ def parse_sweep(spec: str) -> list[tuple[int, int, int]]:
 
 
 def cmd_bench(args) -> int:
-    try:
-        algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-        if not algos:
-            raise ValidationError("empty algorithm list")
-        for name in algos:
-            if name not in _BENCH_ALGOS:
-                raise ValidationError(
-                    f"unknown algorithm {name!r}; choose from "
-                    f"{sorted(_BENCH_ALGOS)}")
-        instances = parse_sweep(args.sweep)
-        modulus = PrimeModulus(args.prime)
-    except (ValidationError, ValueError) as exc:
-        return _fail(str(exc))
+    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise ValidationError("empty algorithm list")
+    for name in algos:
+        if name not in _BENCH_ALGOS:
+            raise ValidationError(
+                f"unknown algorithm {name!r}; choose from "
+                f"{sorted(_BENCH_ALGOS)}")
+    instances = parse_sweep(args.sweep)
+    modulus = PrimeModulus(args.prime)
     lines = [BENCH_HEADER]
     for n, d, D in instances:
         if modulus.p < d + 1:
@@ -250,19 +248,23 @@ def cmd_bench(args) -> int:
                 sys.stderr.write(
                     f"skip yates for n={n} d={d} D={D}: needs D = n*d\n")
                 continue
+            refusal = _oracle_refusal(n, size) if name == "naive" else None
+            if refusal:
+                sys.stderr.write(
+                    f"skip naive for n={n} d={d} D={D}: {refusal}\n")
+                continue
+            # time a plain run; the counts come from a separate one
             start = time.perf_counter_ns()
-            _, counter = run_counted(_BENCH_ALGOS[name], poly, grid)
+            _BENCH_ALGOS[name](poly, grid)
             elapsed = time.perf_counter_ns() - start
+            _, counter = run_counted(_BENCH_ALGOS[name], poly, grid)
             ratio = counter.mul_count / (size * n)
             lines.append(
                 f"{name},{n},{d},{D},{modulus.p},{size},{elapsed},"
                 f"{counter.mul_count},{counter.add_count},"
                 f"{counter.inv_count},{ratio:.6f}")
     text = "\n".join(lines) + "\n"
-    try:
-        _write_atomic(args.out, lambda handle: handle.write(text))
-    except OSError as exc:
-        return _fail(str(exc))
+    _write_atomic(args.out, lambda handle: handle.write(text))
     return 0
 
 
@@ -359,6 +361,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
+    # user errors; ValidationError and JSON and UTF-8 decode errors are
+    # ValueErrors
+    except (ValueError, CapacityError, OSError) as exc:
+        return _fail(str(exc))
     except RecursionError:
         return _fail("input nests too deeply")
 

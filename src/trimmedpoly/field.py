@@ -3,11 +3,14 @@
 Residues are canonical Python ints in [0, p). The rest of the package
 stores raw residues in its containers and shares a single PrimeModulus,
 which doubles as the unit-cost field-operation layer: its add/sub/mul/
-inv/pow methods work on ints and, while an OpCounter is attached (see
-``algo.run_counted``), tally every executed operation.
+inv/pow methods work on ints and, inside ``run_counted``, tally every
+executed operation on any modulus to the OpCounter of the current thread
+or context.
 """
 
 from __future__ import annotations
+
+from contextvars import ContextVar
 
 MAX_MODULUS = (1 << 62) - 1
 
@@ -58,10 +61,27 @@ class OpCounter:
                 f"inv={self.inv_count})")
 
 
+# The counter of the innermost run_counted in this context, or None.
+active_counter: ContextVar[OpCounter | None] = ContextVar(
+    "active_counter", default=None)
+
+
+def run_counted(task, *args, **kwargs):
+    """Run ``task(*args, **kwargs)`` with a fresh OpCounter active in the
+    current context; returns (result, counter). A nested call counts its
+    own operations, hidden from the outer counter."""
+    counter = OpCounter()
+    token = active_counter.set(counter)
+    try:
+        return task(*args, **kwargs), counter
+    finally:
+        active_counter.reset(token)
+
+
 class PrimeModulus:
     """A prime p with 2 <= p < 2^62, plus raw-residue arithmetic on F_p."""
 
-    __slots__ = ("p", "counter")
+    __slots__ = ("p",)
 
     def __init__(self, p: int) -> None:
         if not isinstance(p, int) or isinstance(p, bool):
@@ -71,7 +91,6 @@ class PrimeModulus:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        self.counter: OpCounter | None = None
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PrimeModulus):
@@ -93,21 +112,21 @@ class PrimeModulus:
     # Raw residue ops. Inputs must already be canonical.
 
     def add(self, a: int, b: int) -> int:
-        c = self.counter
+        c = active_counter.get()
         if c is not None:
             c.add_count += 1
         s = a + b
         return s - self.p if s >= self.p else s
 
     def sub(self, a: int, b: int) -> int:
-        c = self.counter
+        c = active_counter.get()
         if c is not None:
             c.add_count += 1
         s = a - b
         return s + self.p if s < 0 else s
 
     def mul(self, a: int, b: int) -> int:
-        c = self.counter
+        c = active_counter.get()
         if c is not None:
             c.mul_count += 1
         return a * b % self.p
@@ -116,7 +135,7 @@ class PrimeModulus:
         """Multiplicative inverse by the extended Euclidean algorithm."""
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in F_p")
-        c = self.counter
+        c = active_counter.get()
         if c is not None:
             c.inv_count += 1
         t, new_t = 0, 1

@@ -26,12 +26,11 @@ from trimmedpoly.algo import (
     EvalTable,
     Grid,
     naive_trimmed_eval,
-    run_counted,
     trimmed_eval,
     trimmed_interp,
 )
 from trimmedpoly.combinat import ebc_cum
-from trimmedpoly.field import PrimeModulus
+from trimmedpoly.field import PrimeModulus, run_counted
 from trimmedpoly.poly import random_poly
 
 C_MUL_BOUND = 1.25

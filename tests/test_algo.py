@@ -8,13 +8,12 @@ from trimmedpoly.algo import (
     Grid,
     _level_plan,
     naive_trimmed_eval,
-    run_counted,
     trimmed_eval,
     trimmed_interp,
     yates_eval,
 )
 from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, rank, unrank
-from trimmedpoly.field import PrimeModulus
+from trimmedpoly.field import PrimeModulus, active_counter, run_counted
 from trimmedpoly.linalg import (
     ZeroPivotError,
     build_vandermonde,
@@ -417,11 +416,6 @@ def test_run_counted_deterministic_and_shape_only():
     assert c1.mul_count > 0
 
 
-def test_run_counted_finds_modulus():
-    with pytest.raises(ValueError):
-        run_counted(lambda x: x, 3)
-
-
 def test_run_counted_counts_every_distinct_modulus():
     # poly and grid on equal but separate moduli, as on the CLI path where
     # each is loaded from its own file: the grid's factor construction
@@ -432,7 +426,20 @@ def test_run_counted_counts_every_distinct_modulus():
         _, counter = run_counted(trimmed_eval, poly, grid)
         assert (counter.mul_count, counter.add_count,
                 counter.inv_count) == (752, 316, 8)
-        assert poly.modulus.counter is None and grid_mod.counter is None
+        assert active_counter.get() is None
+
+
+def test_run_counted_counts_every_calling_form():
+    # keyword arguments and a closure count the same as positional ones,
+    # with the grid on an equal but separate modulus
+    poly = random_poly(4, 2, 4, PrimeModulus(65537), 0)
+    grid = Grid.random(PrimeModulus(65537), 4, 2, 0)
+    runs = (run_counted(trimmed_eval, poly, grid=grid),
+            run_counted(trimmed_eval, poly=poly, grid=grid),
+            run_counted(lambda: trimmed_eval(poly, grid)))
+    for _, counter in runs:
+        assert (counter.mul_count, counter.add_count,
+                counter.inv_count) == (752, 316, 8)
 
 
 

@@ -138,6 +138,21 @@ def test_roundtrip_prime_below_node_count_exits_1(capsys):
     assert "p >= d+1" in err
 
 
+def test_oracle_limit_refuses_before_running_the_oracle(tmp_path, capsys):
+    # N = 2001 at n = 2000: N^2 * n is about 8 * 10^9, far over the limit,
+    # so roundtrip refuses in its pre-flight and bench skips the oracle
+    assert main(["roundtrip", "--n", "2000", "--d", "1", "--D", "1",
+                 "--prime", "5", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle cost") and err.count("\n") == 1
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--sweep", "n=2000;d=1;D=1", "--algos", "naive",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == BENCH_HEADER + "\n"
+    err = capsys.readouterr().err
+    assert err.startswith("skip naive for n=2000 d=1 D=1: oracle cost")
+
+
 def test_parse_sweep():
     instances = parse_sweep("n=2..4;d=1,2;D=nd/2,nd")
     assert (2, 1, 1) in instances and (2, 1, 2) in instances

@@ -1,9 +1,14 @@
 import random
+import threading
 
 import pytest
 
-from trimmedpoly.algo import run_counted
-from trimmedpoly.field import PrimeModulus, is_prime
+from trimmedpoly.field import (
+    PrimeModulus,
+    active_counter,
+    is_prime,
+    run_counted,
+)
 
 PRIMES = [5, 7, 65537, 2**31 - 1]
 
@@ -107,10 +112,55 @@ def test_counter_tallies_scalar_ops():
     assert ctr.mul_count == 1 + 4
     assert ctr.add_count == 2
     assert ctr.inv_count == 1
-    # detached afterwards
-    assert mod.counter is None
+    # no counter is active afterwards
+    assert active_counter.get() is None
     mod.mul(2, 3)
     assert ctr.mul_count == 5
+
+
+def test_nested_run_counted_restores_outer_counter():
+    # the inner call counts only its own operations, and the outer counter
+    # is active again once it returns
+    mod = PrimeModulus(7)
+
+    def outer():
+        mod.mul(2, 3)
+        _, inner = run_counted(mod.mul, 2, 3)
+        mod.add(2, 3)
+        return inner, active_counter.get()
+
+    (inner, after), ctr = run_counted(outer)
+    assert after is ctr
+    assert (inner.mul_count, inner.add_count) == (1, 0)
+    assert (ctr.mul_count, ctr.add_count) == (1, 1)
+    assert active_counter.get() is None
+
+
+def test_run_counted_is_local_to_each_thread():
+    # two threads count on one modulus at the same time; the barriers make
+    # both second muls run while both counts are open
+    mod = PrimeModulus(65537)
+    barrier = threading.Barrier(2, timeout=10)
+    counts = []
+
+    def task():
+        mod.mul(2, 3)
+        barrier.wait()
+        mod.mul(4, 5)
+        barrier.wait()
+
+    def worker():
+        _, ctr = run_counted(task)
+        counts.append((ctr.mul_count, ctr.add_count, ctr.inv_count))
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert counts == [(2, 0, 0), (2, 0, 0)]
+    assert active_counter.get() is None
 
 
 def test_pow_cost_formula():
