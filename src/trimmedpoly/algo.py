@@ -161,6 +161,19 @@ class EvalTable:
         self.D = D
         self.values = vals
 
+    @classmethod
+    def _trusted(cls, modulus: PrimeModulus, n: int, d: int, D: int,
+                 values) -> "EvalTable":
+        """Wrap values that are valid by construction: canonical residues,
+        ebc_cum(n, D, d) of them, with D normalized."""
+        self = cls.__new__(cls)
+        self.modulus = modulus
+        self.n = n
+        self.d = d
+        self.D = D
+        self.values = tuple(values)
+        return self
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EvalTable):
             return (self.modulus.p == other.modulus.p and self.n == other.n
@@ -309,11 +322,11 @@ def trimmed_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
     _check_grid_match(poly, grid, "polynomial")
     mod = poly.modulus
     if poly.D < 0:
-        return EvalTable(mod, poly.n, poly.d, poly.D, [])
+        return EvalTable._trusted(mod, poly.n, poly.d, poly.D, ())
     factors = _factors(grid, inverse=False)
     values = _transform(list(poly.coeffs), poly.n, poly.D, poly.d, mod.p,
                         factors, inverse=False)
-    return EvalTable(mod, poly.n, poly.d, poly.D, values)
+    return EvalTable._trusted(mod, poly.n, poly.d, poly.D, values)
 
 
 def trimmed_interp(table: EvalTable, grid: Grid) -> TrimmedPoly:
@@ -322,11 +335,11 @@ def trimmed_interp(table: EvalTable, grid: Grid) -> TrimmedPoly:
     _check_grid_match(table, grid, "evaluation table")
     mod = table.modulus
     if table.D < 0:
-        return TrimmedPoly(mod, table.n, table.d, table.D, [])
+        return TrimmedPoly._trusted(mod, table.n, table.d, table.D, ())
     factors = _factors(grid, inverse=True)
     coeffs = _transform(list(table.values), table.n, table.D, table.d, mod.p,
                         factors, inverse=True)
-    return TrimmedPoly(mod, table.n, table.d, table.D, coeffs)
+    return TrimmedPoly._trusted(mod, table.n, table.d, table.D, coeffs)
 
 
 def naive_trimmed_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
@@ -338,10 +351,10 @@ def naive_trimmed_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
     _check_grid_match(poly, grid, "polynomial")
     mod = poly.modulus
     if poly.D < 0:
-        return EvalTable(mod, poly.n, poly.d, poly.D, [])
+        return EvalTable._trusted(mod, poly.n, poly.d, poly.D, ())
     values = [naive_eval_point(poly, grid.point(exps))
               for exps in enumerate_trimmed(poly.n, poly.d, poly.D)]
-    return EvalTable(mod, poly.n, poly.d, poly.D, values)
+    return EvalTable._trusted(mod, poly.n, poly.d, poly.D, values)
 
 
 def yates_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
@@ -361,7 +374,7 @@ def yates_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
             f"got D = {poly.D}")
     mod = poly.modulus
     values = _yates(list(poly.coeffs), poly.n, poly.d, mod.p, grid.rows)
-    return EvalTable(mod, poly.n, poly.d, poly.D, values)
+    return EvalTable._trusted(mod, poly.n, poly.d, poly.D, values)
 
 
 def _yates(coeffs: list[int], nv: int, d: int, p: int, rows) -> list[int]:

@@ -6,6 +6,14 @@ which doubles as the unit-cost field-operation layer: its add/sub/mul/
 inv/pow methods work on ints and, inside ``run_counted``, tally every
 executed operation on any modulus to the OpCounter of the current thread
 or context.
+
+Two kinds of path count. The scalar methods here count per call; the
+oracle (``poly.naive_eval_point``) and ``SquareMatrix.__matmul__`` use
+them. The hot loops inline their residue math on raw ints and add to
+``active_counter`` in bulk with the same numbers: the transform stages
+and the full-grid baseline once per kernel call (``algo``), and the
+Vandermonde, LU and inversion routines once per elimination step
+(``linalg``).
 """
 
 from __future__ import annotations
@@ -132,19 +140,13 @@ class PrimeModulus:
         return a * b % self.p
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by the extended Euclidean algorithm."""
+        """Multiplicative inverse of a nonzero residue."""
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in F_p")
         c = active_counter.get()
         if c is not None:
             c.inv_count += 1
-        t, new_t = 0, 1
-        r, new_r = self.p, a
-        while new_r:
-            q = r // new_r
-            t, new_t = new_t, t - q * new_t
-            r, new_r = new_r, r - q * new_r
-        return t % self.p
+        return pow(a, -1, self.p)
 
     def pow(self, a: int, e: int) -> int:
         """Square-and-multiply; a^0 = 1 including a = 0.

@@ -6,12 +6,19 @@ control degree budgets, and row swaps would destroy it. For Vandermonde
 matrices on distinct nodes every leading principal minor is itself a
 nonzero Vandermonde determinant, so a zero pivot cannot occur; hitting
 one therefore signals duplicate nodes (or a non-LU-decomposable input).
-``invert`` is ordinary Gauss-Jordan and may pivot freely.
+``invert`` is ordinary Gauss-Jordan on the augmented rows [A | I] and may
+pivot freely.
+
+The residue math is inlined on raw ints, and the field operations are
+tallied to the active counter in bulk, once per elimination step, with
+exactly the counts that the scalar ``PrimeModulus`` methods would give
+for the same work. A step that raises executed no counted operation, so
+a counter reads the same after the raise.
 """
 
 from __future__ import annotations
 
-from .field import PrimeModulus
+from .field import PrimeModulus, active_counter
 
 
 class ZeroPivotError(ArithmeticError):
@@ -36,6 +43,16 @@ class SquareMatrix:
         self.modulus = modulus
         self.size = m
         self.rows = normalized
+
+    @classmethod
+    def _trusted(cls, modulus: PrimeModulus, rows) -> "SquareMatrix":
+        """Wrap rows that are valid by construction: a non-empty square
+        tuple of tuples of canonical residues."""
+        self = cls.__new__(cls)
+        self.modulus = modulus
+        self.size = len(rows)
+        self.rows = rows
+        return self
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SquareMatrix):
@@ -78,15 +95,21 @@ class LUFactors:
 
 def build_vandermonde(nodes, modulus: PrimeModulus) -> SquareMatrix:
     """Rows (1, z, z^2, ..., z^d) for each node z; square (d+1) x (d+1)."""
+    p = modulus.p
     residues = [modulus.residue(z) for z in nodes]
-    d = len(residues) - 1
+    m = len(residues)
+    if m == 0:
+        raise ValueError("matrix must be square and non-empty")
     rows = []
     for z in residues:
         row = [1]
-        for _ in range(d):
-            row.append(modulus.mul(row[-1], z))
-        rows.append(row)
-    return SquareMatrix(modulus, rows)
+        for _ in range(m - 1):
+            row.append(row[-1] * z % p)
+        rows.append(tuple(row))
+    ctr = active_counter.get()
+    if ctr is not None:
+        ctr.mul_count += m * (m - 1)
+    return SquareMatrix._trusted(modulus, tuple(rows))
 
 
 def lu_decompose(matrix: SquareMatrix) -> LUFactors:
@@ -97,7 +120,9 @@ def lu_decompose(matrix: SquareMatrix) -> LUFactors:
     can only happen with duplicate nodes.
     """
     mod = matrix.modulus
+    p = mod.p
     m = matrix.size
+    ctr = active_counter.get()
     work = [list(row) for row in matrix.rows]
     lower = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     for k in range(m):
@@ -108,45 +133,49 @@ def lu_decompose(matrix: SquareMatrix) -> LUFactors:
                 f"means duplicate nodes")
         if k + 1 == m:
             break
-        pivot_inv = mod.inv(pivot)
-        row_k = work[k]
+        pivot_inv = pow(pivot, -1, p)
+        tail = work[k][k + 1:]
         for i in range(k + 1, m):
             row_i = work[i]
-            factor = mod.mul(row_i[k], pivot_inv)
+            factor = row_i[k] * pivot_inv % p
             lower[i][k] = factor
-            row_i[k] = 0
-            for j in range(k + 1, m):
-                row_i[j] = mod.sub(row_i[j], mod.mul(factor, row_k[j]))
-    upper = [[work[i][j] if j >= i else 0 for j in range(m)]
-             for i in range(m)]
-    return LUFactors(SquareMatrix(mod, lower), SquareMatrix(mod, upper))
+            row_i[k + 1:] = [(a - factor * b) % p
+                             for a, b in zip(row_i[k + 1:], tail)]
+        if ctr is not None:
+            r = m - k - 1
+            ctr.mul_count += r + r * r
+            ctr.add_count += r * r
+            ctr.inv_count += 1
+    upper = tuple((0,) * i + tuple(work[i][i:]) for i in range(m))
+    return LUFactors(SquareMatrix._trusted(mod, tuple(map(tuple, lower))),
+                     SquareMatrix._trusted(mod, upper))
 
 
 def invert(matrix: SquareMatrix) -> SquareMatrix:
     """Gauss-Jordan inverse; pivoting allowed here (any nonzero pivot)."""
-    mod = matrix.modulus
+    p = matrix.modulus.p
     m = matrix.size
-    work = [list(row) for row in matrix.rows]
-    result = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    ctr = active_counter.get()
+    work = [list(row) + [1 if i == j else 0 for j in range(m)]
+            for i, row in enumerate(matrix.rows)]
     for col in range(m):
-        pivot_row = next((r for r in range(col, m) if work[r][col]), None)
-        if pivot_row is None:
+        for pivot_row in range(col, m):
+            if work[pivot_row][col]:
+                break
+        else:
             raise SingularMatrixError(f"matrix is singular at column {col}")
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            result[col], result[pivot_row] = result[pivot_row], result[col]
-        pivot_inv = mod.inv(work[col][col])
-        work[col] = [mod.mul(v, pivot_inv) for v in work[col]]
-        result[col] = [mod.mul(v, pivot_inv) for v in result[col]]
-        for r in range(m):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if factor == 0:
-                continue
-            work[r] = [mod.sub(a, mod.mul(factor, b))
-                       for a, b in zip(work[r], work[col])]
-            result[r] = [mod.sub(a, mod.mul(factor, b))
-                         for a, b in zip(result[r], result[col])]
-    return SquareMatrix(mod, result)
-
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot_inv = pow(work[col][col], -1, p)
+        top = work[col] = [v * pivot_inv % p for v in work[col]]
+        eliminated = 0
+        for r, row in enumerate(work):
+            factor = row[col]
+            if factor and r != col:
+                work[r] = [(a - factor * b) % p for a, b in zip(row, top)]
+                eliminated += 1
+        if ctr is not None:
+            ctr.mul_count += 2 * m * (1 + eliminated)
+            ctr.add_count += 2 * m * eliminated
+            ctr.inv_count += 1
+    return SquareMatrix._trusted(matrix.modulus,
+                                 tuple(tuple(row[m:]) for row in work))

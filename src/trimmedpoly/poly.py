@@ -70,6 +70,19 @@ class TrimmedPoly:
         self.coeffs = vals
 
     @classmethod
+    def _trusted(cls, modulus: PrimeModulus, n: int, d: int, D: int,
+                 coeffs) -> "TrimmedPoly":
+        """Wrap coefficients that are valid by construction: canonical
+        residues, ebc_cum(n, D, d) of them, with D normalized."""
+        self = cls.__new__(cls)
+        self.modulus = modulus
+        self.n = n
+        self.d = d
+        self.D = D
+        self.coeffs = tuple(coeffs)
+        return self
+
+    @classmethod
     def zero(cls, modulus: PrimeModulus, n: int, d: int,
              D: int) -> "TrimmedPoly":
         return cls(modulus, n, d, D, [0] * ebc_cum(n, D, d))
@@ -151,7 +164,8 @@ def from_sparse(sparse: SparsePoly) -> TrimmedPoly:
     rank_of = ranker(sparse.n, sparse.d, sparse.D)
     for exps, coeff in sparse.terms:  # validated when sparse was built
         coeffs[rank_of(exps)] = coeff
-    return TrimmedPoly(sparse.modulus, sparse.n, sparse.d, sparse.D, coeffs)
+    return TrimmedPoly._trusted(sparse.modulus, sparse.n, sparse.d, sparse.D,
+                                coeffs)
 
 
 def to_sparse(poly: TrimmedPoly) -> SparsePoly:

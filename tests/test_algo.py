@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 
@@ -15,6 +16,7 @@ from trimmedpoly.algo import (
 from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, rank, unrank
 from trimmedpoly.field import PrimeModulus, active_counter, run_counted
 from trimmedpoly.linalg import (
+    SquareMatrix,
     ZeroPivotError,
     build_vandermonde,
     invert,
@@ -517,3 +519,67 @@ def test_empty_polynomial_paths():
     assert table.values == ()
     assert trimmed_interp(table, grid) == empty
     assert naive_trimmed_eval(empty, grid).values == ()
+
+
+# Trusted construction: the transforms and the factor routines build their
+# containers without re-checking, so their outputs must be exactly what
+# the validating public constructors would have built.
+
+def canonical(values, p):
+    return (type(values) is tuple
+            and all(type(v) is int and 0 <= v < p for v in values))
+
+
+def test_internal_containers_equal_public_copies():
+    shapes = [(0, 1, 0), (1, 1, 1), (2, 1, -1), (3, 2, 4), (2, 4, 8)]
+    for p in (2, 5, 65537, 2**62 - 57):
+        mod = PrimeModulus(p)
+        for n, d, D in shapes:
+            if p < d + 1:
+                continue
+            grid = Grid.random(mod, n, d, seed=n + d)
+            poly = random_poly(n, d, D, mod, seed=D)
+            table = trimmed_eval(poly, grid)
+            assert canonical(table.values, p)
+            assert table == EvalTable(mod, n, d, D, table.values)
+            naive = naive_trimmed_eval(poly, grid)
+            assert canonical(naive.values, p) and naive == table
+            back = trimmed_interp(table, grid)
+            assert canonical(back.coeffs, p)
+            assert back == TrimmedPoly(mod, n, d, D, back.coeffs) == poly
+            dense = from_sparse(to_sparse(poly))
+            assert canonical(dense.coeffs, p) and dense == poly
+            if D == n * d:  # the full cube that yates_eval needs
+                full = yates_eval(poly, grid)
+                assert canonical(full.values, p) and full == table
+            for row in grid.rows:
+                fac = lu_decompose(build_vandermonde(row, mod))
+                for matrix in (fac.L, fac.U, invert(fac.L), invert(fac.U)):
+                    assert type(matrix.rows) is tuple
+                    assert all(canonical(r, p) for r in matrix.rows)
+                    assert matrix == SquareMatrix(mod, matrix.rows)
+                    assert matrix.size == len(matrix.rows)
+
+
+def test_internal_containers_survive_pickle():
+    mod = PrimeModulus(2**61 - 1)
+    grid = Grid.random(mod, 3, 2, seed=4)
+    table = trimmed_eval(random_poly(3, 2, 4, mod, seed=5), grid)
+    poly = trimmed_interp(table, grid)
+    for obj in (table, poly):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert type(copy) is type(obj) and copy == obj
+        assert copy.modulus == obj.modulus and copy.D == obj.D
+
+
+def test_public_constructors_still_canonicalise_and_reject():
+    assert SquareMatrix(MOD5, [[7, -1], [5, 12]]).rows == ((2, 4), (0, 2))
+    assert EvalTable(MOD5, 1, 1, 1, [6, -1]).values == (1, 4)
+    assert TrimmedPoly(MOD5, 1, 1, 1, [-5, 9]).coeffs == (0, 4)
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError):
+            SquareMatrix(MOD5, [[bad]])
+        with pytest.raises(TypeError):
+            EvalTable(MOD5, 1, 1, 1, [0, bad])
+        with pytest.raises(TypeError):
+            TrimmedPoly(MOD5, 1, 1, 1, [bad, 0])

@@ -53,6 +53,25 @@ def test_inverse():
         mod.inv(0)
 
 
+# Both sides of 2^31 and near 2^62, plus the two smallest primes.
+EDGE_PRIMES = (2, 3, 2**31 - 1, 2147483659, 2**61 - 1, 2**62 - 57)
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_inverse_over_edge_primes(p):
+    mod = PrimeModulus(p)
+    rng = random.Random(p)
+    values = {a for a in (1, 2, p - 1) if 0 < a < p}
+    values |= {rng.randrange(1, p) for _ in range(50)}
+    _, ctr = run_counted(lambda: [mod.inv(a) for a in sorted(values)])
+    assert ctr.inv_count == len(values)
+    for a in values:
+        assert 0 < mod.inv(a) < p
+        assert a * mod.inv(a) % p == 1
+    with pytest.raises(ZeroDivisionError, match="0 has no inverse in F_p"):
+        mod.inv(0)
+
+
 def test_pow_trivia():
     mod = PrimeModulus(5)
     assert mod.pow(2, 3) == 3

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from trimmedpoly.field import PrimeModulus
+from trimmedpoly.field import PrimeModulus, run_counted
 from trimmedpoly.linalg import (
     SingularMatrixError,
     SquareMatrix,
@@ -117,3 +117,160 @@ def test_invert_needs_pivoting():
     m = SquareMatrix(MOD5, [[0, 1], [1, 0]])
     assert invert(m) @ m == eye(MOD5, 2)
 
+
+
+# Differential counts: a scalar reference, the Doolittle and Gauss-Jordan
+# eliminations written entry by entry with the per-call counted
+# PrimeModulus methods, must return the same rows and leave the same
+# (mul, add, inv) in the counter as the bulk-tallied routines, also when
+# both raise.
+
+EDGE_PRIMES = (2, 3, 2**31 - 1, 2147483659, 2**61 - 1, 2**62 - 57)
+
+
+def scalar_vandermonde(nodes, mod):
+    rows = []
+    for z in [mod.residue(z) for z in nodes]:
+        row = [1]
+        for _ in range(len(nodes) - 1):
+            row.append(mod.mul(row[-1], z))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def scalar_lu(rows, mod):
+    m = len(rows)
+    work = [list(row) for row in rows]
+    lower = [[int(i == j) for j in range(m)] for i in range(m)]
+    for k in range(m):
+        pivot = work[k][k]
+        if pivot == 0:
+            raise ZeroPivotError(
+                f"zero pivot at step {k}; for a Vandermonde matrix this "
+                f"means duplicate nodes")
+        if k + 1 == m:
+            break
+        pivot_inv = mod.inv(pivot)
+        for i in range(k + 1, m):
+            factor = mod.mul(work[i][k], pivot_inv)
+            lower[i][k] = factor
+            work[i][k] = 0
+            for j in range(k + 1, m):
+                work[i][j] = mod.sub(work[i][j], mod.mul(factor, work[k][j]))
+    upper = [[work[i][j] if j >= i else 0 for j in range(m)]
+             for i in range(m)]
+    return tuple(map(tuple, lower)), tuple(map(tuple, upper))
+
+
+def scalar_invert(rows, mod):
+    m = len(rows)
+    work = [list(row) for row in rows]
+    result = [[int(i == j) for j in range(m)] for i in range(m)]
+    for col in range(m):
+        pivot_row = next((r for r in range(col, m) if work[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"matrix is singular at column {col}")
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        result[col], result[pivot_row] = result[pivot_row], result[col]
+        pivot_inv = mod.inv(work[col][col])
+        work[col] = [mod.mul(v, pivot_inv) for v in work[col]]
+        result[col] = [mod.mul(v, pivot_inv) for v in result[col]]
+        for r in range(m):
+            factor = work[r][col]
+            if r == col or factor == 0:
+                continue
+            work[r] = [mod.sub(a, mod.mul(factor, b))
+                       for a, b in zip(work[r], work[col])]
+            result[r] = [mod.sub(a, mod.mul(factor, b))
+                         for a, b in zip(result[r], result[col])]
+    return tuple(map(tuple, result))
+
+
+def outcome(task, *args):
+    """(rows or (exception type, message), (mul, add, inv)) of a task run
+    under run_counted; the counts are read also when the task raises."""
+    def caught():
+        try:
+            return task(*args)
+        except ArithmeticError as exc:
+            return type(exc), str(exc)
+
+    result, ctr = run_counted(caught)
+    return result, (ctr.mul_count, ctr.add_count, ctr.inv_count)
+
+
+def bulk_lu(matrix):
+    fac = lu_decompose(matrix)
+    return fac.L.rows, fac.U.rows
+
+
+def bulk_invert(matrix):
+    return invert(matrix).rows
+
+
+def assert_same_as_scalar(matrix):
+    """LU and inverse of ``matrix`` match the scalar reference; returns
+    the two outcomes."""
+    mod, rows = matrix.modulus, matrix.rows
+    lu = outcome(bulk_lu, matrix)
+    assert lu == outcome(scalar_lu, rows, mod)
+    inv = outcome(bulk_invert, matrix)
+    assert inv == outcome(scalar_invert, rows, mod)
+    return lu, inv
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_random_matrices_match_scalar_reference(p):
+    mod = PrimeModulus(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        rows = [[rng.randrange(p) for _ in range(m)] for _ in range(m)]
+        assert_same_as_scalar(SquareMatrix(mod, rows))
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_vandermonde_factors_match_scalar_reference(p):
+    mod = PrimeModulus(p)
+    rng = random.Random(p + 1)
+    for m in range(1, min(p, 6) + 1):
+        nodes = [p - 1] + rng.sample(range(min(p - 1, 10**6)), m - 1)
+        rng.shuffle(nodes)
+        van = outcome(lambda: build_vandermonde(nodes, mod).rows)
+        assert van == outcome(scalar_vandermonde, nodes, mod)
+        assert van[1] == (m * (m - 1), 0, 0)
+        (lower, upper), counts = assert_same_as_scalar(
+            build_vandermonde(nodes, mod))[0]
+        assert counts == (sum(r + r * r for r in range(m)),
+                          sum(r * r for r in range(m)), m - 1)
+        for factor in (lower, upper):
+            assert_same_as_scalar(SquareMatrix(mod, factor))
+
+
+def test_pivot_swap_and_zero_factors_match_scalar_reference():
+    mod = PrimeModulus(7)
+    swap = SquareMatrix(mod, [[0, 2, 1], [3, 0, 0], [1, 1, 0]])
+    lu, inv = assert_same_as_scalar(swap)
+    assert lu == ((ZeroPivotError, "zero pivot at step 0; for a Vandermonde "
+                   "matrix this means duplicate nodes"), (0, 0, 0))
+    assert invert(swap) @ swap == eye(mod, 3)
+    # Rows 1 and 2 of the first column, and row 2 of the second, have a
+    # zero eliminating factor: 3 columns of 6 muls, plus 6 muls and 6
+    # adds for each of the 2 rows eliminated.
+    skips = SquareMatrix(mod, [[2, 0, 0], [0, 3, 0], [4, 5, 1]])
+    _, inv = assert_same_as_scalar(skips)
+    assert inv[1] == (3 * 6 + 2 * 6, 2 * 6, 3)
+
+
+def test_singular_inputs_raise_alike_with_equal_counts():
+    mod = PrimeModulus(7)
+    # Singular at column 2, after two columns of elimination.
+    singular = SquareMatrix(mod, [[1, 2, 3], [2, 5, 1], [3, 7, 4]])
+    _, inv = assert_same_as_scalar(singular)
+    assert inv[0] == (SingularMatrixError, "matrix is singular at column 2")
+    assert inv[1] != (0, 0, 0)
+    # Duplicate nodes: the zero pivot comes at the last step.
+    dup = build_vandermonde([1, 2, 1], mod)
+    lu, _ = assert_same_as_scalar(dup)
+    assert lu[0][0] is ZeroPivotError and "step 2" in lu[0][1]
+    assert lu[1] == (2 + 4 + 1 + 1, 4 + 1, 2)
