@@ -28,38 +28,40 @@ is a prefix of each source, which is cut.
 
 Evaluation factors each variable's Vandermonde matrix as V = L * U
 (pivot free, always possible on distinct nodes since every leading
-principal minor is itself a nonzero Vandermonde determinant) and runs
-the 2n stages
+principal minor is itself a nonzero Vandermonde determinant) and runs U
+along every variable, then L along every variable. Within a half the
+stages commute, because the layout {e in [0,d]^n : sum(e) <= b} is
+downward closed: a lower stage along m reads only entries with a smaller
+e_m, all in the layout, and an upper stage those with a larger e_m that
+stay in it. The upper half must come first: on the full cube evaluation
+is (prod L)(prod U) of the zero-padded coefficients, and as a lower
+stage reads only entries below its own, it never needs the values that
+the upper stages would leave outside the layout; the reverse order would.
 
-    U_n, ..., U_1,  then  L_1, ..., L_n.
+Each stage needs its variable on top. The layout is symmetric under
+permuting coordinates, so one cached index table, ``up``, relabels the
+degree-ordered blocks as (e_2, ..., e_n, e_1), which brings the next
+variable to the top, and each half takes the variables in that order:
 
-This is the divide-and-conquer "expand with U_n, transform each block in
-the other variables, gather with L_n" laid flat: the inner transforms of
-different blocks touch disjoint data, so each of their stages can run on
-all blocks at once, as one stage on the whole layout. Each stage needs
-its variable on top. {e in [0,d]^n : sum(e) <= b} is
-symmetric under permuting coordinates, so the relabelled vectors
-(e_n, e_1, ..., e_{n-1}) form the same (n, b) layout, and cached index
-tables move the degree-ordered blocks to that labelling (``down``) and
-back (``up``).
+    U_n, U_1, ..., U_{n-1},  then  L_n, L_1, ..., L_{n-1}.
 
-Interpolation is the exact stage-by-stage inverse. Leading principal
-blocks of triangular matrices multiply blockwise, so each truncated
-combination is undone by the same-shaped combination with the inverted
-factor; the mirrored sequence with inverted factors inverts the whole:
-
-    inv(L)_n, ..., inv(L)_1,  then  inv(U)_1, ..., inv(U)_n.
+Interpolation runs the inverse, inv(L)_n, inv(L)_1, ..., inv(L)_{n-1},
+then inv(U)_n, inv(U)_1, ..., inv(U)_{n-1}: leading principal blocks of
+triangular matrices multiply blockwise, so each truncated combination is
+undone by the same-shaped one with the inverted factor, which is
+triangular of the same kind.
 
 Note inv(U) * inv(L) is an exact upper*lower factorization of the
 inverse Vandermonde matrix, and both inverses always exist, for any
 distinct-node row. (A lower*upper factorization of the inverse, by
 contrast, fails to exist whenever a node other than the row's first is
 zero, and feeding its factors into the stages computes the wrong
-polynomial; see the ledger-tests in tests/test_algo.py.)
+polynomial; see test_inverse_vandermonde_lu_can_fail and
+test_literal_lu_of_inverse_interpolates_wrong in tests/test_algo.py.)
 
-Multiplication/addition counts are tallied in bulk per kernel call
-and equal the operations actually executed; for the fast transforms they
-depend only on (n, d, D), never on coefficient values.
+Multiplication/addition counts are tallied in bulk, once per transform
+call: each stage executes sum_j (j+1) * len(block_j) multiplications and
+N fewer additions. They depend only on (n, d, D), never on values.
 """
 
 from __future__ import annotations
@@ -192,11 +194,12 @@ class EvalTable:
 def _level_plan(nv: int, b: int, d: int):
     """Layout tables of every stage on the (nv, b) layout.
 
-    Returns (jmax, block offsets, enter, leave, down, up). ``[data[i] for
-    i in enter]`` puts canonical data into the degree-ordered blocks of the
-    module docstring and ``leave`` is its inverse; in that internal order,
-    ``down`` relabels (e_1, ..., e_nv) as (e_nv, e_1, ..., e_{nv-1}) and
-    ``up`` is its inverse.
+    Returns (jmax, block offsets, enter, leave, up). ``[data[i] for i in
+    enter]`` puts canonical data into the degree-ordered blocks of the
+    module docstring; in that internal order, ``up`` relabels (e_1, ...,
+    e_nv) as (e_2, ..., e_nv, e_1). The stages apply ``up`` 2*nv - 1
+    times, one short of the identity, so ``leave`` applies it once more
+    and then undoes ``enter``.
     """
     jmax = min(d, b)
     cum = count_rows(nv, d, b)[nv - 1]
@@ -206,33 +209,29 @@ def _level_plan(nv: int, b: int, d: int):
     # canonically in the order of ``sums``, internally as the first width_j
     # entries of ``graded``, that order sorted stably by sum. ``enter``
     # holds each one's canonical index, offs[j] plus the count of earlier
-    # prefixes that fit; ``leave`` holds offs[j] plus each fitting prefix
-    # i's rank in ``graded``, grank[i].
+    # prefixes that fit; ``back``, its inverse, holds offs[j] plus each
+    # fitting prefix i's rank in ``graded``, grank[i].
     graded = sorted(range(len(sums)), key=sums.__getitem__)
     grank = sorted(range(len(sums)), key=graded.__getitem__)
     widths = [offs[j + 1] - offs[j] for j in range(jmax + 1)]
     fits = [[s <= b - j for s in sums] for j in range(jmax + 1)]
-    enter, leave = array("q"), []
+    enter, back = array("q"), []
     for j, fit in enumerate(fits):
         index = list(accumulate(fit, initial=offs[j]))
         enter.extend([index[g] for g in graded[:widths[j]]])
-        leave += [offs[j] + r for r in compress(grank, fit)]
+        back += [offs[j] + r for r in compress(grank, fit)]
     # The relabelled canonical order lists each prefix i with its
     # admissible top values j under it, from position start[i] on, so
     # ``up`` finds the entry (prefix g, top j) at relabelled internal
-    # position leave[start[g] + j]; ``down`` is its inverse.
+    # position back[start[g] + j].
     start = list(accumulate(map(sum, zip(*fits)), initial=0))
-    up = array("q", [leave[start[g] + j] for j, w in enumerate(widths)
+    up = array("q", [back[start[g] + j] for j, w in enumerate(widths)
                      for g in graded[:w]])
-    down = array("q", bytes(8 * len(up)))
-    for r, i in enumerate(up):
-        down[i] = r
-    return jmax, offs, enter, array("q", leave), down, up
+    return jmax, offs, enter, array("q", [up[i] for i in back]), up
 
 
 # The combination kernel. Residue math is inlined with deferred reduction
-# (partial sums stay below (d+1) * p^2, exact in Python ints); the stage
-# loop bumps the counters with the exact number of executed muls/adds.
+# (partial sums stay below (d+1) * p^2, exact in Python ints).
 
 def _combine(coefs, cols, w: int, p: int) -> list[int]:
     """sum_i coefs[i] * cols[i] on the first w positions, where a column
@@ -247,42 +246,39 @@ def _combine(coefs, cols, w: int, p: int) -> list[int]:
     return [a % p for a in acc]
 
 
-def _transform(data: list[int], nv: int, b: int, d: int, p: int, factors,
-               inverse: bool) -> list[int]:
-    """The 2*nv stages of the module docstring on the (nv, b) layout.
-
-    ``factors[m-1]`` holds (lower rows, upper rows) for variable m: (L, U)
-    of its Vandermonde matrix when ``inverse`` is False, their inverses
-    when it is True. ``b`` is the effective budget, >= 0.
+def _transform(data, grid: Grid, b: int, inverse: bool):
+    """The 2*n stages of the module docstring on the grid's (n, b) layout,
+    ``b`` the effective budget: evaluation with the grid's LU factors,
+    interpolation (``inverse``) with their inverses. With n = 0 or b < 0
+    there is nothing to transform, and ``data`` comes back as it is.
     """
-    if nv == 0:
+    nv, d, p = grid.n, grid.d, grid.modulus.p
+    if nv == 0 or b < 0:
         return data
+    factors = _factors(grid, inverse)
+    jmax, offs, enter, leave, up = _level_plan(nv, b, d)
     ctr = active_counter.get()
-    jmax, offs, enter, leave, down, up = _level_plan(nv, b, d)
-    # Evaluation runs U_nv..U_1, then L_1..L_nv; interpolation runs
-    # inv(L)_nv..inv(L)_1, then inv(U)_1..inv(U)_nv. Between stages the
-    # next variable is relabelled to the top, down in the first half and
-    # up in the second.
-    stages = ([(m, not inverse, down) for m in range(nv, 0, -1)]
-              + [(m, inverse, up) for m in range(1, nv + 1)])
+    if ctr is not None:
+        muls = sum((j + 1) * (offs[j + 1] - offs[j]) for j in range(jmax + 1))
+        ctr.mul_count += 2 * nv * muls
+        ctr.add_count += 2 * nv * (muls - offs[-1])
+    # Stage k runs on variable k % nv, or nv where that is 0: the upper
+    # factors first when evaluating, the lower ones when interpolating.
+    # Before every stage but the first, ``up`` brings its variable on top.
     data = [data[i] for i in enter]
-    for k, (m, upper, perm) in enumerate(stages):
-        if k != 0 and k != nv:
-            data = [data[i] for i in perm]
-        rows = factors[m - 1][1 if upper else 0]
+    for k in range(2 * nv):
+        if k:
+            data = [data[i] for i in up]
+        upper = (k < nv) != inverse
+        rows = factors[k % nv - 1][1 if upper else 0]
         blocks = [data[offs[i]:offs[i + 1]] for i in range(jmax + 1)]
         data = []
         for j in range(jmax + 1):
             # Row j of an upper factor reads the narrower blocks j..jmax,
             # of a lower factor the wider blocks 0..j.
             lo, hi = (j, jmax + 1) if upper else (0, j + 1)
-            cols = blocks[lo:hi]
-            w = len(blocks[j])
-            if ctr is not None:
-                muls = sum(min(len(col), w) for col in cols)
-                ctr.mul_count += muls
-                ctr.add_count += muls - w
-            data.extend(_combine(rows[j][lo:hi], cols, w, p))
+            data.extend(_combine(rows[j][lo:hi], blocks[lo:hi],
+                                 len(blocks[j]), p))
     return [data[i] for i in leave]
 
 
@@ -320,26 +316,17 @@ def trimmed_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
     multiplications are O(ebc_cum(n, D, d) * n * poly(d)).
     """
     _check_grid_match(poly, grid, "polynomial")
-    mod = poly.modulus
-    if poly.D < 0:
-        return EvalTable._trusted(mod, poly.n, poly.d, poly.D, ())
-    factors = _factors(grid, inverse=False)
-    values = _transform(list(poly.coeffs), poly.n, poly.D, poly.d, mod.p,
-                        factors, inverse=False)
-    return EvalTable._trusted(mod, poly.n, poly.d, poly.D, values)
+    values = _transform(poly.coeffs, grid, poly.D, inverse=False)
+    return EvalTable._trusted(poly.modulus, poly.n, poly.d, poly.D, values)
 
 
 def trimmed_interp(table: EvalTable, grid: Grid) -> TrimmedPoly:
     """Recover the unique polynomial with the table's degree bounds whose
     values on the trimmed grid match the table."""
     _check_grid_match(table, grid, "evaluation table")
-    mod = table.modulus
-    if table.D < 0:
-        return TrimmedPoly._trusted(mod, table.n, table.d, table.D, ())
-    factors = _factors(grid, inverse=True)
-    coeffs = _transform(list(table.values), table.n, table.D, table.d, mod.p,
-                        factors, inverse=True)
-    return TrimmedPoly._trusted(mod, table.n, table.d, table.D, coeffs)
+    coeffs = _transform(table.values, grid, table.D, inverse=True)
+    return TrimmedPoly._trusted(table.modulus, table.n, table.d, table.D,
+                                coeffs)
 
 
 def naive_trimmed_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:

@@ -21,7 +21,7 @@ from .algo import (
     trimmed_interp,
     yates_eval,
 )
-from .combinat import CapacityError, ebc_cum
+from .combinat import CapacityError, layout_size
 from .field import PrimeModulus, run_counted
 from .jsonio import (
     eval_table_from_dict,
@@ -123,7 +123,7 @@ def cmd_roundtrip(args) -> int:
             f"need p >= d+1 for distinct nodes, got p={modulus.p}, "
             f"d={args.d}")
     # capacity guard and oracle budget before any trial
-    refusal = _oracle_refusal(args.n, ebc_cum(args.n, args.D, args.d))
+    refusal = _oracle_refusal(args.n, layout_size(args.n, args.d, args.D))
     if refusal:
         raise ValidationError(refusal)
     for trial in range(args.trials):
@@ -236,10 +236,9 @@ def cmd_bench(args) -> int:
                 f"skip n={n} d={d} D={D}: p={modulus.p} < d+1\n")
             continue
         try:
-            size = ebc_cum(n, D, d)
-        except CapacityError:
-            sys.stderr.write(
-                f"skip n={n} d={d} D={D}: table size exceeds 2^63\n")
+            size = layout_size(n, d, D)
+        except CapacityError as exc:
+            sys.stderr.write(f"skip n={n} d={d} D={D}: {exc}\n")
             continue
         poly = random_poly(n, d, D, modulus, args.seed + _instance_seed(n, d, D))
         grid = Grid.sequential(modulus, n, d)

@@ -34,7 +34,10 @@ is n table differences and an unrank is n bisections.
 Counts are guarded at 2^63: parameter choices whose vector count exceeds
 that are not materializable anyway and raise CapacityError. The count
 rows stop as soon as one passes the guard, so ``ebc(n, k, d)`` raises
-whenever ebc_cum(n, k, d) would, even if the exact count fits.
+whenever ebc_cum(n, k, d) would, even if the exact count fits. Nor may
+any table of a shape hold more than ``SIZE_LIMIT`` entries: its (n+1) *
+(b+1) count rows, or (in ``layout_size``) its n * (d+1)^2 factor entries
+or its N-entry layout. Each is checked before the table is built.
 """
 
 from __future__ import annotations
@@ -44,10 +47,17 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 
 COUNT_LIMIT = (1 << 63) - 1
+SIZE_LIMIT = 1 << 21
 
 
 class CapacityError(OverflowError):
-    """A requested count exceeds the 2^63 - 1 guard."""
+    """A count exceeds the 2^63 - 1 guard, or a table SIZE_LIMIT."""
+
+
+def _check_size(entries: int, what: str) -> None:
+    if entries > SIZE_LIMIT:
+        raise CapacityError(f"{what} would hold {entries} entries, more "
+                            f"than the limit {SIZE_LIMIT}")
 
 
 def _check_params(n: int, d: int) -> None:
@@ -67,6 +77,7 @@ def count_rows(n: int, d: int, b: int) -> tuple[tuple[int, ...], ...]:
     soon as a last entry passes COUNT_LIMIT. With b = -1, the budget of an
     empty layout, every row is empty.
     """
+    _check_size((n + 1) * (b + 1), f"count table of (n={n}, d={d}, D={b})")
     row = (1,) * (b + 1)
     rows = [row]
     for m in range(1, n + 1):
@@ -99,6 +110,16 @@ def ebc_cum(n: int, D: int, d: int) -> int:
     _check_params(n, d)
     b = clamp_budget(n, d, D)
     return count_rows(n, d, b)[n][b] if b >= 0 else 0
+
+
+def layout_size(n: int, d: int, D: int) -> int:
+    """ebc_cum(n, D, d) for a shape about to be built, once its factors
+    and its layout are known to fit SIZE_LIMIT."""
+    _check_params(n, d)
+    _check_size(n * (d + 1) ** 2, f"factors of (n={n}, d={d})")
+    size = ebc_cum(n, D, d)
+    _check_size(size, f"layout of (n={n}, d={d}, D={D})")
+    return size
 
 
 _INT = frozenset((int,))
@@ -171,7 +192,7 @@ def _vectors(n: int, d: int, b: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
     """All admissible exponent vectors for (n, d, D) in canonical order."""
-    _check_params(n, d)
+    layout_size(n, d, D)
     if D < 0:
         raise ValueError(f"total degree bound must be >= 0, got {D}")
     return _vectors(n, d, min(D, n * d))

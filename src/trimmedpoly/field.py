@@ -11,9 +11,9 @@ Two kinds of path count. The scalar methods here count per call; the
 oracle (``poly.naive_eval_point``) and ``SquareMatrix.__matmul__`` use
 them. The hot loops inline their residue math on raw ints and add to
 ``active_counter`` in bulk with the same numbers: the transform stages
-and the full-grid baseline once per kernel call (``algo``), and the
-Vandermonde, LU and inversion routines once per elimination step
-(``linalg``).
+once per transform call and the full-grid baseline once per node and
+level (``algo``), and the Vandermonde, LU and inversion routines once per
+elimination step (``linalg``).
 """
 
 from __future__ import annotations

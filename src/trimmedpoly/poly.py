@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import random
 
-from .combinat import (check_index, clamp_budget, ebc_cum, enumerate_trimmed,
-                       ranker)
+from .combinat import (check_index, clamp_budget, enumerate_trimmed,
+                       layout_size, ranker)
 from .field import PrimeModulus
 
 
@@ -39,7 +39,7 @@ def dense_layout(modulus: PrimeModulus, n: int, d: int, D: int, values,
     ``algo.EvalTable``): returns the canonical D and the values as
     residues, whose count must be ebc_cum(n, D, d)."""
     D = _check_shape(n, d, D)
-    expected = ebc_cum(n, D, d)
+    expected = layout_size(n, d, D)
     vals = tuple(modulus.residue(v) for v in values)
     if len(vals) != expected:
         raise ValidationError(
@@ -81,11 +81,6 @@ class TrimmedPoly:
         self.D = D
         self.coeffs = tuple(coeffs)
         return self
-
-    @classmethod
-    def zero(cls, modulus: PrimeModulus, n: int, d: int,
-             D: int) -> "TrimmedPoly":
-        return cls(modulus, n, d, D, [0] * ebc_cum(n, D, d))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TrimmedPoly):
@@ -160,7 +155,7 @@ class SparsePoly:
 
 def from_sparse(sparse: SparsePoly) -> TrimmedPoly:
     """Densify a term list into canonical-order coefficients."""
-    coeffs = [0] * ebc_cum(sparse.n, sparse.D, sparse.d)
+    coeffs = [0] * layout_size(sparse.n, sparse.d, sparse.D)
     rank_of = ranker(sparse.n, sparse.d, sparse.D)
     for exps, coeff in sparse.terms:  # validated when sparse was built
         coeffs[rank_of(exps)] = coeff
@@ -208,5 +203,5 @@ def random_poly(n: int, d: int, D: int, modulus: PrimeModulus,
     """Uniform i.i.d. coefficients from a deterministic seeded generator."""
     rng = random.Random(seed)
     p = modulus.p
-    coeffs = [rng.randrange(p) for _ in range(ebc_cum(n, D, d))]
+    coeffs = [rng.randrange(p) for _ in range(layout_size(n, d, D))]
     return TrimmedPoly(modulus, n, d, D, coeffs)

@@ -216,27 +216,30 @@ def test_level_plan_blocks_are_degree_ordered():
     for n in range(1, 6):
         for d in range(1, 5):
             for b in range(n * d + 1):
-                jmax, offs, enter, leave, down, up = _level_plan(n, b, d)
+                jmax, offs, enter, leave, up = _level_plan(n, b, d)
                 N = ebc_cum(n, b, d)
                 ident = list(range(N))
-                assert sorted(enter) == ident == sorted(down), (n, d, b)
-                assert [enter[i] for i in leave] == ident, (n, d, b)
-                assert [down[i] for i in up] == ident, (n, d, b)
+                assert sorted(enter) == ident == sorted(up), (n, d, b)
                 exps = enumerate_trimmed(n, d, b)
                 for j in range(jmax + 1):
                     block = enter[offs[j]:offs[j + 1]]
                     assert sorted(block) == ident[offs[j]:offs[j + 1]]
                     sums = [sum(exps[c]) for c in block]
                     assert sums == sorted(sums), (n, d, b, j)
-                # down brings e_{n-1} to the top: the entry it moves to
-                # (e_n, e_1, ..., e_{n-1}) comes from (e_1, ..., e_n)
+                # up brings e_1 to the top: the entry it moves to
+                # (e_2, ..., e_n, e_1) comes from (e_1, ..., e_n)
                 inner = [exps[c] for c in enter]
-                assert all(inner[i] == f[1:] + f[:1]
-                           for i, f in zip(down, inner)), (n, d, b)
+                assert all(f == inner[i][1:] + inner[i][:1]
+                           for i, f in zip(up, inner)), (n, d, b)
                 perm = ident
                 for _ in range(n):
-                    perm = [perm[i] for i in down]
+                    perm = [perm[i] for i in up]
                 assert perm == ident, (n, d, b)
+                # the stages' path: enter, 2n - 1 relabellings, leave
+                perm = list(enter)
+                for _ in range(2 * n - 1):
+                    perm = [perm[i] for i in up]
+                assert [perm[i] for i in leave] == ident, (n, d, b)
 
 
 # Regression tests for the literal printed recipe (kept failing on

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -47,6 +48,30 @@ def test_eval_constant_poly(tmp_path):
                  "--out", str(out)]) == 0
     values = json.loads(out.read_text())["values"]
     assert set(values) == {"6"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"p": "5", "n": 1000000, "d": 1, "D": 0, "terms": []},
+    {"p": "65537", "n": 10000, "d": 100, "D": 1000000, "terms": []},
+    {"p": "5", "n": 30, "d": 1, "D": 30, "terms": []},
+], ids=["wide", "deep-budget", "big-layout"])
+def test_eval_refuses_shapes_above_size_limit(tmp_path, capsys, doc):
+    # A few bytes of JSON must not make eval build n factors, a huge
+    # count table or a huge layout: refused before any table is built.
+    poly = write(tmp_path / "poly.json", doc)
+    out = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        assert main(["eval", "--poly", poly, "--grid-gen", "seq",
+                     "--out", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "more than the limit" in err
+    assert peak < 256 << 10
+    assert not out.exists()
 
 
 def test_eval_duplicate_node_exits_1(tmp_path, capsys):

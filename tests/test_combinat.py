@@ -4,11 +4,13 @@ import tracemalloc
 import pytest
 
 from trimmedpoly.combinat import (
+    SIZE_LIMIT,
     CapacityError,
     count_rows,
     ebc,
     ebc_cum,
     enumerate_trimmed,
+    layout_size,
     rank,
     unrank,
 )
@@ -91,6 +93,25 @@ def test_count_rows_stop_at_budget_and_guard():
     finally:
         tracemalloc.stop()
     assert budget_peak < 10 << 20 and guard_peak < 10 << 20
+
+
+def test_size_limit_bounds_every_table():
+    # One limit on the count table, (n+1)*(b+1) entries, on the factors,
+    # n*(d+1)^2, and on the layout, N; each check runs before its table
+    # is built.
+    assert SIZE_LIMIT == 1 << 21
+    with pytest.raises(CapacityError, match="count table"):
+        ebc_cum(1500, 1500, 1)  # 1501 * 1501 entries; the guard is later
+    with pytest.raises(CapacityError, match="factors"):
+        layout_size(10**6, 1, 0)  # N = 1
+    with pytest.raises(CapacityError, match="layout"):
+        layout_size(30, 1, 30)  # N = 2^30
+    with pytest.raises(CapacityError, match="layout"):
+        enumerate_trimmed(30, 1, 30)
+    # the largest shapes the tests transform stay within it
+    assert layout_size(10, 3, 30) == 4 ** 10
+    assert layout_size(2000, 1, 1) == 2001
+    assert ebc_cum(20, 20, 3) > SIZE_LIMIT  # counting alone is not capped
 
 
 def test_enumerate_examples():

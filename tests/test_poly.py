@@ -49,7 +49,7 @@ def test_to_sparse_round_trip():
     assert from_sparse(to_sparse(poly)) == poly
     assert sorted(to_sparse(poly).terms) == [((0, 0), 2), ((0, 1), 4),
                                              ((1, 0), 3)]
-    zero = TrimmedPoly.zero(MOD5, 3, 2, 4)
+    zero = TrimmedPoly(MOD5, 3, 2, 4, [0] * ebc_cum(3, 4, 2))
     assert to_sparse(zero).terms == ()
     rng = random.Random(3)
     for _ in range(20):
