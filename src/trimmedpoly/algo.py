@@ -1,6 +1,10 @@
 """Fast evaluation and interpolation on trimmed grids, the quadratic
 oracle, and the full-grid baseline.
 
+An EvalTable is the dense container of ``poly`` (shape checks, residues,
+equality, repr and ``_trusted``) under the name ``values``; a Grid checks
+its shape with the same rule, ``combinat._check_params``.
+
 Layout scheme
 -------------
 At the boundary, a coefficient vector or evaluation table for (nv
@@ -71,10 +75,11 @@ from array import array
 from functools import lru_cache
 from itertools import accumulate, compress
 
-from .combinat import count_rows, degree_sums, enumerate_trimmed
+from .combinat import (ValidationError, _check_params, count_rows,
+                       degree_sums, enumerate_trimmed)
 from .field import PrimeModulus, active_counter
 from .linalg import build_vandermonde, invert, lu_decompose
-from .poly import TrimmedPoly, ValidationError, dense_layout, naive_eval_point
+from .poly import TrimmedPoly, _DenseTable, naive_eval_point
 
 __all__ = [
     "Grid", "EvalTable", "trimmed_eval", "trimmed_interp",
@@ -98,9 +103,7 @@ class Grid:
                 raise ValidationError(
                     "grid with no rows needs an explicit individual degree")
             d = len(normalized[0]) - 1
-        if d < 1:
-            raise ValidationError(
-                f"individual degree must be >= 1, got {d}")
+        _check_params(len(normalized), d)
         if modulus.p < d + 1:
             raise ValidationError(
                 f"need p >= d+1 for distinct nodes, got p={modulus.p}, "
@@ -148,44 +151,14 @@ class Grid:
         return f"Grid(n={self.n}, d={self.d}, p={self.modulus.p})"
 
 
-class EvalTable:
+class EvalTable(_DenseTable):
     """Evaluations on the trimmed grid, one per admissible exponent vector,
     flattened in the same canonical order as TrimmedPoly coefficients."""
 
-    __slots__ = ("modulus", "n", "d", "D", "values")
-
-    def __init__(self, modulus: PrimeModulus, n: int, d: int, D: int,
-                 values) -> None:
-        D, vals = dense_layout(modulus, n, d, D, values, "value table")
-        self.modulus = modulus
-        self.n = n
-        self.d = d
-        self.D = D
-        self.values = vals
-
-    @classmethod
-    def _trusted(cls, modulus: PrimeModulus, n: int, d: int, D: int,
-                 values) -> "EvalTable":
-        """Wrap values that are valid by construction: canonical residues,
-        ebc_cum(n, D, d) of them, with D normalized."""
-        self = cls.__new__(cls)
-        self.modulus = modulus
-        self.n = n
-        self.d = d
-        self.D = D
-        self.values = tuple(values)
-        return self
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EvalTable):
-            return (self.modulus.p == other.modulus.p and self.n == other.n
-                    and self.d == other.d and self.D == other.D
-                    and self.values == other.values)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"EvalTable(n={self.n}, d={self.d}, D={self.D}, "
-                f"p={self.modulus.p}, {len(self.values)} values)")
+    __slots__ = ()
+    values = _DenseTable._entries
+    _unit = "values"
+    _noun = "value table"
 
 
 # Layout metadata, cached on the effective (clamped) budget.

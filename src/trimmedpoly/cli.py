@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 
 from .algo import (
     EvalTable,
@@ -21,7 +22,7 @@ from .algo import (
     trimmed_interp,
     yates_eval,
 )
-from .combinat import CapacityError, layout_size
+from .combinat import CapacityError, _check_size, layout_size
 from .field import PrimeModulus, run_counted
 from .jsonio import (
     eval_table_from_dict,
@@ -147,7 +148,8 @@ def cmd_roundtrip(args) -> int:
     return 0
 
 
-def _parse_range(text: str, key: str) -> list[int]:
+def _parse_range(text: str, key: str) -> list[range]:
+    """The values of ``key`` as ranges, not yet expanded."""
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -156,12 +158,17 @@ def _parse_range(text: str, key: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValidationError(f"{key}: empty range {chunk!r}")
-            values.extend(range(lo, hi + 1))
         else:
-            values.append(int(chunk))
-    if not values or min(values) < 1:
-        raise ValidationError(f"{key}: values must be >= 1")
+            lo = hi = int(chunk)
+        if lo < 1:
+            raise ValidationError(f"{key}: values must be >= 1")
+        values.append(range(lo, hi + 1))
     return values
+
+
+def _count(ranges: list[range]) -> int:
+    # not len(): it raises OverflowError on a range longer than sys.maxsize
+    return sum(r.stop - r.start for r in ranges)
 
 
 def parse_sweep(spec: str) -> list[tuple[int, int, int]]:
@@ -169,7 +176,9 @@ def parse_sweep(spec: str) -> list[tuple[int, int, int]]:
 
     Assignments are separated by ';'. n and d take single values, comma
     lists, or ``lo..hi`` ranges. D takes the tokens nd, nd/2, nd/4
-    (fractions round up) or explicit integers.
+    (fractions round up) or explicit integers. A sweep of more than
+    ``combinat.SIZE_LIMIT`` instances, counted from the range bounds, is
+    refused before it is expanded.
     """
     ns = ds = dtokens = None
     for assign in spec.split(";"):
@@ -190,9 +199,10 @@ def parse_sweep(spec: str) -> list[tuple[int, int, int]]:
             raise ValidationError(f"unknown sweep key {key!r}")
     if not ns or not ds or not dtokens:
         raise ValidationError("sweep must assign n, d and D")
+    _check_size(_count(ns) * _count(ds) * len(dtokens), "sweep", "instances")
     instances = []
-    for n in ns:
-        for d in ds:
+    for n in chain.from_iterable(ns):
+        for d in chain.from_iterable(ds):
             budgets = []
             for tok in dtokens:
                 if tok == "nd":

@@ -31,13 +31,18 @@ remaining budget b, the vectors that precede value e in coordinate m+1
 number sum_{j<e} ebc_cum(m, b-j, d) = S_m[b+1] - S_m[b+1-e], so a rank
 is n table differences and an unrank is n bisections.
 
+A shape (n, d, D) needs n >= 0 and d >= 1; ``_check_params`` is the one
+place that rule is raised, as ValidationError, for every module of the
+package. A public construction checks it once, through ``layout_size``.
+
 Counts are guarded at 2^63: parameter choices whose vector count exceeds
 that are not materializable anyway and raise CapacityError. The count
 rows stop as soon as one passes the guard, so ``ebc(n, k, d)`` raises
-whenever ebc_cum(n, k, d) would, even if the exact count fits. Nor may
-any table of a shape hold more than ``SIZE_LIMIT`` entries: its (n+1) *
-(b+1) count rows, or (in ``layout_size``) its n * (d+1)^2 factor entries
-or its N-entry layout. Each is checked before the table is built.
+whenever ebc_cum(n, k, d) would, even if the exact count fits. Nor may a
+shape cost more than ``SIZE_LIMIT``: its (n+1) * (b+1) count rows, or (in
+``layout_size``) its N-entry layout or n * (d+1)^3, the elimination work
+of its per-variable factors, which also bounds their n * (d+1)^2 entries.
+Each is checked before anything is built.
 """
 
 from __future__ import annotations
@@ -51,20 +56,25 @@ SIZE_LIMIT = 1 << 21
 
 
 class CapacityError(OverflowError):
-    """A count exceeds the 2^63 - 1 guard, or a table SIZE_LIMIT."""
+    """A count exceeds the 2^63 - 1 guard, or a shape SIZE_LIMIT."""
 
 
-def _check_size(entries: int, what: str) -> None:
-    if entries > SIZE_LIMIT:
-        raise CapacityError(f"{what} would hold {entries} entries, more "
-                            f"than the limit {SIZE_LIMIT}")
+class ValidationError(ValueError):
+    """Malformed domain input (bad exponent, shape mismatch, bad table)."""
+
+
+def _check_size(size: int, what: str, unit: str = "entries") -> None:
+    if size > SIZE_LIMIT:
+        raise CapacityError(f"{what} would need {size} {unit}, more than "
+                            f"the limit {SIZE_LIMIT}")
 
 
 def _check_params(n: int, d: int) -> None:
+    """The shape rule: n >= 0 variables, individual degree d >= 1."""
     if n < 0:
-        raise ValueError(f"variable count must be >= 0, got {n}")
+        raise ValidationError(f"variable count must be >= 0, got {n}")
     if d < 1:
-        raise ValueError(f"individual degree bound must be >= 1, got {d}")
+        raise ValidationError(f"individual degree must be >= 1, got {d}")
 
 
 @lru_cache(maxsize=None)
@@ -105,19 +115,25 @@ def ebc(n: int, k: int, d: int) -> int:
     return row[k] - (row[k - 1] if k else 0)
 
 
-def ebc_cum(n: int, D: int, d: int) -> int:
-    """Number of vectors in {0,...,d}^n with coordinate sum at most D."""
-    _check_params(n, d)
-    b = clamp_budget(n, d, D)
+def _cum(n: int, d: int, b: int) -> int:
+    """ebc_cum(n, b, d) of a checked shape and a clamped budget b."""
     return count_rows(n, d, b)[n][b] if b >= 0 else 0
 
 
-def layout_size(n: int, d: int, D: int) -> int:
-    """ebc_cum(n, D, d) for a shape about to be built, once its factors
-    and its layout are known to fit SIZE_LIMIT."""
+def ebc_cum(n: int, D: int, d: int) -> int:
+    """Number of vectors in {0,...,d}^n with coordinate sum at most D."""
     _check_params(n, d)
-    _check_size(n * (d + 1) ** 2, f"factors of (n={n}, d={d})")
-    size = ebc_cum(n, D, d)
+    return _cum(n, d, clamp_budget(n, d, D))
+
+
+def layout_size(n: int, d: int, D: int) -> int:
+    """ebc_cum(n, D, d) for a shape about to be built, once the shape
+    rule holds and its factors and its layout are known to fit
+    SIZE_LIMIT."""
+    _check_params(n, d)
+    _check_size(n * (d + 1) ** 3, f"factors of (n={n}, d={d})",
+                "elimination steps")
+    size = _cum(n, d, clamp_budget(n, d, D))
     _check_size(size, f"layout of (n={n}, d={d}, D={D})")
     return size
 

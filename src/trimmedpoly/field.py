@@ -2,18 +2,20 @@
 
 Residues are canonical Python ints in [0, p). The rest of the package
 stores raw residues in its containers and shares a single PrimeModulus,
-which doubles as the unit-cost field-operation layer: its add/sub/mul/
-inv/pow methods work on ints and, inside ``run_counted``, tally every
-executed operation on any modulus to the OpCounter of the current thread
-or context.
+which doubles as the unit-cost field-operation layer: its add/mul/pow
+methods work on ints and, inside ``run_counted``, tally every executed
+operation on any modulus to the OpCounter of the current thread or
+context.
 
 Two kinds of path count. The scalar methods here count per call; the
 oracle (``poly.naive_eval_point``) and ``SquareMatrix.__matmul__`` use
-them. The hot loops inline their residue math on raw ints and add to
-``active_counter`` in bulk with the same numbers: the transform stages
-once per transform call and the full-grid baseline once per node and
-level (``algo``), and the Vandermonde, LU and inversion routines once per
-elimination step (``linalg``).
+them, and need no scalar subtraction or inverse. The hot loops inline
+their residue math on raw ints and add to ``active_counter`` in bulk
+with the same numbers: the transform stages once per transform call and
+the full-grid baseline once per node and level (``algo``), and the
+Vandermonde, LU and inversion routines once per elimination step
+(``linalg``), whose subtractions count as additions and whose pivot
+inverses as inversions.
 """
 
 from __future__ import annotations
@@ -126,27 +128,11 @@ class PrimeModulus:
         s = a + b
         return s - self.p if s >= self.p else s
 
-    def sub(self, a: int, b: int) -> int:
-        c = active_counter.get()
-        if c is not None:
-            c.add_count += 1
-        s = a - b
-        return s + self.p if s < 0 else s
-
     def mul(self, a: int, b: int) -> int:
         c = active_counter.get()
         if c is not None:
             c.mul_count += 1
         return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse of a nonzero residue."""
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        c = active_counter.get()
-        if c is not None:
-            c.inv_count += 1
-        return pow(a, -1, self.p)
 
     def pow(self, a: int, e: int) -> int:
         """Square-and-multiply; a^0 = 1 including a = 0.

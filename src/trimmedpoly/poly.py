@@ -5,7 +5,8 @@ monomial (individual degree <= d, total degree <= D), flattened in the
 canonical order from ``combinat``. Because that order is last-variable
 major, the decomposition P = sum_i P_i * X_n^i used by the fast
 transforms is a plain partition of the coefficient vector into
-contiguous blocks.
+contiguous blocks. ``algo.EvalTable`` holds a table of values in the
+same layout; both are ``_DenseTable``, written once here.
 
 SparsePoly is the human-facing term list used by the JSON formats; it
 never participates in the algorithms.
@@ -15,40 +16,69 @@ from __future__ import annotations
 
 import random
 
-from .combinat import (check_index, clamp_budget, enumerate_trimmed,
-                       layout_size, ranker)
+from .combinat import (ValidationError, _check_params, check_index,
+                       clamp_budget, enumerate_trimmed, layout_size, ranker)
 from .field import PrimeModulus
 
 
-class ValidationError(ValueError):
-    """Malformed domain input (bad exponent, shape mismatch, bad table)."""
+class _DenseTable:
+    """One residue per admissible exponent vector of (n, d, D), in the
+    canonical order of ``combinat``: the body shared by ``TrimmedPoly``
+    and ``algo.EvalTable``. A subclass gives the residue tuple its public
+    name, an alias of the ``_entries`` slot, and sets ``_unit`` (its repr
+    unit) and ``_noun`` (its name in a length error).
+
+    The public constructor checks the shape once, through
+    ``layout_size``, and canonicalises every entry; internal producers,
+    whose residues are valid by construction, use ``_trusted``.
+    """
+
+    __slots__ = ("modulus", "n", "d", "D", "_entries")
+
+    def __init__(self, modulus: PrimeModulus, n: int, d: int, D: int,
+                 entries) -> None:
+        D = clamp_budget(n, d, D)
+        expected = layout_size(n, d, D)
+        vals = tuple(modulus.residue(v) for v in entries)
+        if len(vals) != expected:
+            raise ValidationError(
+                f"{self._noun} has length {len(vals)}, expected {expected} "
+                f"for (n={n}, d={d}, D={D})")
+        self.modulus = modulus
+        self.n = n
+        self.d = d
+        self.D = D
+        self._entries = vals
+
+    @classmethod
+    def _trusted(cls, modulus: PrimeModulus, n: int, d: int, D: int,
+                 entries):
+        """Wrap entries that are valid by construction: canonical
+        residues, ebc_cum(n, D, d) of them, with D normalized."""
+        self = cls.__new__(cls)
+        self.modulus = modulus
+        self.n = n
+        self.d = d
+        self.D = D
+        self._entries = tuple(entries)
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return (self.modulus.p == other.modulus.p and self.n == other.n
+                    and self.d == other.d and self.D == other.D
+                    and self._entries == other._entries)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.modulus.p, self.n, self.d, self.D, self._entries))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(n={self.n}, d={self.d}, D={self.D}, "
+                f"p={self.modulus.p}, {len(self._entries)} {self._unit})")
 
 
-def _check_shape(n: int, d: int, D: int) -> int:
-    """Reject n < 0 and d < 1; return D in canonical form."""
-    if n < 0:
-        raise ValidationError(f"variable count must be >= 0, got {n}")
-    if d < 1:
-        raise ValidationError(f"individual degree must be >= 1, got {d}")
-    return clamp_budget(n, d, D)
-
-
-def dense_layout(modulus: PrimeModulus, n: int, d: int, D: int, values,
-                 what: str) -> tuple[int, tuple[int, ...]]:
-    """The checks shared by the dense containers (``TrimmedPoly`` and
-    ``algo.EvalTable``): returns the canonical D and the values as
-    residues, whose count must be ebc_cum(n, D, d)."""
-    D = _check_shape(n, d, D)
-    expected = layout_size(n, d, D)
-    vals = tuple(modulus.residue(v) for v in values)
-    if len(vals) != expected:
-        raise ValidationError(
-            f"{what} has length {len(vals)}, expected {expected} "
-            f"for (n={n}, d={d}, D={D})")
-    return D, vals
-
-
-class TrimmedPoly:
+class TrimmedPoly(_DenseTable):
     """Dense coefficient vector of length ebc_cum(n, D, d) over F_p.
 
     Slot r holds the coefficient of the monomial whose exponent vector is
@@ -57,44 +87,10 @@ class TrimmedPoly:
     and is normalized to -1. Instances are treated as immutable.
     """
 
-    __slots__ = ("modulus", "n", "d", "D", "coeffs")
-
-    def __init__(self, modulus: PrimeModulus, n: int, d: int, D: int,
-                 coeffs) -> None:
-        D, vals = dense_layout(modulus, n, d, D, coeffs,
-                               "coefficient vector")
-        self.modulus = modulus
-        self.n = n
-        self.d = d
-        self.D = D
-        self.coeffs = vals
-
-    @classmethod
-    def _trusted(cls, modulus: PrimeModulus, n: int, d: int, D: int,
-                 coeffs) -> "TrimmedPoly":
-        """Wrap coefficients that are valid by construction: canonical
-        residues, ebc_cum(n, D, d) of them, with D normalized."""
-        self = cls.__new__(cls)
-        self.modulus = modulus
-        self.n = n
-        self.d = d
-        self.D = D
-        self.coeffs = tuple(coeffs)
-        return self
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TrimmedPoly):
-            return (self.modulus.p == other.modulus.p and self.n == other.n
-                    and self.d == other.d and self.D == other.D
-                    and self.coeffs == other.coeffs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.modulus.p, self.n, self.d, self.D, self.coeffs))
-
-    def __repr__(self) -> str:
-        return (f"TrimmedPoly(n={self.n}, d={self.d}, D={self.D}, "
-                f"p={self.modulus.p}, {len(self.coeffs)} coeffs)")
+    __slots__ = ()
+    coeffs = _DenseTable._entries
+    _unit = "coeffs"
+    _noun = "coefficient vector"
 
 
 class SparsePoly:
@@ -108,7 +104,8 @@ class SparsePoly:
 
     def __init__(self, modulus: PrimeModulus, n: int, d: int, D: int,
                  terms) -> None:
-        D = _check_shape(n, d, D)
+        _check_params(n, d)
+        D = clamp_budget(n, d, D)
         seen = set()
         kept = []
         for exps, coeff in terms:

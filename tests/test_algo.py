@@ -573,6 +573,11 @@ def test_internal_containers_survive_pickle():
         copy = pickle.loads(pickle.dumps(obj))
         assert type(copy) is type(obj) and copy == obj
         assert copy.modulus == obj.modulus and copy.D == obj.D
+    # the two dense containers share one body but are never equal, even
+    # over the same fields
+    twin = TrimmedPoly._trusted(mod, 3, 2, 4, table.values)
+    assert twin.coeffs == table.values
+    assert twin != table and table != twin
 
 
 def test_public_constructors_still_canonicalise_and_reject():
@@ -586,3 +591,13 @@ def test_public_constructors_still_canonicalise_and_reject():
             EvalTable(MOD5, 1, 1, 1, [0, bad])
         with pytest.raises(TypeError):
             TrimmedPoly(MOD5, 1, 1, 1, [bad, 0])
+    table = EvalTable(MOD5, 1, 1, 1, [1, 2])
+    poly = TrimmedPoly(MOD5, 1, 1, 1, [1, 2])
+    assert table != poly and poly != table
+    assert repr(table) == "EvalTable(n=1, d=1, D=1, p=5, 2 values)"
+    assert repr(poly) == "TrimmedPoly(n=1, d=1, D=1, p=5, 2 coeffs)"
+    with pytest.raises(ValidationError, match="^value table has length 1"):
+        EvalTable(MOD5, 1, 1, 1, [1])
+    with pytest.raises(ValidationError,
+                       match="^coefficient vector has length 3"):
+        TrimmedPoly(MOD5, 1, 1, 1, [1, 2, 3])

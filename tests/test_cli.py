@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from trimmedpoly.cli import BENCH_HEADER, main, parse_sweep
+from trimmedpoly.combinat import CapacityError
 from trimmedpoly.poly import ValidationError
 
 WORKED_POLY = {
@@ -54,10 +55,12 @@ def test_eval_constant_poly(tmp_path):
     {"p": "5", "n": 1000000, "d": 1, "D": 0, "terms": []},
     {"p": "65537", "n": 10000, "d": 100, "D": 1000000, "terms": []},
     {"p": "5", "n": 30, "d": 1, "D": 30, "terms": []},
-], ids=["wide", "deep-budget", "big-layout"])
+    {"p": "65537", "n": 1, "d": 200, "D": 0, "terms": []},
+], ids=["wide", "deep-budget", "big-layout", "cubic-factor"])
 def test_eval_refuses_shapes_above_size_limit(tmp_path, capsys, doc):
     # A few bytes of JSON must not make eval build n factors, a huge
-    # count table or a huge layout: refused before any table is built.
+    # count table or a huge layout, nor eliminate a factor of degree 200
+    # (seconds of work for one value): refused before anything is built.
     poly = write(tmp_path / "poly.json", doc)
     out = tmp_path / "table.json"
     tracemalloc.start()
@@ -192,6 +195,27 @@ def test_parse_sweep():
         parse_sweep("n=2;d=1;D=half")
     with pytest.raises(ValidationError):
         parse_sweep("n=0..2;d=1;D=nd")
+
+
+def test_bench_refuses_huge_sweep_before_expanding(tmp_path, capsys):
+    # The instance count comes from the range bounds: a sweep of 10^12
+    # instances is refused before any list of them is built.
+    spec = "n=1..1000000000000;d=1;D=1"
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--sweep", spec, "--algos", "trimmed",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: sweep would need 1000000000000 instances, more "
+                   "than the limit 2097152\n")
+    assert not out.exists()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            parse_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10
 
 
 def test_bench_two_rows(tmp_path):

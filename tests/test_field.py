@@ -43,35 +43,6 @@ def test_add_mul_trivia():
     assert PrimeModulus(7).mul(2, 3) == 6
 
 
-def test_inverse():
-    mod = PrimeModulus(7)
-    assert mod.inv(3) == 5
-    assert mod.mul(3, mod.inv(3)) == 1
-    assert mod.inv(1) == 1
-    assert mod.inv(6) == 6  # (-1)^2 = 1
-    with pytest.raises(ZeroDivisionError):
-        mod.inv(0)
-
-
-# Both sides of 2^31 and near 2^62, plus the two smallest primes.
-EDGE_PRIMES = (2, 3, 2**31 - 1, 2147483659, 2**61 - 1, 2**62 - 57)
-
-
-@pytest.mark.parametrize("p", EDGE_PRIMES)
-def test_inverse_over_edge_primes(p):
-    mod = PrimeModulus(p)
-    rng = random.Random(p)
-    values = {a for a in (1, 2, p - 1) if 0 < a < p}
-    values |= {rng.randrange(1, p) for _ in range(50)}
-    _, ctr = run_counted(lambda: [mod.inv(a) for a in sorted(values)])
-    assert ctr.inv_count == len(values)
-    for a in values:
-        assert 0 < mod.inv(a) < p
-        assert a * mod.inv(a) % p == 1
-    with pytest.raises(ZeroDivisionError, match="0 has no inverse in F_p"):
-        mod.inv(0)
-
-
 def test_pow_trivia():
     mod = PrimeModulus(5)
     assert mod.pow(2, 3) == 3
@@ -105,32 +76,19 @@ def test_field_axioms(p):
         assert mod.mul(a, b) == mod.mul(b, a)
         assert mod.mul(a, mod.add(b, c)) == mod.add(mod.mul(a, b),
                                                     mod.mul(a, c))
-        if a:
-            assert mod.mul(a, mod.inv(a)) == 1
-
-
-def test_sub_neg():
-    # Negation is subtraction from zero.
-    mod = PrimeModulus(11)
-    assert mod.sub(3, 7) == 7
-    assert mod.sub(0, 4) == 7
-    assert mod.sub(0, 0) == 0
-    assert mod.sub(7, 3) == 4
 
 
 def test_counter_tallies_scalar_ops():
     def scalar_ops(mod):
         mod.mul(2, 3)
         mod.add(1, 1)
-        mod.sub(1, 1)
-        mod.inv(3)
         mod.pow(2, 5)  # 101b: popcount + bitlen - 1 = 4 muls
 
     mod = PrimeModulus(7)
     _, ctr = run_counted(scalar_ops, mod)
     assert ctr.mul_count == 1 + 4
-    assert ctr.add_count == 2
-    assert ctr.inv_count == 1
+    assert ctr.add_count == 1
+    assert ctr.inv_count == 0
     # no counter is active afterwards
     assert active_counter.get() is None
     mod.mul(2, 3)

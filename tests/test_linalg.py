@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from trimmedpoly.field import PrimeModulus, run_counted
+from trimmedpoly.field import PrimeModulus, active_counter, run_counted
 from trimmedpoly.linalg import (
     SingularMatrixError,
     SquareMatrix,
@@ -120,12 +120,25 @@ def test_invert_needs_pivoting():
 
 
 # Differential counts: a scalar reference, the Doolittle and Gauss-Jordan
-# eliminations written entry by entry with the per-call counted
-# PrimeModulus methods, must return the same rows and leave the same
+# eliminations written entry by entry with per-call counted operations
+# (PrimeModulus.mul, scalar_sub, scalar_inv), must return the same rows
+# and leave the same
 # (mul, add, inv) in the counter as the bulk-tallied routines, also when
 # both raise.
 
 EDGE_PRIMES = (2, 3, 2**31 - 1, 2147483659, 2**61 - 1, 2**62 - 57)
+
+
+def scalar_sub(a, b, mod):
+    """a - b in F_p, tallied as one addition to the active counter."""
+    active_counter.get().add_count += 1
+    return (a - b) % mod.p
+
+
+def scalar_inv(a, mod):
+    """The inverse of a nonzero residue, tallied as one inversion."""
+    active_counter.get().inv_count += 1
+    return pow(a, -1, mod.p)
 
 
 def scalar_vandermonde(nodes, mod):
@@ -150,13 +163,14 @@ def scalar_lu(rows, mod):
                 f"means duplicate nodes")
         if k + 1 == m:
             break
-        pivot_inv = mod.inv(pivot)
+        pivot_inv = scalar_inv(pivot, mod)
         for i in range(k + 1, m):
             factor = mod.mul(work[i][k], pivot_inv)
             lower[i][k] = factor
             work[i][k] = 0
             for j in range(k + 1, m):
-                work[i][j] = mod.sub(work[i][j], mod.mul(factor, work[k][j]))
+                product = mod.mul(factor, work[k][j])
+                work[i][j] = scalar_sub(work[i][j], product, mod)
     upper = [[work[i][j] if j >= i else 0 for j in range(m)]
              for i in range(m)]
     return tuple(map(tuple, lower)), tuple(map(tuple, upper))
@@ -172,16 +186,16 @@ def scalar_invert(rows, mod):
             raise SingularMatrixError(f"matrix is singular at column {col}")
         work[col], work[pivot_row] = work[pivot_row], work[col]
         result[col], result[pivot_row] = result[pivot_row], result[col]
-        pivot_inv = mod.inv(work[col][col])
+        pivot_inv = scalar_inv(work[col][col], mod)
         work[col] = [mod.mul(v, pivot_inv) for v in work[col]]
         result[col] = [mod.mul(v, pivot_inv) for v in result[col]]
         for r in range(m):
             factor = work[r][col]
             if r == col or factor == 0:
                 continue
-            work[r] = [mod.sub(a, mod.mul(factor, b))
+            work[r] = [scalar_sub(a, mod.mul(factor, b), mod)
                        for a, b in zip(work[r], work[col])]
-            result[r] = [mod.sub(a, mod.mul(factor, b))
+            result[r] = [scalar_sub(a, mod.mul(factor, b), mod)
                          for a, b in zip(result[r], result[col])]
     return tuple(map(tuple, result))
 
