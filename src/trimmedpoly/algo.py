@@ -63,9 +63,8 @@ zero, and feeding its factors into the stages computes the wrong
 polynomial; see test_inverse_vandermonde_lu_can_fail and
 test_literal_lu_of_inverse_interpolates_wrong in tests/test_algo.py.)
 
-Multiplication/addition counts are tallied in bulk, once per transform
-call: each stage executes sum_j (j+1) * len(block_j) multiplications and
-N fewer additions. They depend only on (n, d, D), never on values.
+A transform call tallies its stages once: each stage executes
+sum_j (j+1) * len(block_j) multiplications and N fewer additions.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ from itertools import accumulate, compress
 
 from .combinat import (ValidationError, _check_params, count_rows,
                        degree_sums, enumerate_trimmed)
-from .field import PrimeModulus, active_counter
+from .field import PrimeModulus, tally
 from .linalg import build_vandermonde, invert, lu_decompose
 from .poly import TrimmedPoly, _DenseTable, naive_eval_point
 
@@ -85,6 +84,13 @@ __all__ = [
     "Grid", "EvalTable", "trimmed_eval", "trimmed_interp",
     "naive_trimmed_eval", "yates_eval",
 ]
+
+
+def _check_node_count(modulus: PrimeModulus, d: int) -> None:
+    """The node rule: a row of d+1 distinct nodes needs p >= d+1."""
+    if modulus.p < d + 1:
+        raise ValidationError(
+            f"need p >= d+1 for distinct nodes, got p={modulus.p}, d={d}")
 
 
 class Grid:
@@ -104,10 +110,7 @@ class Grid:
                     "grid with no rows needs an explicit individual degree")
             d = len(normalized[0]) - 1
         _check_params(len(normalized), d)
-        if modulus.p < d + 1:
-            raise ValidationError(
-                f"need p >= d+1 for distinct nodes, got p={modulus.p}, "
-                f"d={d}")
+        _check_node_count(modulus, d)
         for i, row in enumerate(normalized):
             if len(row) != d + 1:
                 raise ValidationError(
@@ -129,10 +132,7 @@ class Grid:
     def random(cls, modulus: PrimeModulus, n: int, d: int,
                seed: int) -> "Grid":
         """Seeded distinct nodes per row."""
-        if modulus.p < d + 1:
-            raise ValidationError(
-                f"need p >= d+1 for distinct nodes, got p={modulus.p}, "
-                f"d={d}")
+        _check_node_count(modulus, d)
         rng = random.Random(seed)
         rows = [rng.sample(range(modulus.p), d + 1) for _ in range(n)]
         return cls(modulus, rows, d=d)
@@ -230,11 +230,8 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
         return data
     factors = _factors(grid, inverse)
     jmax, offs, enter, leave, up = _level_plan(nv, b, d)
-    ctr = active_counter.get()
-    if ctr is not None:
-        muls = sum((j + 1) * (offs[j + 1] - offs[j]) for j in range(jmax + 1))
-        ctr.mul_count += 2 * nv * muls
-        ctr.add_count += 2 * nv * (muls - offs[-1])
+    muls = sum((j + 1) * (offs[j + 1] - offs[j]) for j in range(jmax + 1))
+    tally(mul=2 * nv * muls, add=2 * nv * (muls - offs[-1]))
     # Stage k runs on variable k % nv, or nv where that is 0: the upper
     # factors first when evaluating, the lower ones when interpolating.
     # Before every stage but the first, ``up`` brings its variable on top.
@@ -305,7 +302,7 @@ def trimmed_interp(table: EvalTable, grid: Grid) -> TrimmedPoly:
 def naive_trimmed_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
     """Quadratic oracle: term-by-term evaluation at every trimmed point.
 
-    Shares nothing with the fast transform beyond the field layer and the
+    Shares nothing with the fast transform beyond ``field.tally`` and the
     canonical enumeration. O(N^2 * n) field multiplications.
     """
     _check_grid_match(poly, grid, "polynomial")
@@ -340,7 +337,6 @@ def yates_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
 def _yates(coeffs: list[int], nv: int, d: int, p: int, rows) -> list[int]:
     if nv == 0:
         return coeffs
-    ctr = active_counter.get()
     width = (d + 1) ** (nv - 1)
     subs = [_yates(coeffs[t * width:(t + 1) * width], nv - 1, d, p, rows)
             for t in range(d + 1)]
@@ -350,8 +346,6 @@ def _yates(coeffs: list[int], nv: int, d: int, p: int, rows) -> list[int]:
         for i in range(d - 1, -1, -1):
             sub = subs[i]
             acc = [(a * z + v) % p for a, v in zip(acc, sub)]
-        if ctr is not None:
-            ctr.mul_count += d * width
-            ctr.add_count += d * width
+        tally(mul=d * width, add=d * width)
         out.extend(acc)
     return out

@@ -17,6 +17,7 @@ from itertools import chain
 from .algo import (
     EvalTable,
     Grid,
+    _check_node_count,
     naive_trimmed_eval,
     trimmed_eval,
     trimmed_interp,
@@ -117,14 +118,13 @@ def cmd_interp(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     modulus = PrimeModulus(args.prime)
-    if args.n < 0 or args.d < 1 or args.D < 0 or args.trials < 0:
-        raise ValidationError("need n >= 0, d >= 1, D >= 0 and trials >= 0")
-    if modulus.p < args.d + 1:
-        raise ValidationError(
-            f"need p >= d+1 for distinct nodes, got p={modulus.p}, "
-            f"d={args.d}")
-    # capacity guard and oracle budget before any trial
-    refusal = _oracle_refusal(args.n, layout_size(args.n, args.d, args.D))
+    if args.D < 0 or args.trials < 0:
+        raise ValidationError("need D >= 0 and trials >= 0")
+    # shape rule, capacity guard, node rule and oracle budget before any
+    # trial
+    size = layout_size(args.n, args.d, args.D)
+    _check_node_count(modulus, args.d)
+    refusal = _oracle_refusal(args.n, size)
     if refusal:
         raise ValidationError(refusal)
     for trial in range(args.trials):

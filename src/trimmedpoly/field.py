@@ -1,21 +1,20 @@
-"""Exact arithmetic in prime fields F_p.
+"""Exact arithmetic in prime fields F_p, and the field-operation count.
 
-Residues are canonical Python ints in [0, p). The rest of the package
-stores raw residues in its containers and shares a single PrimeModulus,
-which doubles as the unit-cost field-operation layer: its add/mul/pow
-methods work on ints and, inside ``run_counted``, tally every executed
-operation on any modulus to the OpCounter of the current thread or
-context.
+Residues are canonical Python ints in [0, p). PrimeModulus is a checked
+prime; the rest of the package stores raw residues in its containers and
+does its residue math inline on ints.
 
-Two kinds of path count. The scalar methods here count per call; the
-oracle (``poly.naive_eval_point``) and ``SquareMatrix.__matmul__`` use
-them, and need no scalar subtraction or inverse. The hot loops inline
-their residue math on raw ints and add to ``active_counter`` in bulk
-with the same numbers: the transform stages once per transform call and
-the full-grid baseline once per node and level (``algo``), and the
-Vandermonde, LU and inversion routines once per elimination step
-(``linalg``), whose subtractions count as additions and whose pivot
-inverses as inversions.
+Cost model. Inside ``run_counted``, every executed field operation is
+tallied to the OpCounter of the current thread or context, and ``tally``
+is the only way to record one. Each routine calls it in bulk with the
+exact numbers of multiplications, additions (a subtraction counts as
+one) and inversions that it executed: the transform once per call and
+the full-grid baseline once per node and level (``algo``), elimination
+once per step and a Vandermonde build or matrix product once
+(``linalg``), and the oracle once per point (``poly``). The oracle
+counts a power x^e, e >= 1, as square-and-multiply would execute it:
+popcount(e) + bitlen(e) - 1 multiplications; x^0 costs nothing. A step
+that raises has tallied only the steps before it.
 """
 
 from __future__ import annotations
@@ -88,8 +87,17 @@ def run_counted(task, *args, **kwargs):
         active_counter.reset(token)
 
 
+def tally(mul: int = 0, add: int = 0, inv: int = 0) -> None:
+    """Add executed operations to the active counter, if there is one."""
+    ctr = active_counter.get()
+    if ctr is not None:
+        ctr.mul_count += mul
+        ctr.add_count += add
+        ctr.inv_count += inv
+
+
 class PrimeModulus:
-    """A prime p with 2 <= p < 2^62, plus raw-residue arithmetic on F_p."""
+    """A prime p with 2 <= p < 2^62."""
 
     __slots__ = ("p",)
 
@@ -118,37 +126,3 @@ class PrimeModulus:
         if isinstance(value, int) and not isinstance(value, bool):
             return value % self.p
         raise TypeError(f"cannot coerce {type(value).__name__} to a residue")
-
-    # Raw residue ops. Inputs must already be canonical.
-
-    def add(self, a: int, b: int) -> int:
-        c = active_counter.get()
-        if c is not None:
-            c.add_count += 1
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def mul(self, a: int, b: int) -> int:
-        c = active_counter.get()
-        if c is not None:
-            c.mul_count += 1
-        return a * b % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply; a^0 = 1 including a = 0.
-
-        Costs popcount(e) + bitlen(e) - 1 counted multiplications for e >= 1.
-        """
-        if e < 0:
-            raise ValueError("exponent must be non-negative")
-        if e == 0:
-            return 1
-        result = 1
-        base = a
-        while True:
-            if e & 1:
-                result = self.mul(result, base)
-            e >>= 1
-            if not e:
-                return result
-            base = self.mul(base, base)

@@ -9,16 +9,15 @@ one therefore signals duplicate nodes (or a non-LU-decomposable input).
 ``invert`` is ordinary Gauss-Jordan on the augmented rows [A | I] and may
 pivot freely.
 
-The residue math is inlined on raw ints, and the field operations are
-tallied to the active counter in bulk, once per elimination step, with
-exactly the counts that the scalar ``PrimeModulus`` methods would give
-for the same work. A step that raises executed no counted operation, so
-a counter reads the same after the raise.
+The residue math is inlined on raw ints; the ``field`` docstring states
+how its operations are counted.
 """
 
 from __future__ import annotations
 
-from .field import PrimeModulus, active_counter
+from operator import mul
+
+from .field import PrimeModulus, tally
 
 
 class ZeroPivotError(ArithmeticError):
@@ -62,19 +61,13 @@ class SquareMatrix:
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.size != other.size or self.modulus.p != other.modulus.p:
             raise ValueError("matrix shape or modulus mismatch")
-        mod = self.modulus
+        p = self.modulus.p
         m = self.size
-        out = []
-        for i in range(m):
-            row = self.rows[i]
-            out_row = []
-            for j in range(m):
-                acc = 0
-                for k in range(m):
-                    acc = mod.add(acc, mod.mul(row[k], other.rows[k][j]))
-                out_row.append(acc)
-            out.append(out_row)
-        return SquareMatrix(mod, out)
+        cols = tuple(zip(*other.rows))
+        out = tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
+                    for row in self.rows)
+        tally(mul=m ** 3, add=m ** 3)
+        return SquareMatrix._trusted(self.modulus, out)
 
     def __repr__(self) -> str:
         return f"SquareMatrix({self.size}x{self.size} mod {self.modulus.p})"
@@ -106,9 +99,7 @@ def build_vandermonde(nodes, modulus: PrimeModulus) -> SquareMatrix:
         for _ in range(m - 1):
             row.append(row[-1] * z % p)
         rows.append(tuple(row))
-    ctr = active_counter.get()
-    if ctr is not None:
-        ctr.mul_count += m * (m - 1)
+    tally(mul=m * (m - 1))
     return SquareMatrix._trusted(modulus, tuple(rows))
 
 
@@ -122,7 +113,6 @@ def lu_decompose(matrix: SquareMatrix) -> LUFactors:
     mod = matrix.modulus
     p = mod.p
     m = matrix.size
-    ctr = active_counter.get()
     work = [list(row) for row in matrix.rows]
     lower = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     for k in range(m):
@@ -141,11 +131,8 @@ def lu_decompose(matrix: SquareMatrix) -> LUFactors:
             lower[i][k] = factor
             row_i[k + 1:] = [(a - factor * b) % p
                              for a, b in zip(row_i[k + 1:], tail)]
-        if ctr is not None:
-            r = m - k - 1
-            ctr.mul_count += r + r * r
-            ctr.add_count += r * r
-            ctr.inv_count += 1
+        r = m - k - 1
+        tally(mul=r + r * r, add=r * r, inv=1)
     upper = tuple((0,) * i + tuple(work[i][i:]) for i in range(m))
     return LUFactors(SquareMatrix._trusted(mod, tuple(map(tuple, lower))),
                      SquareMatrix._trusted(mod, upper))
@@ -155,7 +142,6 @@ def invert(matrix: SquareMatrix) -> SquareMatrix:
     """Gauss-Jordan inverse; pivoting allowed here (any nonzero pivot)."""
     p = matrix.modulus.p
     m = matrix.size
-    ctr = active_counter.get()
     work = [list(row) + [1 if i == j else 0 for j in range(m)]
             for i, row in enumerate(matrix.rows)]
     for col in range(m):
@@ -173,9 +159,6 @@ def invert(matrix: SquareMatrix) -> SquareMatrix:
             if factor and r != col:
                 work[r] = [(a - factor * b) % p for a, b in zip(row, top)]
                 eliminated += 1
-        if ctr is not None:
-            ctr.mul_count += 2 * m * (1 + eliminated)
-            ctr.add_count += 2 * m * eliminated
-            ctr.inv_count += 1
+        tally(mul=2 * m * (1 + eliminated), add=2 * m * eliminated, inv=1)
     return SquareMatrix._trusted(matrix.modulus,
                                  tuple(tuple(row[m:]) for row in work))

@@ -10,6 +10,9 @@ same layout; both are ``_DenseTable``, written once here.
 
 SparsePoly is the human-facing term list used by the JSON formats; it
 never participates in the algorithms.
+
+``naive_eval_point``, the term-by-term oracle, does its residue math on
+raw ints and records its field operations with ``field.tally``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import random
 
 from .combinat import (ValidationError, _check_params, check_index,
                        clamp_budget, enumerate_trimmed, layout_size, ranker)
-from .field import PrimeModulus
+from .field import PrimeModulus, tally
 
 
 class _DenseTable:
@@ -172,27 +175,32 @@ def to_sparse(poly: TrimmedPoly) -> SparsePoly:
 def naive_eval_point(poly: TrimmedPoly, point) -> int:
     """Term-by-term evaluation at one point; the slow correctness oracle.
 
-    Computes sum_t c_t * prod_i x_i^(e_i) over the nonzero terms, with the
-    powers done by square-and-multiply. Exact; costs O(N * n) field
+    Computes sum_t c_t * prod_i x_i^(e_i) over the nonzero terms. Exact;
+    tallies each power as square-and-multiply, one multiplication per
+    variable and one addition per nonzero term: O(N * n) field
     multiplications per point.
     """
-    mod = poly.modulus
-    xs = [mod.residue(x) for x in point]
+    p = poly.modulus.p
+    xs = [poly.modulus.residue(x) for x in point]
     if len(xs) != poly.n:
         raise ValidationError(
             f"point has {len(xs)} coordinates, expected {poly.n}")
     if poly.D < 0:
         return 0
     indices = enumerate_trimmed(poly.n, poly.d, poly.D)
-    acc = 0
+    acc = muls = terms = 0
     for exps, coeff in zip(indices, poly.coeffs):
         if not coeff:
             continue
         term = coeff
         for x, e in zip(xs, exps):
-            term = mod.mul(term, mod.pow(x, e))
-        acc = mod.add(acc, term)
-    return acc
+            term = term * pow(x, e, p) % p
+            if e:
+                muls += e.bit_count() + e.bit_length() - 1
+        acc += term
+        terms += 1
+    tally(mul=muls + poly.n * terms, add=terms)
+    return acc % p
 
 
 def random_poly(n: int, d: int, D: int, modulus: PrimeModulus,
@@ -201,4 +209,4 @@ def random_poly(n: int, d: int, D: int, modulus: PrimeModulus,
     rng = random.Random(seed)
     p = modulus.p
     coeffs = [rng.randrange(p) for _ in range(layout_size(n, d, D))]
-    return TrimmedPoly(modulus, n, d, D, coeffs)
+    return TrimmedPoly._trusted(modulus, n, d, clamp_budget(n, d, D), coeffs)

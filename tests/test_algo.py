@@ -404,6 +404,12 @@ def test_run_counted_single_term_point_eval():
     _, counter = run_counted(naive_eval_point, poly, (5, 6))
     assert counter.mul_count == (3 + 1) + 2
     assert counter.add_count == 1
+    # n = 0 passes every cap with any d: the one constant term, one add
+    poly = TrimmedPoly(MOD5, 0, 10**9, 0, [3])
+    value, counter = run_counted(naive_eval_point, poly, ())
+    assert value == 3
+    assert (counter.mul_count, counter.add_count,
+            counter.inv_count) == (0, 1, 0)
 
 
 def test_run_counted_deterministic_and_shape_only():
@@ -534,7 +540,10 @@ def canonical(values, p):
 
 
 def test_internal_containers_equal_public_copies():
-    shapes = [(0, 1, 0), (1, 1, 1), (2, 1, -1), (3, 2, 4), (2, 4, 8)]
+    # random_poly clamps a D below 0 or above nd, as the public
+    # constructor does
+    shapes = [(0, 1, 0), (1, 1, 1), (2, 1, -1), (3, 2, 4), (2, 4, 8),
+              (2, 1, -5), (0, 3, 2), (2, 2, 9)]
     for p in (2, 5, 65537, 2**62 - 57):
         mod = PrimeModulus(p)
         for n, d, D in shapes:
@@ -542,6 +551,9 @@ def test_internal_containers_equal_public_copies():
                 continue
             grid = Grid.random(mod, n, d, seed=n + d)
             poly = random_poly(n, d, D, mod, seed=D)
+            assert canonical(poly.coeffs, p)
+            assert poly == TrimmedPoly(mod, n, d, D, poly.coeffs)
+            assert poly.D == max(-1, min(D, n * d))
             table = trimmed_eval(poly, grid)
             assert canonical(table.values, p)
             assert table == EvalTable(mod, n, d, D, table.values)
@@ -556,8 +568,12 @@ def test_internal_containers_equal_public_copies():
                 full = yates_eval(poly, grid)
                 assert canonical(full.values, p) and full == table
             for row in grid.rows:
-                fac = lu_decompose(build_vandermonde(row, mod))
-                for matrix in (fac.L, fac.U, invert(fac.L), invert(fac.U)):
+                van = build_vandermonde(row, mod)
+                fac = lu_decompose(van)
+                product = fac.L @ fac.U
+                assert product == van
+                for matrix in (van, fac.L, fac.U, invert(fac.L),
+                               invert(fac.U), product):
                     assert type(matrix.rows) is tuple
                     assert all(canonical(r, p) for r in matrix.rows)
                     assert matrix == SquareMatrix(mod, matrix.rows)

@@ -1,4 +1,3 @@
-import random
 import threading
 
 import pytest
@@ -8,9 +7,9 @@ from trimmedpoly.field import (
     active_counter,
     is_prime,
     run_counted,
+    tally,
 )
-
-PRIMES = [5, 7, 65537, 2**31 - 1]
+from trimmedpoly.poly import SparsePoly, from_sparse, naive_eval_point
 
 
 def test_is_prime_basics():
@@ -33,77 +32,27 @@ def test_modulus_rejects_bad_values():
         PrimeModulus("7")
 
 
-def test_add_mul_trivia():
-    mod = PrimeModulus(5)
-    assert mod.add(3, 4) == 2
-    assert mod.mul(3, 4) == 2
-    assert mod.add(0, 3) == 3
-    assert mod.add(4, 1) == 0  # p-1 + 1 wraps
-    assert mod.mul(3, 1) == 3
-    assert PrimeModulus(7).mul(2, 3) == 6
+def test_tally_adds_to_active_counter():
+    def work():
+        tally(mul=5, add=1)
+        tally(inv=2)
+        tally()
 
-
-def test_pow_trivia():
-    mod = PrimeModulus(5)
-    assert mod.pow(2, 3) == 3
-    assert mod.pow(4, 0) == 1
-    assert mod.pow(0, 0) == 1
-    assert mod.pow(0, 9) == 0
-    with pytest.raises(ValueError):
-        mod.pow(2, -1)
-
-
-def test_pow_matches_repeated_mul():
-    mod = PrimeModulus(65537)
-    rng = random.Random(0)
-    for _ in range(50):
-        a = rng.randrange(mod.p)
-        acc = 1
-        for e in range(17):
-            assert mod.pow(a, e) == acc
-            acc = acc * a % mod.p
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_field_axioms(p):
-    mod = PrimeModulus(p)
-    rng = random.Random(p)
-    for _ in range(10_000):
-        a, b, c = (rng.randrange(p) for _ in range(3))
-        assert mod.add(mod.add(a, b), c) == mod.add(a, mod.add(b, c))
-        assert mod.add(a, b) == mod.add(b, a)
-        assert mod.mul(mod.mul(a, b), c) == mod.mul(a, mod.mul(b, c))
-        assert mod.mul(a, b) == mod.mul(b, a)
-        assert mod.mul(a, mod.add(b, c)) == mod.add(mod.mul(a, b),
-                                                    mod.mul(a, c))
-
-
-def test_counter_tallies_scalar_ops():
-    def scalar_ops(mod):
-        mod.mul(2, 3)
-        mod.add(1, 1)
-        mod.pow(2, 5)  # 101b: popcount + bitlen - 1 = 4 muls
-
-    mod = PrimeModulus(7)
-    _, ctr = run_counted(scalar_ops, mod)
-    assert ctr.mul_count == 1 + 4
-    assert ctr.add_count == 1
-    assert ctr.inv_count == 0
-    # no counter is active afterwards
+    _, ctr = run_counted(work)
+    assert (ctr.mul_count, ctr.add_count, ctr.inv_count) == (5, 1, 2)
+    # without an active counter a tally does nothing
     assert active_counter.get() is None
-    mod.mul(2, 3)
-    assert ctr.mul_count == 5
+    tally(mul=1, add=1, inv=1)
+    assert (ctr.mul_count, ctr.add_count, ctr.inv_count) == (5, 1, 2)
 
 
 def test_nested_run_counted_restores_outer_counter():
     # the inner call counts only its own operations, and the outer counter
     # is active again once it returns
-    mod = PrimeModulus(7)
-
     def outer():
-        mod.mul(2, 3)
-        _, inner = run_counted(mod.mul, 2, 3)
-        mod.add(2, 3)
+        tally(mul=1)
+        _, inner = run_counted(tally, mul=1)
+        tally(add=1)
         return inner, active_counter.get()
 
     (inner, after), ctr = run_counted(outer)
@@ -114,16 +63,15 @@ def test_nested_run_counted_restores_outer_counter():
 
 
 def test_run_counted_is_local_to_each_thread():
-    # two threads count on one modulus at the same time; the barriers make
-    # both second muls run while both counts are open
-    mod = PrimeModulus(65537)
+    # two threads count at the same time; the barriers make both second
+    # tallies run while both counts are open
     barrier = threading.Barrier(2, timeout=10)
     counts = []
 
     def task():
-        mod.mul(2, 3)
+        tally(mul=1)
         barrier.wait()
-        mod.mul(4, 5)
+        tally(mul=1)
         barrier.wait()
 
     def worker():
@@ -141,12 +89,17 @@ def test_run_counted_is_local_to_each_thread():
 
 
 def test_pow_cost_formula():
-    # popcount(e) + bitlen(e) - 1 multiplications for e >= 1
+    # the oracle tallies x^e as popcount(e) + bitlen(e) - 1 muls for
+    # e >= 1 and none for e = 0, plus one mul folding it into the
+    # coefficient
     mod = PrimeModulus(101)
     for e in range(0, 33):
-        _, ctr = run_counted(lambda m: m.pow(7, e), mod)
+        poly = from_sparse(SparsePoly(mod, 1, 32, 32, [((e,), 9)]))
+        value, ctr = run_counted(naive_eval_point, poly, (7,))
+        assert value == 9 * pow(7, e, 101) % 101, e
         expected = 0 if e == 0 else bin(e).count("1") + e.bit_length() - 1
-        assert ctr.mul_count == expected, e
+        assert (ctr.mul_count, ctr.add_count,
+                ctr.inv_count) == (expected + 1, 1, 0), e
 
 
 def test_residue_coercion():

@@ -28,3 +28,29 @@ def test_perfbench_imports_resolve():
     missing = [(module, name) for module, name in sorted(imported)
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, missing
+
+
+def test_only_field_records_operations():
+    # field.tally is the one way to record field operations: no other
+    # module names active_counter or stores to a count. The files are only
+    # parsed; cli.py may still read the counts.
+    counts = {"mul_count", "add_count", "inv_count"}
+    package = Path(trimmedpoly.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                hit = node.name == "active_counter"
+            elif isinstance(node, ast.Name):
+                hit = node.id == "active_counter"
+            elif isinstance(node, ast.Attribute):
+                hit = (node.attr == "active_counter"
+                       or (node.attr in counts
+                           and isinstance(node.ctx, ast.Store)))
+            else:
+                continue
+            if hit:
+                offenders.append((path.name, node.lineno))
+    assert not offenders, offenders
