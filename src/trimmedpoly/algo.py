@@ -30,17 +30,28 @@ source is a prefix of the target, zero-padded; for a lower factor, row
 j reads blocks 0..j, whose budgets never fall below b-j, so the target
 is a prefix of each source, which is cut.
 
-Evaluation factors each variable's Vandermonde matrix as V = L * U
-(pivot free, always possible on distinct nodes since every leading
-principal minor is itself a nonzero Vandermonde determinant) and runs U
-along every variable, then L along every variable. Within a half the
-stages commute, because the layout {e in [0,d]^n : sum(e) <= b} is
-downward closed: a lower stage along m reads only entries with a smaller
-e_m, all in the layout, and an upper stage those with a larger e_m that
-stay in it. The upper half must come first: on the full cube evaluation
-is (prod L)(prod U) of the zero-padded coefficients, and as a lower
-stage reads only entries below its own, it never needs the values that
-the upper stages would leave outside the layout; the reverse order would.
+Factors
+-------
+Evaluation factors each variable's Vandermonde matrix as V = L * U, the
+Doolittle factorization, which exists without pivoting on distinct
+nodes: every leading principal minor is itself a nonzero Vandermonde
+determinant. No elimination finds the factors:
+``linalg.vandermonde_factors`` writes them, and for interpolation their
+inverses, in closed form through the Newton basis prod_{l<i} (x - x_l);
+its docstring gives the formulas and the counts. A row costs O((d+1)^2)
+field operations and one batched inversion.
+
+Stage order
+-----------
+Evaluation runs U along every variable, then L along every variable.
+Within a half the stages commute, because the layout {e in [0,d]^n :
+sum(e) <= b} is downward closed: a lower stage along m reads only
+entries with a smaller e_m, all in the layout, and an upper stage those
+with a larger e_m that stay in it. The upper half must come first: on
+the full cube evaluation is (prod L)(prod U) of the zero-padded
+coefficients, and as a lower stage reads only entries below its own, it
+never needs the values that the upper stages would leave outside the
+layout; the reverse order would.
 
 Each stage needs its variable on top. The layout is symmetric under
 permuting coordinates, so one cached index table, ``up``, relabels the
@@ -64,7 +75,8 @@ polynomial; see test_inverse_vandermonde_lu_can_fail and
 test_literal_lu_of_inverse_interpolates_wrong in tests/test_algo.py.)
 
 A transform call tallies its stages once: each stage executes
-sum_j (j+1) * len(block_j) multiplications and N fewer additions.
+sum_j (j+1) * len(block_j) multiplications and N fewer additions. Its
+factors are tallied once per row, by ``linalg.vandermonde_factors``.
 """
 
 from __future__ import annotations
@@ -77,7 +89,7 @@ from itertools import accumulate, compress
 from .combinat import (ValidationError, _check_params, count_rows,
                        degree_sums, enumerate_trimmed)
 from .field import PrimeModulus, tally
-from .linalg import build_vandermonde, invert, lu_decompose
+from .linalg import vandermonde_factors
 from .poly import TrimmedPoly, _DenseTable, naive_eval_point
 
 __all__ = [
@@ -268,14 +280,8 @@ def _factors(grid: Grid, inverse: bool):
     Vandermonde matrix, or with ``inverse`` their inverses, whose product
     inv(U) @ inv(L) is the inverse Vandermonde matrix; both inverses exist
     for every distinct-node row."""
-    out = []
-    for row in grid.rows:
-        fac = lu_decompose(build_vandermonde(row, grid.modulus))
-        lower, upper = fac.L, fac.U
-        if inverse:
-            lower, upper = invert(lower), invert(upper)
-        out.append((lower.rows, upper.rows))
-    return out
+    p = grid.modulus.p
+    return [vandermonde_factors(row, p, inverse) for row in grid.rows]
 
 
 def trimmed_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:

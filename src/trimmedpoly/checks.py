@@ -13,7 +13,8 @@ import random
 from .algo import Grid, trimmed_eval, yates_eval
 from .combinat import ebc, enumerate_trimmed, rank, unrank
 from .field import PrimeModulus
-from .linalg import ZeroPivotError, build_vandermonde, lu_decompose
+from .linalg import (ZeroPivotError, build_vandermonde, invert, lu_decompose,
+                     vandermonde_factors)
 from .poly import random_poly
 
 
@@ -32,7 +33,9 @@ def extended_pascal() -> int:
 
 def lu_contract() -> int:
     """L @ U reconstructs random Vandermonde matrices on distinct nodes,
-    and a duplicated node always raises ZeroPivotError."""
+    the closed-form factors and their inverses, which the transforms use,
+    equal the elimination's, and a duplicated node always raises
+    ZeroPivotError."""
     moduli = [PrimeModulus(p) for p in (11, 101, 65537, 2**31 - 1, 2**61 - 1)]
     rng = random.Random(44)
     trials = 100
@@ -43,6 +46,10 @@ def lu_contract() -> int:
         van = build_vandermonde(nodes, mod)
         fac = lu_decompose(van)
         assert fac.L @ fac.U == van, (mod.p, nodes)
+        assert vandermonde_factors(nodes, mod.p, False) == \
+            (fac.L.rows, fac.U.rows), (mod.p, nodes)
+        assert vandermonde_factors(nodes, mod.p, True) == \
+            (invert(fac.L).rows, invert(fac.U).rows), (mod.p, nodes)
         dup = list(nodes)
         dup[rng.randrange(1, d + 1)] = dup[0]
         try:

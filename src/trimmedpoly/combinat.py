@@ -40,8 +40,9 @@ that are not materializable anyway and raise CapacityError. The count
 rows stop as soon as one passes the guard, so ``ebc(n, k, d)`` raises
 whenever ebc_cum(n, k, d) would, even if the exact count fits. Nor may a
 shape cost more than ``SIZE_LIMIT``: its (n+1) * (b+1) count rows, or (in
-``layout_size``) its N-entry layout or n * (d+1)^3, the elimination work
-of its per-variable factors, which also bounds their n * (d+1)^2 entries.
+``layout_size``) its N-entry layout or n * (d+1)^3. The last bounds the
+reference elimination of its per-variable factors (the transforms write
+them in closed form, in O(n * (d+1)^2)) and their n * (d+1)^2 entries.
 Each is checked before anything is built.
 """
 

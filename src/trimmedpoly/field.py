@@ -7,14 +7,15 @@ does its residue math inline on ints.
 Cost model. Inside ``run_counted``, every executed field operation is
 tallied to the OpCounter of the current thread or context, and ``tally``
 is the only way to record one. Each routine calls it in bulk with the
-exact numbers of multiplications, additions (a subtraction counts as
-one) and inversions that it executed: the transform once per call and
-the full-grid baseline once per node and level (``algo``), elimination
-once per step and a Vandermonde build or matrix product once
-(``linalg``), and the oracle once per point (``poly``). The oracle
-counts a power x^e, e >= 1, as square-and-multiply would execute it:
-popcount(e) + bitlen(e) - 1 multiplications; x^0 costs nothing. A step
-that raises has tallied only the steps before it.
+exact numbers of multiplications, additions (a subtraction or negation
+counts as one) and inversions that it executed: in ``algo`` the
+transform once per call and the full-grid baseline once per node and
+level; in ``linalg`` the factor build once per row, the reference
+elimination once per step, and a Vandermonde build or matrix product
+once; in ``poly`` the oracle once per point. The oracle counts a power
+x^e, e >= 1, as square-and-multiply would execute it: popcount(e) +
+bitlen(e) - 1 multiplications; x^0 costs nothing. A step that raises has
+tallied only the steps before it.
 """
 
 from __future__ import annotations

@@ -1,11 +1,21 @@
-"""Vandermonde matrices, pivot-free LU and inversion over F_p.
+"""Vandermonde LU factors over F_p: the closed forms the transforms use,
+and the elimination they are checked against.
 
-``lu_decompose`` deliberately never pivots: the staged evaluation and
-interpolation transforms rely on the triangular shape of both factors to
-control degree budgets, and row swaps would destroy it. For Vandermonde
-matrices on distinct nodes every leading principal minor is itself a
-nonzero Vandermonde determinant, so a zero pivot cannot occur; hitting
-one therefore signals duplicate nodes (or a non-LU-decomposable input).
+``vandermonde_factors`` builds the Doolittle factors of one row's
+Vandermonde matrix, or their inverses, from closed forms: O(m^2)
+operations and one batched inversion per row, and no elimination. It is
+the only name here that ``algo`` uses.
+
+``build_vandermonde``, ``lu_decompose`` and ``invert``, on ``SquareMatrix``
+and ``LUFactors``, are the reference by elimination, O(m^3) per matrix:
+the tests and ``trimmedpoly selftest`` (``checks.lu_contract``) compare
+the closed forms with it, and perfbench times it. ``lu_decompose``
+deliberately never pivots: the staged evaluation and interpolation
+transforms rely on the triangular shape of both factors to control degree
+budgets, and row swaps would destroy it. For Vandermonde matrices on
+distinct nodes every leading principal minor is itself a nonzero
+Vandermonde determinant, so a zero pivot cannot occur; hitting one
+therefore signals duplicate nodes (or a non-LU-decomposable input).
 ``invert`` is ordinary Gauss-Jordan on the augmented rows [A | I] and may
 pivot freely.
 
@@ -15,6 +25,7 @@ how its operations are counted.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import mul
 
 from .field import PrimeModulus, tally
@@ -162,3 +173,121 @@ def invert(matrix: SquareMatrix) -> SquareMatrix:
         tally(mul=2 * m * (1 + eliminated), add=2 * m * eliminated, inv=1)
     return SquareMatrix._trusted(matrix.modulus,
                                  tuple(tuple(row[m:]) for row in work))
+
+
+def _inverses(values, p: int) -> list[int]:
+    """The inverses of nonzero residues by Montgomery's trick: for k >= 1
+    values, one ``pow`` and 3(k-1) multiplications."""
+    if not values:
+        return []
+    prefix = list(accumulate(values, lambda a, b: a * b % p))
+    acc = pow(prefix[-1], -1, p)
+    out = []
+    for i in range(len(values) - 1, 0, -1):
+        out.append(acc * prefix[i - 1] % p)
+        acc = acc * values[i] % p
+    out.append(acc)
+    out.reverse()
+    return out
+
+
+def vandermonde_factors(row, p: int, inverse: bool):
+    """(lower rows, upper rows) of the Doolittle factors L, U of the
+    Vandermonde matrix of ``row``, m distinct residues x_0..x_{m-1} mod p,
+    or with ``inverse`` of inv(L) and inv(U): m-tuples of m-tuples.
+
+    Closed forms (H. Oruc and G. M. Phillips, Linear Algebra Appl. 315,
+    2000), with P[j][i] = prod_{l<i} (x_j - x_l) and delta_i = P[i][i]:
+
+        L[j][i] = P[j][i] / delta_i
+        U[i][k] = delta_i * h_{k-i}(x_0..x_i)     (h complete homogeneous)
+        inv(U)[k][i] = [x^k] prod_{l<i} (x - x_l) / delta_i
+        inv(L)[i][k] = delta_i / prod_{l<=i, l!=k} (x_k - x_l)
+
+    Each direction inverts in one batch (P. L. Montgomery, Math. Comp.
+    48, 1987): delta_1..delta_{m-2} forward, every difference x_j - x_l
+    inverse. Multiplications by a structural 1 (delta_0, h_0, a monic
+    leading coefficient) are skipped. One ``tally`` per row counts what
+    executes, a negation as one addition: nothing at m = 1, and for m >= 2
+      forward: 2(m-1)(m-2) + 3 max(m-3, 0) multiplications, (m-1)^2
+        additions, and one inversion if m >= 3;
+      inverse: (9m^2 - 15m - 2)/2 multiplications, m^2 - 1 additions and
+        one inversion.
+    """
+    m = len(row)
+    if inverse:
+        factors = _inverse_factor_rows(row, p)
+        if m > 1:
+            tally(mul=(9 * m * m - 15 * m - 2) // 2, add=m * m - 1, inv=1)
+    else:
+        factors = _factor_rows(row, p)
+        if m > 1:
+            tally(mul=2 * (m - 1) * (m - 2) + 3 * max(m - 3, 0),
+                  add=(m - 1) ** 2, inv=int(m > 2))
+    return factors
+
+
+def _factor_rows(row, p: int):
+    """L and U of ``vandermonde_factors``."""
+    m = len(row)
+    # newton[j][i] = P[j][i] for i <= j
+    newton = [[1]]
+    for j in range(1, m):
+        x = row[j]
+        prods = [1, (x - row[0]) % p]
+        for y in row[1:j]:
+            prods.append(prods[-1] * (x - y) % p)
+        newton.append(prods)
+    inv_delta = _inverses([prods[-1] for prods in newton[1:m - 1]], p)
+    lower = [(1,) + (0,) * (m - 1)]
+    for j in range(1, m):
+        body = [a * b % p for a, b in zip(newton[j][1:j], inv_delta)]
+        lower.append((1, *body, 1) + (0,) * (m - 1 - j))
+    # h[r] = h_r(x_0..x_i): h_r(x_0) = x_0^r, and
+    # h_r(x_0..x_i) = h_r(x_0..x_{i-1}) + x_i * h_{r-1}(x_0..x_i)
+    h = [1, row[0]][:m]
+    for _ in range(m - 2):
+        h.append(h[-1] * row[0] % p)
+    upper = [tuple(h)]
+    for i in range(1, m):
+        x, delta = row[i], newton[i][i]
+        new = [1]
+        if i < m - 1:
+            new.append((h[1] + x) % p)
+            for v in h[2:-1]:
+                new.append((v + x * new[-1]) % p)
+        h = new
+        upper.append((0,) * i + (delta, *[delta * v % p for v in h[1:]]))
+    return tuple(lower), tuple(upper)
+
+
+def _inverse_factor_rows(row, p: int):
+    """inv(L) and inv(U) of ``vandermonde_factors``."""
+    m = len(row)
+    diff = [(x - y) % p for j, x in enumerate(row) for y in row[:j]]
+    inv = _inverses(diff, p)
+    lower, cols = [(1,) + (0,) * (m - 1)], [[1] + [0] * (m - 1)]
+    # At row i, omega[k] = 1 / prod_{l<=i, l!=k} (x_{max(k,l)} -
+    # x_{min(k,l)}), so inv(L)[i][k] = (-1)^(i-k) * delta_i * omega[k];
+    # coef holds the coefficients of prod_{l<i} (x - x_l) below x^i.
+    omega, coef, delta_inv = [], [], 1
+    for i in range(1, m):
+        base = i * (i - 1) // 2
+        ds, es = diff[base:base + i], inv[base:base + i]
+        omega = [w * e % p for w, e in zip(omega, es)] + [
+            delta_inv * es[-1] % p if i > 1 else es[0]]
+        delta, delta_inv = ds[0], es[0]
+        for d, e in zip(ds[1:], es[1:]):
+            delta = delta * d % p
+            delta_inv = delta_inv * e % p
+        signed = (delta, -delta % p)
+        lower.append(tuple([signed[(i - k) & 1] * w % p
+                            for k, w in enumerate(omega)])
+                     + (1,) + (0,) * (m - 1 - i))
+        y = -row[i - 1] % p
+        coef = ([y * coef[0] % p,
+                 *[(a + y * b) % p for a, b in zip(coef, coef[1:])],
+                 (coef[-1] + y) % p] if coef else [y])
+        cols.append([c * delta_inv % p for c in coef] + [delta_inv]
+                    + [0] * (m - 1 - i))
+    return tuple(lower), tuple(zip(*cols))

@@ -7,6 +7,7 @@ import pytest
 from trimmedpoly.algo import (
     EvalTable,
     Grid,
+    _factors,
     _level_plan,
     naive_trimmed_eval,
     trimmed_eval,
@@ -435,8 +436,9 @@ def test_run_counted_counts_every_distinct_modulus():
     for grid_mod in (PrimeModulus(65537), poly.modulus):
         grid = Grid.random(grid_mod, 4, 2, 0)
         _, counter = run_counted(trimmed_eval, poly, grid)
+        # the stages' (696, 296, 0) plus four rows' factors at (4, 4, 1)
         assert (counter.mul_count, counter.add_count,
-                counter.inv_count) == (752, 316, 8)
+                counter.inv_count) == (712, 312, 4)
         assert active_counter.get() is None
 
 
@@ -450,7 +452,7 @@ def test_run_counted_counts_every_calling_form():
             run_counted(lambda: trimmed_eval(poly, grid)))
     for _, counter in runs:
         assert (counter.mul_count, counter.add_count,
-                counter.inv_count) == (752, 316, 8)
+                counter.inv_count) == (712, 312, 4)
 
 
 
@@ -473,14 +475,7 @@ def _stage_muls(n: int, d: int, D: int) -> int:
 
 def _factor_ops(grid: Grid, inverse: bool) -> tuple[int, int, int]:
     """Counted cost of building the per-variable factors on their own."""
-    def build(grid):
-        for row in grid.rows:
-            fac = lu_decompose(build_vandermonde(row, grid.modulus))
-            if inverse:
-                invert(fac.L)
-                invert(fac.U)
-
-    _, counter = run_counted(build, grid)
+    _, counter = run_counted(_factors, grid, inverse)
     return counter.mul_count, counter.add_count, counter.inv_count
 
 
@@ -567,13 +562,18 @@ def test_internal_containers_equal_public_copies():
             if D == n * d:  # the full cube that yates_eval needs
                 full = yates_eval(poly, grid)
                 assert canonical(full.values, p) and full == table
-            for row in grid.rows:
+            closed = zip(_factors(grid, False), _factors(grid, True))
+            for row, (lu, inverses) in zip(grid.rows, closed):
                 van = build_vandermonde(row, mod)
                 fac = lu_decompose(van)
                 product = fac.L @ fac.U
                 assert product == van
-                for matrix in (van, fac.L, fac.U, invert(fac.L),
-                               invert(fac.U), product):
+                reference = (fac.L, fac.U, invert(fac.L), invert(fac.U))
+                assert lu + inverses == tuple(m.rows for m in reference)
+                for rows in lu + inverses:
+                    assert type(rows) is tuple
+                    assert all(canonical(r, p) for r in rows)
+                for matrix in (van, *reference, product):
                     assert type(matrix.rows) is tuple
                     assert all(canonical(r, p) for r in matrix.rows)
                     assert matrix == SquareMatrix(mod, matrix.rows)

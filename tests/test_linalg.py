@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from trimmedpoly.linalg import (
     build_vandermonde,
     invert,
     lu_decompose,
+    vandermonde_factors,
 )
 
 MOD5 = PrimeModulus(5)
@@ -294,3 +296,128 @@ def test_singular_inputs_raise_alike_with_equal_counts():
     lu, _ = assert_same_as_scalar(dup)
     assert lu[0][0] is ZeroPivotError and "step 2" in lu[0][1]
     assert lu[1] == (2 + 4 + 1 + 1, 4 + 1, 2)
+
+
+# The closed-form factors of the product path against the elimination
+# reference: equal rows, and a tally equal to the operations executed.
+
+CLOSED_FORM_PRIMES = (2, 3, 5, 65537, 2**31 - 1, 2147483659, 2**61 - 1,
+                      2**62 - 57)
+
+
+def reference_factors(row, mod):
+    """(L, U) and (inv(L), inv(U)) rows by elimination."""
+    fac = lu_decompose(build_vandermonde(row, mod))
+    return ((fac.L.rows, fac.U.rows),
+            (invert(fac.L).rows, invert(fac.U).rows))
+
+
+@pytest.mark.parametrize("p", CLOSED_FORM_PRIMES)
+def test_closed_form_factors_equal_elimination(p):
+    # m = 2..8 nodes, or all of F_p at p = 2 and 3; half the rows hold
+    # both 0 and p-1
+    mod = PrimeModulus(p)
+    rng = random.Random(p)
+    pool = range(1, min(p - 1, 10**6))
+    for m in range(2, min(p, 8) + 1):
+        for trial in range(6):
+            if trial % 2:
+                row = [0, p - 1] + rng.sample(pool, m - 2)
+            else:
+                row = rng.sample(range(min(p, 10**6)), m)
+            rng.shuffle(row)
+            closed = (vandermonde_factors(row, p, False),
+                      vandermonde_factors(row, p, True))
+            assert closed == reference_factors(row, mod), (p, row)
+
+
+# (mul, add, inv) per row for m = 1..8: forward, inverse
+FACTOR_ROW_OPS = {
+    1: ((0, 0, 0), (0, 0, 0)),
+    2: ((0, 1, 0), (2, 3, 1)),
+    3: ((4, 4, 1), (17, 8, 1)),
+    4: ((15, 9, 1), (41, 15, 1)),
+    5: ((30, 16, 1), (74, 24, 1)),
+    6: ((49, 25, 1), (116, 35, 1)),
+    7: ((72, 36, 1), (167, 48, 1)),
+    8: ((99, 49, 1), (227, 63, 1)),
+}
+
+
+def docstring_ops(m, inverse):
+    """The per-row counts that the vandermonde_factors docstring states."""
+    if m == 1:
+        return 0, 0, 0
+    if inverse:
+        return (9 * m * m - 15 * m - 2) // 2, m * m - 1, 1
+    return 2 * (m - 1) * (m - 2) + 3 * max(m - 3, 0), (m - 1) ** 2, int(m > 2)
+
+
+class Tracked:
+    """A residue that counts the field operations applied to it: + and -
+    (also unary) as additions, * as a multiplication and pow as an
+    inversion. The reduction % p that ends an operation is free."""
+
+    __slots__ = ("value", "ops")
+
+    def __init__(self, value, ops):
+        self.value = value
+        self.ops = ops
+
+    def _op(self, kind, value):
+        self.ops[kind] += 1
+        return Tracked(value, self.ops)
+
+    def __add__(self, other):
+        return self._op("add", self.value + raw(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._op("add", self.value - raw(other))
+
+    def __rsub__(self, other):
+        return self._op("add", raw(other) - self.value)
+
+    def __neg__(self):
+        return self._op("add", -self.value)
+
+    def __mul__(self, other):
+        return self._op("mul", self.value * raw(other))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent, modulus):
+        return self._op("inv", pow(self.value, exponent, modulus))
+
+    def __mod__(self, p):
+        return Tracked(self.value % p, self.ops)
+
+    def __eq__(self, other):
+        return self.value == raw(other)
+
+    def __hash__(self):
+        return hash(self.value)
+
+
+def raw(value):
+    return value.value if isinstance(value, Tracked) else value
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_closed_form_factor_counts(m):
+    # The tally is the docstring's formula, pinned, and equals the
+    # operations that execute on tracked residues. Against the elimination,
+    # m = 3 goes (14, 5, 2) -> (4, 4, 1) forward and (86, 41, 8) ->
+    # (17, 8, 1) inverse.
+    p = 2**61 - 1
+    nodes = random.Random(m).sample(range(p), m)
+    for inverse, pinned in zip((False, True), FACTOR_ROW_OPS[m]):
+        factors, ctr = run_counted(vandermonde_factors, nodes, p, inverse)
+        assert (ctr.mul_count, ctr.add_count, ctr.inv_count) == pinned
+        assert pinned == docstring_ops(m, inverse)
+        ops = Counter()
+        tracked = vandermonde_factors([Tracked(x, ops) for x in nodes], p,
+                                      inverse)
+        assert tracked == factors
+        assert (ops["mul"], ops["add"], ops["inv"]) == pinned

@@ -54,3 +54,24 @@ def test_only_field_records_operations():
             if hit:
                 offenders.append((path.name, node.lineno))
     assert not offenders, offenders
+
+
+def test_transform_runs_no_elimination():
+    # algo builds its factors in closed form; the elimination in linalg is
+    # the reference that tests and selftest compare them with. The file is
+    # only parsed.
+    reference = {"lu_decompose", "invert", "build_vandermonde"}
+    path = Path(trimmedpoly.__file__).resolve().parent / "algo.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias):
+            hit = node.name.split(".")[-1] in reference
+        elif isinstance(node, ast.Name):
+            hit = node.id in reference
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in reference
+        else:
+            continue
+        if hit:
+            offenders.append(node.lineno)
+    assert not offenders, offenders

@@ -1,7 +1,9 @@
 """Property tests: the fast transforms agree with the quadratic oracle and
 invert each other, on shapes with n <= 5, d <= 4, -1 <= D <= nd+1 and
 N <= 300, over primes at the edges of the field layer (p = 2, either side
-of 2^31, and near 2^62), on grids whose rows sometimes hold 0 and p-1."""
+of 2^31, and near 2^62), on grids whose rows sometimes hold 0 and p-1.
+The closed-form factors of one such row, of 2..8 nodes, equal the
+elimination's."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from trimmedpoly.algo import (
 )
 from trimmedpoly.combinat import ebc_cum
 from trimmedpoly.field import PrimeModulus
+from trimmedpoly.linalg import (build_vandermonde, invert, lu_decompose,
+                                vandermonde_factors)
 from trimmedpoly.poly import TrimmedPoly
 
 PRIMES = (2, 3, 2**31 - 1, 2147483659, 2**61 - 1, 2**62 - 57)
@@ -63,3 +67,21 @@ def test_eval_matches_oracle(instance):
 def test_interp_inverts_eval(instance):
     poly, grid = instance
     assert trimmed_interp(trimmed_eval(poly, grid), grid) == poly
+
+
+@st.composite
+def factor_rows(draw):
+    """A prime and a row of 2..8 distinct nodes, at most p of them."""
+    p = draw(st.sampled_from(PRIMES + (5, 65537)))
+    m = draw(st.integers(2, min(p, 8)))
+    return p, draw(node_rows(p, m - 1))
+
+
+@settings(max_examples=100, **FIXED)
+@given(factor_rows())
+def test_closed_form_factors_equal_elimination(case):
+    p, row = case
+    fac = lu_decompose(build_vandermonde(row, PrimeModulus(p)))
+    assert vandermonde_factors(row, p, False) == (fac.L.rows, fac.U.rows)
+    assert vandermonde_factors(row, p, True) == (invert(fac.L).rows,
+                                                 invert(fac.U).rows)
