@@ -24,11 +24,15 @@ Stage scheme
 A stage multiplies every fiber along the top (last) variable by a
 leading principal block of one triangular factor T: output block j is
 sum_i T[j][i] * block_i over the row's nonzero range, on the first
-len(block_j) positions. One kernel does both shapes. For an upper
-factor, row j reads blocks j..d, whose budgets never exceed b-j, so each
-source is a prefix of the target, zero-padded; for a lower factor, row
-j reads blocks 0..j, whose budgets never fall below b-j, so the target
-is a prefix of each source, which is cut.
+len(block_j) positions. One kernel, ``_kernel(k)``, computes each output
+position of a segment in one pass over the k columns that cover it. For
+a lower factor, row j reads blocks 0..j, whose budgets never fall below
+b-j, so the target is a prefix of each source and the whole target is
+one segment. For an upper factor, row j reads blocks j..d, whose budgets
+never exceed b-j, so each source is a prefix of the target: the target
+splits where the sources end, and each segment reads only the sources
+that reach it. Nothing is zero-padded, so each stage executes exactly
+the products and sums that it tallies.
 
 Factors
 -------
@@ -54,7 +58,7 @@ never needs the values that the upper stages would leave outside the
 layout; the reverse order would.
 
 Each stage needs its variable on top. The layout is symmetric under
-permuting coordinates, so one cached index table, ``up``, relabels the
+permuting coordinates, so one cached gather, ``up``, relabels the
 degree-ordered blocks as (e_2, ..., e_n, e_1), which brings the next
 variable to the top, and each half takes the variables in that order:
 
@@ -85,6 +89,7 @@ import random
 from array import array
 from functools import lru_cache
 from itertools import accumulate, compress
+from operator import itemgetter
 
 from .combinat import (ValidationError, _check_params, count_rows,
                        degree_sums, enumerate_trimmed)
@@ -173,7 +178,8 @@ class EvalTable(_DenseTable):
     _noun = "value table"
 
 
-# Layout metadata, cached on the effective (clamped) budget.
+# Layout metadata, cached on the effective (clamped) budget. Index arrays
+# are int32: combinat.SIZE_LIMIT keeps every layout below 2^21 entries.
 
 @lru_cache(maxsize=None)
 def _level_plan(nv: int, b: int, d: int):
@@ -181,11 +187,23 @@ def _level_plan(nv: int, b: int, d: int):
 
     Returns (jmax, block offsets, enter, leave, up). ``[data[i] for i in
     enter]`` puts canonical data into the degree-ordered blocks of the
-    module docstring; in that internal order, ``up`` relabels (e_1, ...,
-    e_nv) as (e_2, ..., e_nv, e_1). The stages apply ``up`` 2*nv - 1
-    times, one short of the identity, so ``leave`` applies it once more
-    and then undoes ``enter``.
+    module docstring; in that internal order, ``up(data)`` relabels (e_1,
+    ..., e_nv) as (e_2, ..., e_nv, e_1), a gather by one cached
+    ``itemgetter``. The stages apply ``up`` 2*nv - 1 times, one short of
+    the identity, so ``leave`` applies it once more and then undoes
+    ``enter``.
     """
+    jmax, offs, enter, leave, up = _level_tables(nv, b, d)
+    # The getter's N index objects are made once the tables' temporaries
+    # are gone, into the memory they held. One index would make itemgetter
+    # return the bare item; the only relabelling of one entry is the
+    # identity, a copy.
+    return (jmax, offs, enter, leave,
+            itemgetter(*up) if len(up) > 1 else itemgetter(slice(None)))
+
+
+def _level_tables(nv: int, b: int, d: int):
+    """``_level_plan`` with ``up`` as an index array."""
     jmax = min(d, b)
     cum = count_rows(nv, d, b)[nv - 1]
     offs = tuple(accumulate((cum[b - j] for j in range(jmax + 1)), initial=0))
@@ -200,35 +218,38 @@ def _level_plan(nv: int, b: int, d: int):
     grank = sorted(range(len(sums)), key=graded.__getitem__)
     widths = [offs[j + 1] - offs[j] for j in range(jmax + 1)]
     fits = [[s <= b - j for s in sums] for j in range(jmax + 1)]
-    enter, back = array("q"), []
+    enter, back = array("i"), array("i")
     for j, fit in enumerate(fits):
         index = list(accumulate(fit, initial=offs[j]))
         enter.extend([index[g] for g in graded[:widths[j]]])
-        back += [offs[j] + r for r in compress(grank, fit)]
+        back.extend([offs[j] + r for r in compress(grank, fit)])
     # The relabelled canonical order lists each prefix i with its
     # admissible top values j under it, from position start[i] on, so
     # ``up`` finds the entry (prefix g, top j) at relabelled internal
     # position back[start[g] + j].
     start = list(accumulate(map(sum, zip(*fits)), initial=0))
-    up = array("q", [back[start[g] + j] for j, w in enumerate(widths)
+    up = array("i", [back[start[g] + j] for j, w in enumerate(widths)
                      for g in graded[:w]])
-    return jmax, offs, enter, array("q", [up[i] for i in back]), up
+    return jmax, offs, enter, array("i", [up[i] for i in back]), up
 
 
-# The combination kernel. Residue math is inlined with deferred reduction
-# (partial sums stay below (d+1) * p^2, exact in Python ints).
+# The stage kernel: one comprehension per segment, one pass over its
+# columns. Residue math is inlined with deferred reduction: each output
+# position is one sum of k products, below k * p^2 and exact in Python
+# ints, reduced once. The source is built from the integer k alone.
 
-def _combine(coefs, cols, w: int, p: int) -> list[int]:
-    """sum_i coefs[i] * cols[i] on the first w positions, where a column
-    shorter than w counts as zero-padded; cols[0] spans all w."""
-    c = coefs[0]
-    acc = [c * v for v in cols[0][:w]]
-    for c, col in zip(coefs[1:], cols[1:]):
-        if len(col) >= w:
-            acc = [a + c * v for a, v in zip(acc, col)]
-        else:
-            acc[:len(col)] = [a + c * v for a, v in zip(acc, col)]
-    return [a % p for a in acc]
+@lru_cache(maxsize=None)
+def _kernel(k: int):
+    """kernel(coefs, cols, p): [(sum_i coefs[i] * cols[i][t]) % p] for every
+    position t that all k columns cover, in one comprehension."""
+    cs = "".join(f"c{i}, " for i in range(k))
+    xs = "".join(f"x{i}, " for i in range(k))
+    terms = " + ".join(f"c{i} * x{i}" for i in range(k))
+    namespace = {}
+    exec(f"def kernel(coefs, cols, p):\n"
+         f"    {cs}= coefs\n"
+         f"    return [({terms}) % p for {xs}in zip(*cols)]\n", namespace)
+    return namespace["kernel"]
 
 
 def _transform(data, grid: Grid, b: int, inverse: bool):
@@ -242,7 +263,8 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
         return data
     factors = _factors(grid, inverse)
     jmax, offs, enter, leave, up = _level_plan(nv, b, d)
-    muls = sum((j + 1) * (offs[j + 1] - offs[j]) for j in range(jmax + 1))
+    widths = [offs[j + 1] - offs[j] for j in range(jmax + 1)]
+    muls = sum((j + 1) * w for j, w in enumerate(widths))
     tally(mul=2 * nv * muls, add=2 * nv * (muls - offs[-1]))
     # Stage k runs on variable k % nv, or nv where that is 0: the upper
     # factors first when evaluating, the lower ones when interpolating.
@@ -250,17 +272,30 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
     data = [data[i] for i in enter]
     for k in range(2 * nv):
         if k:
-            data = [data[i] for i in up]
+            data = up(data)
         upper = (k < nv) != inverse
         rows = factors[k % nv - 1][1 if upper else 0]
         blocks = [data[offs[i]:offs[i + 1]] for i in range(jmax + 1)]
         data = []
         for j in range(jmax + 1):
+            if not upper:
+                # Row j of a lower factor reads the wider blocks 0..j, and
+                # zip stops at the target, block j.
+                data += _kernel(j + 1)(rows[j][:j + 1], blocks[:j + 1], p)
+                continue
             # Row j of an upper factor reads the narrower blocks j..jmax,
-            # of a lower factor the wider blocks 0..j.
-            lo, hi = (j, jmax + 1) if upper else (0, j + 1)
-            data.extend(_combine(rows[j][lo:hi], blocks[lo:hi],
-                                 len(blocks[j]), p))
+            # each a prefix of the one before: the segment of the target
+            # past the end of block i + 1, up to the end of block i, reads
+            # blocks j..i.
+            lo = 0
+            for i in range(jmax, j - 1, -1):
+                if widths[i] > lo:
+                    cols = [block[lo:widths[i]] for block in blocks[j:i + 1]]
+                    data += _kernel(i - j + 1)(rows[j][j:i + 1], cols, p)
+                    lo = widths[i]
+        # Drop the stage's input before the next gather, which would
+        # otherwise hold three tables at once.
+        del blocks
     return [data[i] for i in leave]
 
 

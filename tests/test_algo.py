@@ -1,6 +1,7 @@
 import pickle
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from trimmedpoly.algo import (
     Grid,
     _factors,
     _level_plan,
+    _transform,
     naive_trimmed_eval,
     trimmed_eval,
     trimmed_interp,
@@ -182,6 +184,49 @@ def test_univariate_degenerate_budget():
     assert poly.coeffs == (3,)
 
 
+def _edge_rows(p: int, n: int, d: int, seed: int) -> list[list[int]]:
+    """n rows of d+1 distinct nodes, every one holding 0 and p - 1 where
+    p > 2, in shuffled order, so the zero node is not always first."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        rest = rng.sample(range(1, p - 1), d - 1) if p > 2 else []
+        row = [0, p - 1] + rest
+        rng.shuffle(row)
+        rows.append(row)
+    return rows
+
+
+def test_transform_edge_shapes():
+    # Shapes the benchmark never reaches: d = 5..7, N = 1 layouts (D = 0,
+    # where the relabelling has one index), budgets below d, the primes 2,
+    # 3 and 2^62 - 57, and grids holding the nodes 0 and p - 1. Each case
+    # equals the oracle and round-trips both ways.
+    cases = set()
+    for p, ds in ((2, (1,)), (3, (1, 2)), (2**62 - 57, (1, 2, 5, 6, 7))):
+        mod = PrimeModulus(p)
+        for d in ds:
+            for n in range(1, 5):
+                for D in sorted({0, 1, d - 1, d, n * d - 1, n * d}):
+                    if D < 0 or D > n * d or ebc_cum(n, D, d) > 400:
+                        continue
+                    seed = p % 1000 + 10 * d + 100 * n + D
+                    grid = Grid(mod, _edge_rows(p, n, d, seed), d=d)
+                    poly = random_poly(n, d, D, mod, seed=seed)
+                    table = trimmed_eval(poly, grid)
+                    assert table == naive_trimmed_eval(poly, grid), \
+                        (p, n, d, D)
+                    assert trimmed_interp(table, grid) == poly, (p, n, d, D)
+                    values = random.Random(seed).choices(range(p),
+                                                         k=len(table.values))
+                    other = EvalTable(mod, n, d, D, values)
+                    assert trimmed_eval(trimmed_interp(other, grid),
+                                        grid) == other, (p, n, d, D)
+                    cases.add((p, d, D))
+    assert {p for p, _, D in cases if D == 0} == {2, 3, 2**62 - 57}
+    assert {5, 6, 7} <= {d for _, d, _ in cases}
+    assert any(0 < D < d for _, d, D in cases)
+
 
 def _stack_depth() -> int:
     depth, frame = 0, sys._getframe()
@@ -217,9 +262,12 @@ def test_level_plan_blocks_are_degree_ordered():
     for n in range(1, 6):
         for d in range(1, 5):
             for b in range(n * d + 1):
-                jmax, offs, enter, leave, up = _level_plan(n, b, d)
+                jmax, offs, enter, leave, relabel = _level_plan(n, b, d)
                 N = ebc_cum(n, b, d)
                 ident = list(range(N))
+                # the relabelling is a gather: on the identity it gives its
+                # index table, as a sequence also at N = 1
+                up = list(relabel(ident))
                 assert sorted(enter) == ident == sorted(up), (n, d, b)
                 exps = enumerate_trimmed(n, d, b)
                 for j in range(jmax + 1):
@@ -234,12 +282,12 @@ def test_level_plan_blocks_are_degree_ordered():
                            for i, f in zip(up, inner)), (n, d, b)
                 perm = ident
                 for _ in range(n):
-                    perm = [perm[i] for i in up]
-                assert perm == ident, (n, d, b)
+                    perm = relabel(perm)
+                assert list(perm) == ident, (n, d, b)
                 # the stages' path: enter, 2n - 1 relabellings, leave
                 perm = list(enter)
                 for _ in range(2 * n - 1):
-                    perm = [perm[i] for i in up]
+                    perm = relabel(perm)
                 assert [perm[i] for i in leave] == ident, (n, d, b)
 
 
@@ -506,6 +554,54 @@ def test_transform_op_counts_closed_form():
                         assert got == want, (n, d, D, grid.rows, inverse)
                         cases += 1
     assert cases > 600
+
+class _Recorded(int):
+    """A residue that records each * and + applied to it in ``ops``;
+    the reduction % p is free, as in the cost model."""
+
+    ops = Counter()
+
+    def __mul__(self, other):
+        _Recorded.ops["mul"] += 1
+        return _Recorded(int.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        _Recorded.ops["add"] += 1
+        return _Recorded(int.__add__(self, other))
+
+    __radd__ = __add__
+
+    def __mod__(self, p):
+        return _Recorded(int.__mod__(self, p))
+
+
+def test_transform_counts_what_executes():
+    # Every shape with n <= 4, d <= 5 and 0 <= b <= nd, both directions:
+    # the products and sums that the stages execute on recorded residues
+    # equal the stage tally, the transform's count minus its factors'.
+    # Zero-padding a column, or any other untallied operation, shows up
+    # as an excess.
+    mod = PrimeModulus(2**61 - 1)
+    for n in range(1, 5):
+        for d in range(1, 6):
+            grid = Grid.random(mod, n, d, seed=10 * n + d)
+            for b in range(n * d + 1):
+                size = ebc_cum(n, b, d)
+                plain = random.Random(b).choices(range(mod.p), k=size)
+                for inverse in (False, True):
+                    _Recorded.ops = Counter()
+                    recorded = [_Recorded(v) for v in plain]
+                    out, counter = run_counted(_transform, recorded, grid, b,
+                                               inverse)
+                    ops = _Recorded.ops
+                    fmul, fadd, finv = _factor_ops(grid, inverse)
+                    assert (ops["mul"], ops["add"]) == (
+                        counter.mul_count - fmul,
+                        counter.add_count - fadd), (n, d, b, inverse)
+                    assert counter.inv_count == finv
+                    assert out == _transform(plain, grid, b, inverse)
 
 def test_interp_counts_present():
     mod = PrimeModulus(65537)

@@ -75,3 +75,33 @@ def test_transform_runs_no_elimination():
         if hit:
             offenders.append(node.lineno)
     assert not offenders, offenders
+
+
+def test_code_is_compiled_only_by_the_stage_kernel():
+    # algo._kernel builds its comprehension from an integer alone; no
+    # other code in the package may run eval, exec or compile. The files
+    # are only parsed.
+    builders = {"eval", "exec", "compile"}
+    package = Path(trimmedpoly.__file__).resolve().parent
+    allowed, offenders = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        kernel = set()
+        if path.name == "algo.py":
+            kernel = {id(node) for top in tree.body
+                      if isinstance(top, ast.FunctionDef)
+                      and top.name == "_kernel" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                hit = node.id in builders
+            elif isinstance(node, ast.Attribute):
+                hit = (node.attr in builders
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "builtins")
+            else:
+                continue
+            if hit:
+                (allowed if id(node) in kernel else offenders).append(
+                    (path.name, node.lineno))
+    assert not offenders, offenders
+    assert allowed, "the kernel builder was not found"
