@@ -185,13 +185,12 @@ def test_univariate_degenerate_budget():
 
 
 def _edge_rows(p: int, n: int, d: int, seed: int) -> list[list[int]]:
-    """n rows of d+1 distinct nodes, every one holding 0 and p - 1 where
-    p > 2, in shuffled order, so the zero node is not always first."""
+    """n rows of d+1 distinct nodes, every one holding 0 and p - 1, in
+    shuffled order, so the zero node is not always first."""
     rng = random.Random(seed)
     rows = []
     for _ in range(n):
-        rest = rng.sample(range(1, p - 1), d - 1) if p > 2 else []
-        row = [0, p - 1] + rest
+        row = [0, p - 1] + rng.sample(range(1, p - 1), d - 1)
         rng.shuffle(row)
         rows.append(row)
     return rows
