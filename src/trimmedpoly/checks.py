@@ -13,8 +13,8 @@ import random
 from .algo import Grid, trimmed_eval, yates_eval
 from .combinat import ebc, enumerate_trimmed, rank, unrank
 from .field import PrimeModulus
-from .linalg import (ZeroPivotError, build_vandermonde, invert, lu_decompose,
-                     vandermonde_factors)
+from .linalg import (LUFactors, ZeroPivotError, build_vandermonde,
+                     lu_decompose, vandermonde_factors)
 from .poly import random_poly
 
 
@@ -31,10 +31,24 @@ def extended_pascal() -> int:
     return checked
 
 
+def substitution_rows(fac: LUFactors):
+    """The substitution rows of L and U, read off the elimination's
+    factors: (-L[j][0], ..., -L[j][j-1], 1) and (1/U[i][i], -U[i][k] /
+    U[i][i] for k > i), zero elsewhere."""
+    p = fac.L.modulus.p
+    lower = tuple(tuple(-v % p for v in row[:j]) + row[j:]
+                  for j, row in enumerate(fac.L.rows))
+    upper = []
+    for i, row in enumerate(fac.U.rows):
+        s = pow(row[i], -1, p)
+        upper.append(row[:i] + (s, *[-v * s % p for v in row[i + 1:]]))
+    return lower, tuple(upper)
+
+
 def lu_contract() -> int:
     """L @ U reconstructs random Vandermonde matrices on distinct nodes,
-    the closed-form factors and their inverses, which the transforms use,
-    equal the elimination's, and a duplicated node always raises
+    the closed-form factors and substitution rows, which the transforms
+    use, equal the elimination's, and a duplicated node always raises
     ZeroPivotError."""
     moduli = [PrimeModulus(p) for p in (11, 101, 65537, 2**31 - 1, 2**61 - 1)]
     rng = random.Random(44)
@@ -49,7 +63,7 @@ def lu_contract() -> int:
         assert vandermonde_factors(nodes, mod.p, False) == \
             (fac.L.rows, fac.U.rows), (mod.p, nodes)
         assert vandermonde_factors(nodes, mod.p, True) == \
-            (invert(fac.L).rows, invert(fac.U).rows), (mod.p, nodes)
+            substitution_rows(fac), (mod.p, nodes)
         dup = list(nodes)
         dup[rng.randrange(1, d + 1)] = dup[0]
         try:

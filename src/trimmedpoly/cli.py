@@ -241,13 +241,10 @@ def cmd_bench(args) -> int:
     modulus = PrimeModulus(args.prime)
     lines = [BENCH_HEADER]
     for n, d, D in instances:
-        if modulus.p < d + 1:
-            sys.stderr.write(
-                f"skip n={n} d={d} D={D}: p={modulus.p} < d+1\n")
-            continue
         try:
+            _check_node_count(modulus, d)
             size = layout_size(n, d, D)
-        except CapacityError as exc:
+        except (ValidationError, CapacityError) as exc:
             sys.stderr.write(f"skip n={n} d={d} D={D}: {exc}\n")
             continue
         poly = random_poly(n, d, D, modulus, args.seed + _instance_seed(n, d, D))

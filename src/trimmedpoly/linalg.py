@@ -2,14 +2,15 @@
 and the elimination they are checked against.
 
 ``vandermonde_factors`` builds the Doolittle factors of one row's
-Vandermonde matrix, or their inverses, from closed forms: O(m^2)
-operations and one batched inversion per row, and no elimination. It is
-the only name here that ``algo`` uses.
+Vandermonde matrix, or the rows that solve with them by substitution,
+from closed forms: O(m^2) operations and one batched inversion per row,
+and no elimination. It is the only name here that ``algo`` uses.
 
-``build_vandermonde``, ``lu_decompose`` and ``invert``, on ``SquareMatrix``
-and ``LUFactors``, are the reference by elimination, O(m^3) per matrix:
-the tests and ``trimmedpoly selftest`` (``checks.lu_contract``) compare
-the closed forms with it, and perfbench times it. ``lu_decompose``
+``build_vandermonde`` and ``lu_decompose``, on ``SquareMatrix`` and
+``LUFactors``, are the reference by elimination, O(m^3) per matrix: the
+tests and ``trimmedpoly selftest`` (``checks.lu_contract``) compare the
+closed forms with it. No product path runs ``invert``; the tests use it,
+and perfbench times it with the elimination. ``lu_decompose``
 deliberately never pivots: the staged evaluation and interpolation
 transforms rely on the triangular shape of both factors to control degree
 budgets, and row swaps would destroy it. For Vandermonde matrices on
@@ -194,41 +195,42 @@ def _inverses(values, p: int) -> list[int]:
 def vandermonde_factors(row, p: int, inverse: bool):
     """(lower rows, upper rows) of the Doolittle factors L, U of the
     Vandermonde matrix of ``row``, m distinct residues x_0..x_{m-1} mod p,
-    or with ``inverse`` of inv(L) and inv(U): m-tuples of m-tuples.
+    or with ``inverse`` their substitution rows: m-tuples of m-tuples.
 
     Closed forms (H. Oruc and G. M. Phillips, Linear Algebra Appl. 315,
     2000), with P[j][i] = prod_{l<i} (x_j - x_l) and delta_i = P[i][i]:
 
         L[j][i] = P[j][i] / delta_i
         U[i][k] = delta_i * h_{k-i}(x_0..x_i)     (h complete homogeneous)
-        inv(U)[k][i] = [x^k] prod_{l<i} (x - x_l) / delta_i
-        inv(L)[i][k] = delta_i / prod_{l<=i, l!=k} (x_k - x_l)
 
-    Each direction inverts in one batch (P. L. Montgomery, Math. Comp.
-    48, 1987): delta_1..delta_{m-2} forward, every difference x_j - x_l
-    inverse. Multiplications by a structural 1 (delta_0, h_0, a monic
-    leading coefficient) are skipped. One ``tally`` per row counts what
-    executes, a negation as one addition: nothing at m = 1, and for m >= 2
-      forward: 2(m-1)(m-2) + 3 max(m-3, 0) multiplications, (m-1)^2
+    Solving L y = x upwards, or U y = x downwards, each y_j is the dot
+    product of a substitution row with the solved entries and x_j: row j
+    of L is (-L[j][0], ..., -L[j][j-1], 1), and row i of U is (1/U[i][i],
+    -U[i][k]/U[i][i] for k > i) = (1/delta_i, -h_1, -h_2, ...).
+
+    One batch (P. L. Montgomery, Math. Comp. 48, 1987) inverts
+    delta_1..delta_{m-2}, and delta_{m-1} too for the substitution rows.
+    Multiplications by a structural 1 (delta_0, h_0) are skipped. One
+    ``tally`` per row counts what executes, a negation as one addition:
+    nothing at m = 1, and for m >= 2
+      factors: 2(m-1)(m-2) + 3 max(m-3, 0) multiplications, (m-1)^2
         additions, and one inversion if m >= 3;
-      inverse: (9m^2 - 15m - 2)/2 multiplications, m^2 - 1 additions and
-        one inversion.
+      substitution rows: 3(m-2)(m+1)/2 multiplications, m(m-1)
+        additions and one inversion.
     """
     m = len(row)
-    if inverse:
-        factors = _inverse_factor_rows(row, p)
-        if m > 1:
-            tally(mul=(9 * m * m - 15 * m - 2) // 2, add=m * m - 1, inv=1)
-    else:
-        factors = _factor_rows(row, p)
-        if m > 1:
-            tally(mul=2 * (m - 1) * (m - 2) + 3 * max(m - 3, 0),
-                  add=(m - 1) ** 2, inv=int(m > 2))
+    factors = _factor_rows(row, p, inverse)
+    if m > 1 and inverse:
+        tally(mul=3 * (m - 2) * (m + 1) // 2, add=m * (m - 1), inv=1)
+    elif m > 1:
+        tally(mul=2 * (m - 1) * (m - 2) + 3 * max(m - 3, 0),
+              add=(m - 1) ** 2, inv=int(m > 2))
     return factors
 
 
-def _factor_rows(row, p: int):
-    """L and U of ``vandermonde_factors``."""
+def _factor_rows(row, p: int, solve: bool):
+    """The rows of ``vandermonde_factors``: L and U, or with ``solve``
+    their substitution rows."""
     m = len(row)
     # newton[j][i] = P[j][i] for i <= j
     newton = [[1]]
@@ -238,56 +240,35 @@ def _factor_rows(row, p: int):
         for y in row[1:j]:
             prods.append(prods[-1] * (x - y) % p)
         newton.append(prods)
-    inv_delta = _inverses([prods[-1] for prods in newton[1:m - 1]], p)
+    delta = [prods[-1] for prods in newton]
+    inv_delta = _inverses(delta[1:m if solve else m - 1], p)
+    # lower row j is (1, P[j][1] / delta_1, ..., 1), or its negation but
+    # for the 1 at j
+    first, scale = 1, inv_delta
+    if solve:
+        first, scale = p - 1, [-v % p for v in inv_delta[:m - 2]]
     lower = [(1,) + (0,) * (m - 1)]
     for j in range(1, m):
-        body = [a * b % p for a, b in zip(newton[j][1:j], inv_delta)]
-        lower.append((1, *body, 1) + (0,) * (m - 1 - j))
-    # h[r] = h_r(x_0..x_i): h_r(x_0) = x_0^r, and
-    # h_r(x_0..x_i) = h_r(x_0..x_{i-1}) + x_i * h_{r-1}(x_0..x_i)
-    h = [1, row[0]][:m]
+        body = [a * b % p for a, b in zip(newton[j][1:j], scale)]
+        lower.append((first, *body, 1) + (0,) * (m - 1 - j))
+    # h[r] = h_r(x_0..x_i), or -h_r(x_0..x_i) with ``solve``: h_r(x_0) =
+    # x_0^r, and h_r(x_0..x_i) = h_r(x_0..x_{i-1}) + x_i * h_{r-1}(x_0..x_i),
+    # where h_0 = 1 enters only as +-x_i
+    h = [1]
+    if m > 1:
+        h.append(-row[0] % p if solve else row[0])
     for _ in range(m - 2):
         h.append(h[-1] * row[0] % p)
     upper = [tuple(h)]
     for i in range(1, m):
-        x, delta = row[i], newton[i][i]
+        x = row[i]
         new = [1]
         if i < m - 1:
-            new.append((h[1] + x) % p)
+            new.append((h[1] - x if solve else h[1] + x) % p)
             for v in h[2:-1]:
                 new.append((v + x * new[-1]) % p)
         h = new
-        upper.append((0,) * i + (delta, *[delta * v % p for v in h[1:]]))
+        lead = inv_delta[i - 1] if solve else delta[i]
+        tail = h[1:] if solve else [lead * v % p for v in h[1:]]
+        upper.append((0,) * i + (lead, *tail))
     return tuple(lower), tuple(upper)
-
-
-def _inverse_factor_rows(row, p: int):
-    """inv(L) and inv(U) of ``vandermonde_factors``."""
-    m = len(row)
-    diff = [(x - y) % p for j, x in enumerate(row) for y in row[:j]]
-    inv = _inverses(diff, p)
-    lower, cols = [(1,) + (0,) * (m - 1)], [[1] + [0] * (m - 1)]
-    # At row i, omega[k] = 1 / prod_{l<=i, l!=k} (x_{max(k,l)} -
-    # x_{min(k,l)}), so inv(L)[i][k] = (-1)^(i-k) * delta_i * omega[k];
-    # coef holds the coefficients of prod_{l<i} (x - x_l) below x^i.
-    omega, coef, delta_inv = [], [], 1
-    for i in range(1, m):
-        base = i * (i - 1) // 2
-        ds, es = diff[base:base + i], inv[base:base + i]
-        omega = [w * e % p for w, e in zip(omega, es)] + [
-            delta_inv * es[-1] % p if i > 1 else es[0]]
-        delta, delta_inv = ds[0], es[0]
-        for d, e in zip(ds[1:], es[1:]):
-            delta = delta * d % p
-            delta_inv = delta_inv * e % p
-        signed = (delta, -delta % p)
-        lower.append(tuple([signed[(i - k) & 1] * w % p
-                            for k, w in enumerate(omega)])
-                     + (1,) + (0,) * (m - 1 - i))
-        y = -row[i - 1] % p
-        coef = ([y * coef[0] % p,
-                 *[(a + y * b) % p for a, b in zip(coef, coef[1:])],
-                 (coef[-1] + y) % p] if coef else [y])
-        cols.append([c * delta_inv % p for c in coef] + [delta_inv]
-                    + [0] * (m - 1 - i))
-    return tuple(lower), tuple(zip(*cols))

@@ -16,6 +16,7 @@ from trimmedpoly.algo import (
     trimmed_interp,
     yates_eval,
 )
+from trimmedpoly.checks import substitution_rows
 from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, rank, unrank
 from trimmedpoly.field import PrimeModulus, active_counter, run_counted
 from trimmedpoly.linalg import (
@@ -290,9 +291,10 @@ def test_level_plan_blocks_are_degree_ordered():
                 assert [perm[i] for i in leave] == ident, (n, d, b)
 
 
-# Regression tests for the literal printed recipe (kept failing on
-# purpose-built inputs to document why the inverted-factor form is used;
-# see the module docstring of trimmedpoly.algo).
+# Why interpolation does not factor V^-1: a lower*upper factorization of
+# the inverse Vandermonde matrix can fail to exist, and where it exists its
+# factors do not undo the truncated stages. Interpolation substitutes with
+# the factors of V instead; see the module docstring of trimmedpoly.algo.
 
 def test_inverse_vandermonde_lu_can_fail():
     # lower*upper factorization of V^-1 does not exist when a node other
@@ -520,10 +522,24 @@ def _stage_muls(n: int, d: int, D: int) -> int:
     return total
 
 
+# (mul, add, inv) per row of m = d+1 nodes, pinned as in
+# tests/test_linalg.py: factors, substitution rows
+ROW_OPS = {
+    2: ((0, 1, 0), (0, 2, 1)),
+    3: ((4, 4, 1), (6, 6, 1)),
+    4: ((15, 9, 1), (15, 12, 1)),
+    5: ((30, 16, 1), (27, 20, 1)),
+    6: ((49, 25, 1), (42, 30, 1)),
+}
+
+
 def _factor_ops(grid: Grid, inverse: bool) -> tuple[int, int, int]:
-    """Counted cost of building the per-variable factors on their own."""
+    """Counted cost of building the per-variable factors on their own,
+    checked against n times the pinned per-row count."""
     _, counter = run_counted(_factors, grid, inverse)
-    return counter.mul_count, counter.add_count, counter.inv_count
+    ops = counter.mul_count, counter.add_count, counter.inv_count
+    assert ops == tuple(grid.n * c for c in ROW_OPS[grid.d + 1][inverse])
+    return ops
 
 
 def test_transform_op_counts_closed_form():
@@ -658,17 +674,17 @@ def test_internal_containers_equal_public_copies():
                 full = yates_eval(poly, grid)
                 assert canonical(full.values, p) and full == table
             closed = zip(_factors(grid, False), _factors(grid, True))
-            for row, (lu, inverses) in zip(grid.rows, closed):
+            for row, (lu, solve) in zip(grid.rows, closed):
                 van = build_vandermonde(row, mod)
                 fac = lu_decompose(van)
                 product = fac.L @ fac.U
                 assert product == van
-                reference = (fac.L, fac.U, invert(fac.L), invert(fac.U))
-                assert lu + inverses == tuple(m.rows for m in reference)
-                for rows in lu + inverses:
+                assert lu + solve == (fac.L.rows, fac.U.rows,
+                                      *substitution_rows(fac))
+                for rows in lu + solve:
                     assert type(rows) is tuple
                     assert all(canonical(r, p) for r in rows)
-                for matrix in (van, *reference, product):
+                for matrix in (van, fac.L, fac.U, product):
                     assert type(matrix.rows) is tuple
                     assert all(canonical(r, p) for r in matrix.rows)
                     assert matrix == SquareMatrix(mod, matrix.rows)

@@ -280,6 +280,15 @@ def test_bench_capacity_skip(tmp_path, capsys):
     assert out.read_text().strip() == BENCH_HEADER
 
 
+def test_bench_node_rule_skip(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--sweep", "n=1;d=2;D=nd", "--algos", "trimmed",
+                 "--prime", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "skip n=1 d=2 D=2: need p >= d+1 for distinct nodes, got p=2, d=2\n")
+    assert out.read_text().strip() == BENCH_HEADER
+
+
 def test_bench_yates_needs_full_cube(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--sweep", "n=2;d=2;D=nd/2,nd", "--algos",

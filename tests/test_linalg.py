@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from trimmedpoly.checks import substitution_rows
 from trimmedpoly.field import PrimeModulus, active_counter, run_counted
 from trimmedpoly.linalg import (
     SingularMatrixError,
@@ -298,7 +299,7 @@ def test_singular_inputs_raise_alike_with_equal_counts():
     assert lu[1] == (2 + 4 + 1 + 1, 4 + 1, 2)
 
 
-# The closed-form factors of the product path against the elimination
+# The closed-form rows of the product path against the elimination
 # reference: equal rows, and a tally equal to the operations executed.
 
 CLOSED_FORM_PRIMES = (2, 3, 5, 65537, 2**31 - 1, 2147483659, 2**61 - 1,
@@ -306,10 +307,9 @@ CLOSED_FORM_PRIMES = (2, 3, 5, 65537, 2**31 - 1, 2147483659, 2**61 - 1,
 
 
 def reference_factors(row, mod):
-    """(L, U) and (inv(L), inv(U)) rows by elimination."""
+    """(L, U) and their substitution rows, by elimination."""
     fac = lu_decompose(build_vandermonde(row, mod))
-    return ((fac.L.rows, fac.U.rows),
-            (invert(fac.L).rows, invert(fac.U).rows))
+    return (fac.L.rows, fac.U.rows), substitution_rows(fac)
 
 
 @pytest.mark.parametrize("p", CLOSED_FORM_PRIMES)
@@ -331,16 +331,34 @@ def test_closed_form_factors_equal_elimination(p):
             assert closed == reference_factors(row, mod), (p, row)
 
 
-# (mul, add, inv) per row for m = 1..8: forward, inverse
+def test_substitution_rows_solve_the_factors():
+    # Substituting with the rows read off L and U solves L y = x upwards
+    # and U y = x downwards: on the columns of L and U it gives the
+    # identity.
+    mod = PrimeModulus(65537)
+    for m in range(1, 7):
+        row = random.Random(m).sample(range(mod.p), m)
+        fac = lu_decompose(build_vandermonde(row, mod))
+        solve = substitution_rows(fac)
+        for factor, rows, order in ((fac.L, solve[0], range(m)),
+                                    (fac.U, solve[1], range(m - 1, -1, -1))):
+            for k, col in enumerate(zip(*factor.rows)):
+                y = list(col)
+                for j in order:
+                    y[j] = sum(c * v for c, v in zip(rows[j], y)) % mod.p
+                assert y == [int(i == k) for i in range(m)], (m, k)
+
+
+# (mul, add, inv) per row for m = 1..8: factors, substitution rows
 FACTOR_ROW_OPS = {
     1: ((0, 0, 0), (0, 0, 0)),
-    2: ((0, 1, 0), (2, 3, 1)),
-    3: ((4, 4, 1), (17, 8, 1)),
-    4: ((15, 9, 1), (41, 15, 1)),
-    5: ((30, 16, 1), (74, 24, 1)),
-    6: ((49, 25, 1), (116, 35, 1)),
-    7: ((72, 36, 1), (167, 48, 1)),
-    8: ((99, 49, 1), (227, 63, 1)),
+    2: ((0, 1, 0), (0, 2, 1)),
+    3: ((4, 4, 1), (6, 6, 1)),
+    4: ((15, 9, 1), (15, 12, 1)),
+    5: ((30, 16, 1), (27, 20, 1)),
+    6: ((49, 25, 1), (42, 30, 1)),
+    7: ((72, 36, 1), (60, 42, 1)),
+    8: ((99, 49, 1), (81, 56, 1)),
 }
 
 
@@ -349,7 +367,7 @@ def docstring_ops(m, inverse):
     if m == 1:
         return 0, 0, 0
     if inverse:
-        return (9 * m * m - 15 * m - 2) // 2, m * m - 1, 1
+        return 3 * (m - 2) * (m + 1) // 2, m * (m - 1), 1
     return 2 * (m - 1) * (m - 2) + 3 * max(m - 3, 0), (m - 1) ** 2, int(m > 2)
 
 
@@ -407,9 +425,10 @@ def raw(value):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_closed_form_factor_counts(m):
     # The tally is the docstring's formula, pinned, and equals the
-    # operations that execute on tracked residues. Against the elimination,
-    # m = 3 goes (14, 5, 2) -> (4, 4, 1) forward and (86, 41, 8) ->
-    # (17, 8, 1) inverse.
+    # operations that execute on tracked residues. At m = 3 the factors
+    # cost (4, 4, 1) against the elimination's (14, 5, 2), and the
+    # substitution rows (6, 6, 1) against the (86, 41, 8) of the
+    # elimination and two inverses.
     p = 2**61 - 1
     nodes = random.Random(m).sample(range(p), m)
     for inverse, pinned in zip((False, True), FACTOR_ROW_OPS[m]):

@@ -2,8 +2,8 @@
 invert each other, on shapes with n <= 5, d <= 4, -1 <= D <= nd+1 and
 N <= 300, over primes at the edges of the field layer (p = 2, either side
 of 2^31, and near 2^62), on grids whose rows sometimes hold 0 and p-1.
-The closed-form factors of one such row, of 2..8 nodes, equal the
-elimination's."""
+The closed-form factors and substitution rows of one such row, of 2..8
+nodes, equal the elimination's."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +14,10 @@ from trimmedpoly.algo import (
     trimmed_eval,
     trimmed_interp,
 )
+from trimmedpoly.checks import substitution_rows
 from trimmedpoly.combinat import ebc_cum
 from trimmedpoly.field import PrimeModulus
-from trimmedpoly.linalg import (build_vandermonde, invert, lu_decompose,
+from trimmedpoly.linalg import (build_vandermonde, lu_decompose,
                                 vandermonde_factors)
 from trimmedpoly.poly import TrimmedPoly
 
@@ -83,5 +84,4 @@ def test_closed_form_factors_equal_elimination(case):
     p, row = case
     fac = lu_decompose(build_vandermonde(row, PrimeModulus(p)))
     assert vandermonde_factors(row, p, False) == (fac.L.rows, fac.U.rows)
-    assert vandermonde_factors(row, p, True) == (invert(fac.L).rows,
-                                                 invert(fac.U).rows)
+    assert vandermonde_factors(row, p, True) == substitution_rows(fac)
