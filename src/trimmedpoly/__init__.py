@@ -24,15 +24,7 @@ from .combinat import (
     unrank,
 )
 from .field import OpCounter, PrimeModulus, is_prime, run_counted
-from .linalg import (
-    LUFactors,
-    SingularMatrixError,
-    SquareMatrix,
-    ZeroPivotError,
-    build_vandermonde,
-    invert,
-    lu_decompose,
-)
+from .linalg import build_vandermonde, invert, lu_decompose
 from .poly import (
     SparsePoly,
     TrimmedPoly,
@@ -49,15 +41,11 @@ __all__ = [
     "CapacityError",
     "EvalTable",
     "Grid",
-    "LUFactors",
     "OpCounter",
     "PrimeModulus",
-    "SingularMatrixError",
     "SparsePoly",
-    "SquareMatrix",
     "TrimmedPoly",
     "ValidationError",
-    "ZeroPivotError",
     "build_vandermonde",
     "ebc",
     "ebc_cum",

@@ -265,6 +265,10 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
     widths = [offs[j + 1] - offs[j] for j in range(jmax + 1)]
     muls = sum((j + 1) * w for j, w in enumerate(widths))
     tally(mul=2 * nv * muls, add=2 * nv * (muls - offs[-1]))
+    # Row j's nonzero range first..last: blocks 0..j of a lower factor,
+    # blocks j..jmax of an upper one.
+    spans = ([(0, j) for j in range(jmax + 1)],
+             [(j, jmax) for j in range(jmax + 1)])
     # Stage k runs on variable k % nv, or nv where that is 0: the upper
     # rows first when evaluating, the lower ones when interpolating.
     # Before every stage but the first, ``up`` brings its variable on top.
@@ -272,8 +276,8 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
     for k in range(2 * nv):
         if k:
             data = up(data)
-        upper = (k < nv) != inverse
-        rows = factors[k % nv - 1][1 if upper else 0]
+        side = int((k < nv) != inverse)  # 1 for the upper factor
+        rows, span = factors[k % nv - 1][side], spans[side]
         blocks = [data[offs[i]:offs[i + 1]] for i in range(jmax + 1)]
         # Row j overwrites block j: upwards in the first half, downwards in
         # the second, so a factor row reads only inputs and a substitution
@@ -282,18 +286,16 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
         # as it is overwritten made lib-bigprime's transforms 7-9% slower
         # (CPython 3.11, 2 vCPUs).
         for j in range(jmax + 1) if k < nv else range(jmax, -1, -1):
-            if not upper:
-                # Row j of a lower factor reads the wider blocks 0..j, and
-                # zip stops at the target, block j.
-                blocks[j] = _kernel(j + 1)(rows[j][:j + 1], blocks[:j + 1], p)
-                continue
-            # Row j of an upper factor reads the narrower blocks j..jmax,
-            # each a prefix of the one before: zip stops the first segment
-            # at the end of block jmax, and the segment past the end of
-            # block i + 1, up to the end of block i, reads blocks j..i.
-            out = _kernel(jmax - j + 1)(rows[j][j:jmax + 1], blocks[j:], p)
-            lo = widths[jmax]
-            for i in range(jmax - 1, j - 1, -1):
+            # Row j reads blocks first..last, each a prefix of the one
+            # before, so zip stops the first segment at the end of block
+            # last. For a lower row that is the target, block j; an upper
+            # row's target runs on, and its segment past the end of block
+            # i + 1, up to the end of block i, reads blocks j..i.
+            first, last = span[j]
+            out = _kernel(last - first + 1)(rows[j][first:last + 1],
+                                            blocks[first:last + 1], p)
+            lo = widths[last]
+            for i in range(last - 1, j - 1, -1):
                 if widths[i] > lo:
                     cols = [block[lo:widths[i]] for block in blocks[j:i + 1]]
                     out += _kernel(i - j + 1)(rows[j][j:i + 1], cols, p)

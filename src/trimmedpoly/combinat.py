@@ -41,9 +41,9 @@ rows stop as soon as one passes the guard, so ``ebc(n, k, d)`` raises
 whenever ebc_cum(n, k, d) would, even if the exact count fits. Nor may a
 shape cost more than ``SIZE_LIMIT``: its (n+1) * (b+1) count rows, or (in
 ``layout_size``) its N-entry layout or n * (d+1)^3. The last bounds the
-reference elimination of its per-variable factors (the transforms write
-them in closed form, in O(n * (d+1)^2)) and their n * (d+1)^2 entries.
-Each is checked before anything is built.
+per-variable factors, written in closed form in O(n * (d+1)^2), more
+tightly than their size: a square bound would admit d+1 = 1448 at n = 1,
+seconds of work for one point. Each is checked before anything is built.
 """
 
 from __future__ import annotations
@@ -132,8 +132,10 @@ def layout_size(n: int, d: int, D: int) -> int:
     rule holds and its factors and its layout are known to fit
     SIZE_LIMIT."""
     _check_params(n, d)
-    _check_size(n * (d + 1) ** 3, f"factors of (n={n}, d={d})",
-                "elimination steps")
+    cube = n * (d + 1) ** 3
+    if cube > SIZE_LIMIT:
+        raise CapacityError(f"factors of (n={n}, d={d}): n*(d+1)^3 is "
+                            f"{cube}, more than the limit {SIZE_LIMIT}")
     size = _cum(n, d, clamp_budget(n, d, D))
     _check_size(size, f"layout of (n={n}, d={d}, D={D})")
     return size
@@ -212,7 +214,7 @@ def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
     layout_size(n, d, D)
     if D < 0:
         raise ValueError(f"total degree bound must be >= 0, got {D}")
-    return _vectors(n, d, min(D, n * d))
+    return _vectors(n, d, clamp_budget(n, d, D))
 
 
 @lru_cache(maxsize=None)
@@ -258,7 +260,7 @@ def unrank(position: int, n: int, d: int, D: int) -> tuple[int, ...]:
         raise ValueError(
             f"position {position} outside [0, {total}) for "
             f"(n={n}, d={d}, D={D})")
-    top = min(D, n * d)
+    top = clamp_budget(n, d, D)
     r = position
     b = top + 1
     out = []

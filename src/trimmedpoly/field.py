@@ -11,8 +11,8 @@ exact numbers of multiplications, additions (a subtraction or negation
 counts as one) and inversions that it executed: in ``algo`` the
 transform once per call and the full-grid baseline once per node and
 level; in ``linalg`` a row's factors or substitution rows once per row,
-the reference elimination once per step, and a Vandermonde build or
-matrix product once; in ``poly`` the oracle once per point. The oracle
+the reference elimination once per step, and a Vandermonde build once;
+in ``poly`` the oracle once per point. The oracle
 counts a power x^e, e >= 1, as square-and-multiply would execute it:
 popcount(e) + bitlen(e) - 1 multiplications; x^0 costs nothing. A step
 that raises has tallied only the steps before it.

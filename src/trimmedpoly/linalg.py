@@ -6,19 +6,19 @@ Vandermonde matrix, or the rows that solve with them by substitution,
 from closed forms: O(m^2) operations and one batched inversion per row,
 and no elimination. It is the only name here that ``algo`` uses.
 
-``build_vandermonde`` and ``lu_decompose``, on ``SquareMatrix`` and
-``LUFactors``, are the reference by elimination, O(m^3) per matrix: the
-tests and ``trimmedpoly selftest`` (``checks.lu_contract``) compare the
-closed forms with it. No product path runs ``invert``; the tests use it,
-and perfbench times it with the elimination. ``lu_decompose``
-deliberately never pivots: the staged evaluation and interpolation
-transforms rely on the triangular shape of both factors to control degree
-budgets, and row swaps would destroy it. For Vandermonde matrices on
-distinct nodes every leading principal minor is itself a nonzero
-Vandermonde determinant, so a zero pivot cannot occur; hitting one
-therefore signals duplicate nodes (or a non-LU-decomposable input).
-``invert`` is ordinary Gauss-Jordan on the augmented rows [A | I] and may
-pivot freely.
+The rest is a reference, not the product path: ``build_vandermonde`` and
+``lu_decompose`` find the factors by elimination, O(m^3) per matrix, on
+``SquareMatrix`` rows, and ``invert`` inverts by Gauss-Jordan. The tests
+and ``trimmedpoly selftest`` (``checks.lu_contract``, which carries its
+own matrix product) compare the closed forms with them, and perfbench
+times them. ``lu_decompose`` deliberately never pivots: the staged
+evaluation and interpolation transforms rely on the triangular shape of
+both factors to control degree budgets, and row swaps would destroy it.
+For Vandermonde matrices on distinct nodes every leading principal minor
+is itself a nonzero Vandermonde determinant, so a zero pivot cannot
+occur; hitting one therefore signals duplicate nodes (or a
+non-LU-decomposable input). ``invert`` works on the augmented rows
+[A | I] and may pivot freely.
 
 The residue math is inlined on raw ints; the ``field`` docstring states
 how its operations are counted.
@@ -27,7 +27,7 @@ how its operations are counted.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import mul
+from typing import NamedTuple
 
 from .field import PrimeModulus, tally
 
@@ -65,37 +65,12 @@ class SquareMatrix:
         self.rows = rows
         return self
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SquareMatrix):
-            return self.modulus.p == other.modulus.p and self.rows == other.rows
-        return NotImplemented
 
-    def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
-        if self.size != other.size or self.modulus.p != other.modulus.p:
-            raise ValueError("matrix shape or modulus mismatch")
-        p = self.modulus.p
-        m = self.size
-        cols = tuple(zip(*other.rows))
-        out = tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
-                    for row in self.rows)
-        tally(mul=m ** 3, add=m ** 3)
-        return SquareMatrix._trusted(self.modulus, out)
+class LUFactors(NamedTuple):
+    """Unit-lower-triangular L and upper-triangular U with L * U = source."""
 
-    def __repr__(self) -> str:
-        return f"SquareMatrix({self.size}x{self.size} mod {self.modulus.p})"
-
-
-class LUFactors:
-    """Unit-lower-triangular L and upper-triangular U with L @ U = source."""
-
-    __slots__ = ("L", "U")
-
-    def __init__(self, L: SquareMatrix, U: SquareMatrix) -> None:
-        self.L = L
-        self.U = U
-
-    def __repr__(self) -> str:
-        return f"LUFactors(size={self.L.size})"
+    L: SquareMatrix
+    U: SquareMatrix
 
 
 def build_vandermonde(nodes, modulus: PrimeModulus) -> SquareMatrix:
@@ -211,26 +186,14 @@ def vandermonde_factors(row, p: int, inverse: bool):
     One batch (P. L. Montgomery, Math. Comp. 48, 1987) inverts
     delta_1..delta_{m-2}, and delta_{m-1} too for the substitution rows.
     Multiplications by a structural 1 (delta_0, h_0) are skipped. One
-    ``tally`` per row counts what executes, a negation as one addition:
-    nothing at m = 1, and for m >= 2
+    ``tally`` per row, made once the row is built (a row that raises on
+    duplicate nodes tallies nothing), counts what executes, a negation
+    as one addition: nothing at m = 1, and for m >= 2
       factors: 2(m-1)(m-2) + 3 max(m-3, 0) multiplications, (m-1)^2
         additions, and one inversion if m >= 3;
       substitution rows: 3(m-2)(m+1)/2 multiplications, m(m-1)
         additions and one inversion.
     """
-    m = len(row)
-    factors = _factor_rows(row, p, inverse)
-    if m > 1 and inverse:
-        tally(mul=3 * (m - 2) * (m + 1) // 2, add=m * (m - 1), inv=1)
-    elif m > 1:
-        tally(mul=2 * (m - 1) * (m - 2) + 3 * max(m - 3, 0),
-              add=(m - 1) ** 2, inv=int(m > 2))
-    return factors
-
-
-def _factor_rows(row, p: int, solve: bool):
-    """The rows of ``vandermonde_factors``: L and U, or with ``solve``
-    their substitution rows."""
     m = len(row)
     # newton[j][i] = P[j][i] for i <= j
     newton = [[1]]
@@ -241,22 +204,22 @@ def _factor_rows(row, p: int, solve: bool):
             prods.append(prods[-1] * (x - y) % p)
         newton.append(prods)
     delta = [prods[-1] for prods in newton]
-    inv_delta = _inverses(delta[1:m if solve else m - 1], p)
+    inv_delta = _inverses(delta[1:m if inverse else m - 1], p)
     # lower row j is (1, P[j][1] / delta_1, ..., 1), or its negation but
     # for the 1 at j
     first, scale = 1, inv_delta
-    if solve:
+    if inverse:
         first, scale = p - 1, [-v % p for v in inv_delta[:m - 2]]
     lower = [(1,) + (0,) * (m - 1)]
     for j in range(1, m):
         body = [a * b % p for a, b in zip(newton[j][1:j], scale)]
         lower.append((first, *body, 1) + (0,) * (m - 1 - j))
-    # h[r] = h_r(x_0..x_i), or -h_r(x_0..x_i) with ``solve``: h_r(x_0) =
+    # h[r] = h_r(x_0..x_i), or -h_r(x_0..x_i) with ``inverse``: h_r(x_0) =
     # x_0^r, and h_r(x_0..x_i) = h_r(x_0..x_{i-1}) + x_i * h_{r-1}(x_0..x_i),
     # where h_0 = 1 enters only as +-x_i
     h = [1]
     if m > 1:
-        h.append(-row[0] % p if solve else row[0])
+        h.append(-row[0] % p if inverse else row[0])
     for _ in range(m - 2):
         h.append(h[-1] * row[0] % p)
     upper = [tuple(h)]
@@ -264,11 +227,16 @@ def _factor_rows(row, p: int, solve: bool):
         x = row[i]
         new = [1]
         if i < m - 1:
-            new.append((h[1] - x if solve else h[1] + x) % p)
+            new.append((h[1] - x if inverse else h[1] + x) % p)
             for v in h[2:-1]:
                 new.append((v + x * new[-1]) % p)
         h = new
-        lead = inv_delta[i - 1] if solve else delta[i]
-        tail = h[1:] if solve else [lead * v % p for v in h[1:]]
+        lead = inv_delta[i - 1] if inverse else delta[i]
+        tail = h[1:] if inverse else [lead * v % p for v in h[1:]]
         upper.append((0,) * i + (lead, *tail))
+    if m > 1 and inverse:
+        tally(mul=3 * (m - 2) * (m + 1) // 2, add=m * (m - 1), inv=1)
+    elif m > 1:
+        tally(mul=2 * (m - 1) * (m - 2) + 3 * max(m - 3, 0),
+              add=(m - 1) ** 2, inv=int(m > 2))
     return tuple(lower), tuple(upper)

@@ -16,7 +16,7 @@ from trimmedpoly.algo import (
     trimmed_interp,
     yates_eval,
 )
-from trimmedpoly.checks import substitution_rows
+from trimmedpoly.checks import product, substitution_rows
 from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, rank, unrank
 from trimmedpoly.field import PrimeModulus, active_counter, run_counted
 from trimmedpoly.linalg import (
@@ -677,17 +677,16 @@ def test_internal_containers_equal_public_copies():
             for row, (lu, solve) in zip(grid.rows, closed):
                 van = build_vandermonde(row, mod)
                 fac = lu_decompose(van)
-                product = fac.L @ fac.U
-                assert product == van
+                assert product(fac.L.rows, fac.U.rows, p) == van.rows
                 assert lu + solve == (fac.L.rows, fac.U.rows,
                                       *substitution_rows(fac))
                 for rows in lu + solve:
                     assert type(rows) is tuple
                     assert all(canonical(r, p) for r in rows)
-                for matrix in (van, fac.L, fac.U, product):
+                for matrix in (van, fac.L, fac.U):
                     assert type(matrix.rows) is tuple
                     assert all(canonical(r, p) for r in matrix.rows)
-                    assert matrix == SquareMatrix(mod, matrix.rows)
+                    assert matrix.rows == SquareMatrix(mod, matrix.rows).rows
                     assert matrix.size == len(matrix.rows)
 
 

@@ -59,8 +59,8 @@ def test_eval_constant_poly(tmp_path):
 ], ids=["wide", "deep-budget", "big-layout", "cubic-factor"])
 def test_eval_refuses_shapes_above_size_limit(tmp_path, capsys, doc):
     # A few bytes of JSON must not make eval build n factors, a huge
-    # count table or a huge layout, nor eliminate a factor of degree 200
-    # (seconds of work for one value): refused before anything is built.
+    # count table or a huge layout, nor factors of degree 200, over the
+    # cube bound n*(d+1)^3: refused before anything is built.
     # The first call is untraced: it pays argparse's lazy imports, so that
     # the traced second call measures the refusal itself.
     poly = write(tmp_path / "poly.json", doc)

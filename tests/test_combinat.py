@@ -96,15 +96,15 @@ def test_count_rows_stop_at_budget_and_guard():
 
 
 def test_size_limit_bounds_every_table():
-    # One limit on the count table, (n+1)*(b+1) entries, on the factors'
-    # elimination work, n*(d+1)^3, and on the layout, N; each check runs
-    # before its table is built.
+    # One limit on the count table, (n+1)*(b+1) entries, on the factors,
+    # n*(d+1)^3, and on the layout, N; each check runs before its table is
+    # built.
     assert SIZE_LIMIT == 1 << 21
     with pytest.raises(CapacityError, match="count table"):
         ebc_cum(1500, 1500, 1)  # 1501 * 1501 entries; the guard is later
     with pytest.raises(CapacityError, match="factors"):
         layout_size(10**6, 1, 0)  # N = 1
-    # the factors' elimination work is n*(d+1)^3: exactly 2^21 at d = 127
+    # the factors' bound n*(d+1)^3 is exactly 2^21 at d = 127
     assert layout_size(1, 127, 0) == 1
     with pytest.raises(CapacityError, match="factors"):
         layout_size(1, 128, 0)

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import trimmedpoly
@@ -10,6 +13,29 @@ def test_star_import_binds_every_exported_name():
     exec("from trimmedpoly import *", namespace)
     missing = [name for name in trimmedpoly.__all__ if name not in namespace]
     assert not missing, missing
+
+
+def test_elimination_types_are_not_exported():
+    # The elimination in linalg is a reference for the closed-form
+    # factors, not API: its matrix and error types stay in linalg.
+    reference = {"SquareMatrix", "LUFactors", "ZeroPivotError",
+                 "SingularMatrixError"}
+    assert not reference & set(trimmedpoly.__all__)
+    assert not [name for name in reference if hasattr(trimmedpoly, name)]
+    linalg = importlib.import_module("trimmedpoly.linalg")
+    assert all(hasattr(linalg, name) for name in reference)
+
+
+def test_cli_import_leaves_checks_unloaded():
+    # cmd_selftest imports trimmedpoly.checks lazily, so that CLI start-up
+    # does not load the selftest suites and the elimination they run.
+    probe = ("import sys, trimmedpoly.cli; "
+             "print('trimmedpoly.checks' in sys.modules)")
+    src = str(Path(trimmedpoly.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
 
 
 def test_perfbench_imports_resolve():
