@@ -123,10 +123,10 @@ def test_lu_duplicate_always_errors():
 def test_invert():
     ident = eye(3)
     assert invert(SquareMatrix(MOD5, ident)).rows == ident
-    van = build_vandermonde([0, 1, 2], MOD5).rows
-    inv = invert(SquareMatrix(MOD5, van)).rows
-    assert product(inv, van, 5) == ident
-    assert product(van, inv, 5) == ident
+    van = build_vandermonde([0, 1, 2], MOD5)
+    inv = invert(van).rows
+    assert product(inv, van.rows, 5) == ident
+    assert product(van.rows, inv, 5) == ident
     one = SquareMatrix(MOD7, [[3]])
     assert invert(one).rows == ((5,),)  # 3 * 5 = 15 = 1 mod 7
     with pytest.raises(SingularMatrixError):
