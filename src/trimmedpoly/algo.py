@@ -25,13 +25,18 @@ A stage multiplies every fiber along the top (last) variable by a
 leading principal block of one triangular factor T, or solves with it
 (see Factors): output block j is sum_i T[j][i] * block_i over the row's
 nonzero range, on the first len(block_j) positions. One kernel,
-``_kernel(k)``, computes each output position of a segment in one pass
-over the k columns that cover it. For a lower factor, row j reads blocks
-0..j, whose budgets never fall below b-j, so the target is a prefix of
-each source and the whole target is one segment. For an upper factor,
-row j reads blocks j..d, whose budgets never exceed b-j, so each source
-is a prefix of the target: the target splits where the sources end, and
-each segment reads only the sources that reach it. Nothing is
+``_kernel(signs)``, computes each output position of a segment in one
+pass over the columns that cover it, one sign per column: 0 multiplies
+the column by a coefficient, +1 adds it and -1 subtracts it. Every lower
+row j >= 1 has L[j][0] = L[j][j] = 1 on any nodes, and its substitution
+row -1 and 1 in the same places, so it multiplies only by its j-1
+interior coefficients; every other row, upper rows and lower row 0,
+multiplies by all of its coefficients. For a lower factor, row j reads
+blocks 0..j, whose budgets never fall below b-j, so the target is a
+prefix of each source and the whole target is one segment. For an upper
+factor, row j reads blocks j..d, whose budgets never exceed b-j, so each
+source is a prefix of the target: the target splits where the sources
+end, and each segment reads only the sources that reach it. Nothing is
 zero-padded, so each stage executes exactly the products and sums that
 it tallies.
 
@@ -77,8 +82,10 @@ time, ascending in the first half and descending in the second: a factor
 row then reads only blocks not yet overwritten, its inputs, and a
 substitution row the blocks already solved.
 
-A transform call tallies its stages once: each stage executes
-sum_j (j+1) * len(block_j) multiplications and N fewer additions. Its
+A transform call tallies its stages once. With w_j = len(block_j), an
+upper stage executes sum_j (j+1) * w_j multiplications, a lower one
+w_0 + sum_{j>=2} (j-1) * w_j, and each stage sum_j (j+1) * w_j - N
+additions, a subtraction counted as one. Its
 factors are tallied once per row, by ``linalg.vandermonde_factors``.
 """
 
@@ -234,20 +241,33 @@ def _level_tables(nv: int, b: int, d: int):
 
 # The stage kernel: one comprehension per segment, one pass over its
 # columns. Residue math is inlined with deferred reduction: each output
-# position is one sum of k products, below k * p^2 and exact in Python
-# ints, reduced once. The source is built from the integer k alone.
+# position is one sum of k terms, each a product (below p^2) or a signed
+# column (below p in size), exact in Python ints, reduced once. The source
+# is built from the sign pattern alone, after checking that it is one.
 
 @lru_cache(maxsize=None)
-def _kernel(k: int):
-    """kernel(coefs, cols, p): [(sum_i coefs[i] * cols[i][t]) % p] for every
-    position t that all k columns cover, in one comprehension."""
-    cs = "".join(f"c{i}, " for i in range(k))
-    xs = "".join(f"x{i}, " for i in range(k))
-    terms = " + ".join(f"c{i} * x{i}" for i in range(k))
+def _kernel(signs: tuple):
+    """kernel(coefs, cols, p): [(sum_i term_i) % p] for every position t
+    that all columns cover, in one comprehension. term_i is c * cols[i][t],
+    c the next coefficient of ``coefs``, if signs[i] is 0, and signs[i] *
+    cols[i][t] if it is +1 or -1."""
+    if (type(signs) is not tuple or not signs
+            or any(type(s) is not int or s not in (-1, 0, 1) for s in signs)):
+        raise ValueError(f"kernel sign pattern must be a non-empty tuple "
+                         f"over (-1, 0, 1), got {signs!r}")
+    general = [i for i, s in enumerate(signs) if s == 0]
+    unpack = "".join(f"c{i}, " for i in general) + "= coefs" if general else ""
+    xs = "".join(f"x{i}, " for i in range(len(signs)))
+    # The added columns first, then the subtracted ones: a column is
+    # negated on its own only if no column is added.
+    expr = " + ".join(f"c{i} * x{i}" if s == 0 else f"x{i}"
+                      for i, s in enumerate(signs) if s >= 0)
+    expr += "".join(f" - x{i}" for i, s in enumerate(signs) if s < 0)
     namespace = {}
     exec(f"def kernel(coefs, cols, p):\n"
-         f"    {cs}= coefs\n"
-         f"    return [({terms}) % p for {xs}in zip(*cols)]\n", namespace)
+         f"    {unpack}\n"
+         f"    return [({expr.strip()}) % p for {xs}in zip(*cols)]\n",
+         namespace)
     return namespace["kernel"]
 
 
@@ -263,12 +283,26 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
     factors = _factors(grid, inverse)
     jmax, offs, enter, leave, up = _level_plan(nv, b, d)
     widths = [offs[j + 1] - offs[j] for j in range(jmax + 1)]
-    muls = sum((j + 1) * w for j, w in enumerate(widths))
-    tally(mul=2 * nv * muls, add=2 * nv * (muls - offs[-1]))
-    # Row j's nonzero range first..last: blocks 0..j of a lower factor,
-    # blocks j..jmax of an upper one.
-    spans = ([(0, j) for j in range(jmax + 1)],
-             [(j, jmax) for j in range(jmax + 1)])
+    # An upper stage multiplies by every coefficient; a lower one skips
+    # the structural columns of rows j >= 1.
+    terms = sum((j + 1) * w for j, w in enumerate(widths))
+    lower = widths[0] + sum((j - 1) * widths[j] for j in range(2, jmax + 1))
+    tally(mul=nv * (terms + lower), add=2 * nv * (terms - offs[-1]))
+    # Row j reads blocks first..last with its kernel, and multiplies by
+    # its coefficients c0..c1-1: an upper row by all of j..jmax, a lower
+    # row j >= 1 only by 1..j-1, as its column j is 1 and its column 0 is
+    # 1 in a factor row and -1 in a substitution row. general[k] takes
+    # k + 1 coefficients.
+    general = [_kernel((0,) * k) for k in range(1, jmax + 2)]
+    one = -1 if inverse else 1
+    # Lower row 0 keeps its product by 1: a bare x % p is x itself for
+    # x < p, and block 0 then shared earlier stages' ints, which spread
+    # live ints over more allocator pools (lib-bigprime max RSS +8%).
+    plans = ([(0, 0, general[0], 0, 1)]
+             + [(0, j, _kernel((one,) + (0,) * (j - 1) + (1,)), 1, j)
+                for j in range(1, jmax + 1)],
+             [(j, jmax, general[jmax - j], j, jmax + 1)
+              for j in range(jmax + 1)])
     # Stage k runs on variable k % nv, or nv where that is 0: the upper
     # rows first when evaluating, the lower ones when interpolating.
     # Before every stage but the first, ``up`` brings its variable on top.
@@ -277,7 +311,7 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
         if k:
             data = up(data)
         side = int((k < nv) != inverse)  # 1 for the upper factor
-        rows, span = factors[k % nv - 1][side], spans[side]
+        rows, plan = factors[k % nv - 1][side], plans[side]
         blocks = [data[offs[i]:offs[i + 1]] for i in range(jmax + 1)]
         # Row j overwrites block j: upwards in the first half, downwards in
         # the second, so a factor row reads only inputs and a substitution
@@ -291,14 +325,13 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
             # last. For a lower row that is the target, block j; an upper
             # row's target runs on, and its segment past the end of block
             # i + 1, up to the end of block i, reads blocks j..i.
-            first, last = span[j]
-            out = _kernel(last - first + 1)(rows[j][first:last + 1],
-                                            blocks[first:last + 1], p)
+            first, last, kernel, c0, c1 = plan[j]
+            out = kernel(rows[j][c0:c1], blocks[first:last + 1], p)
             lo = widths[last]
             for i in range(last - 1, j - 1, -1):
                 if widths[i] > lo:
                     cols = [block[lo:widths[i]] for block in blocks[j:i + 1]]
-                    out += _kernel(i - j + 1)(rows[j][j:i + 1], cols, p)
+                    out += general[i - j](rows[j][j:i + 1], cols, p)
                     lo = widths[i]
             blocks[j] = out
         data = []

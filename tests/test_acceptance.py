@@ -6,13 +6,15 @@ whose constants are frozen here as regression thresholds:
 
 - C_MUL_BOUND: counted multiplications of the fast evaluation must stay
   below C * N * n * (d+1)^2. Measured maximum of the ratio across the
-  whole sweep is exactly 1.0 (reached at n=2, d=1, where the per-level
-  factorization overhead is largest relative to N); counts are
-  shape-determined, so 1.25 gives headroom only against future
-  implementation changes.
+  whole sweep is exactly 0.5, reached at every d=1 shape: there the two
+  stages along a variable cost two products per entry, w_0 + 2 w_1 in
+  the upper one and w_0 in the lower one (w_j the width of block j), and
+  a row of two nodes costs no factor multiplication.
+  Counts are shape-determined, so 1.25 gives headroom only against
+  future implementation changes.
 - MONOTONE_SLACK: within each (d, D-fraction) series the per-point ratio
   mul/(N*n) may exceed the running minimum over smaller n by at most 10%
-  (measured worst excursion: 3.6%).
+  (measured worst excursion: 3.7%, at d=3, D=nd/2, n=9).
 - Separation: the quadratic oracle's multiplication count must exceed the
   fast transform's by a factor that grows with N (measured: 1x at N=3 up
   to ~215x at N=435 on the feasible subrange).

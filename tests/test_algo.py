@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 import sys
@@ -9,6 +10,7 @@ from trimmedpoly.algo import (
     EvalTable,
     Grid,
     _factors,
+    _kernel,
     _level_plan,
     _transform,
     naive_trimmed_eval,
@@ -485,9 +487,9 @@ def test_run_counted_counts_every_distinct_modulus():
     for grid_mod in (PrimeModulus(65537), poly.modulus):
         grid = Grid.random(grid_mod, 4, 2, 0)
         _, counter = run_counted(trimmed_eval, poly, grid)
-        # the stages' (696, 296, 0) plus four rows' factors at (4, 4, 1)
+        # the stages' (480, 296, 0) plus four rows' factors at (4, 4, 1)
         assert (counter.mul_count, counter.add_count,
-                counter.inv_count) == (712, 312, 4)
+                counter.inv_count) == (496, 312, 4)
         assert active_counter.get() is None
 
 
@@ -501,25 +503,29 @@ def test_run_counted_counts_every_calling_form():
             run_counted(lambda: trimmed_eval(poly, grid)))
     for _, counter in runs:
         assert (counter.mul_count, counter.add_count,
-                counter.inv_count) == (712, 312, 4)
+                counter.inv_count) == (496, 312, 4)
 
 
 
-def _stage_muls(n: int, d: int, D: int) -> int:
-    """Multiplications of the 2n stages, in closed form: along variable m,
-    the fiber whose other coordinates sum to s has l = min(d, D-s) + 1
-    entries and costs l(l+1)/2 in each of its two triangular stages. Each
-    fiber is named by its vector with e_m = 0."""
+def _stage_ops(n: int, d: int, D: int) -> tuple[int, int]:
+    """(mul, add) of the 2n stages, in closed form: along variable m, the
+    fiber whose other coordinates sum to s has l = min(d, D-s) + 1
+    entries. Its upper stage costs l(l+1)/2 products, one per nonzero of
+    the factor's leading l x l block. Its lower stage skips the structural
+    +-1 in columns 0 and j of rows j >= 1 but keeps row 0's product by 1:
+    1 + (l-1)(l-2)/2 products. Each stage costs l(l+1)/2 - l additions.
+    Each fiber is named by its vector with e_m = 0."""
     if D < 0:
-        return 0
+        return 0, 0
     exps = enumerate_trimmed(n, d, D)
-    total = 0
+    mul = add = 0
     for m in range(n):
         for e in exps:
             if e[m] == 0:
                 ell = min(d, D - sum(e)) + 1
-                total += ell * (ell + 1)
-    return total
+                mul += ell * (ell + 1) // 2 + 1 + (ell - 1) * (ell - 2) // 2
+                add += ell * (ell + 1) - 2 * ell
+    return mul, add
 
 
 # (mul, add, inv) per row of m = d+1 nodes, pinned as in
@@ -545,7 +551,7 @@ def _factor_ops(grid: Grid, inverse: bool) -> tuple[int, int, int]:
 def test_transform_op_counts_closed_form():
     # every shape with n <= 5, d <= 4, -1 <= D <= nd+1 and N <= 600, on a
     # grid holding the node 0 and on a random one: total counts are the
-    # factor construction plus mul = sum of fiber costs, add = mul - 2nN
+    # factor construction plus the fiber costs of ``_stage_ops``
     mod = PrimeModulus(65537)
     cases = 0
     for n in range(6):
@@ -554,7 +560,7 @@ def test_transform_op_counts_closed_form():
                 N = ebc_cum(n, D, d)
                 if N > 600:
                     continue
-                muls = _stage_muls(n, d, D)
+                muls, adds = _stage_ops(n, d, D)
                 poly = random_poly(n, d, D, mod, seed=N)
                 for grid in (Grid.sequential(mod, n, d),
                              Grid.random(mod, n, d, seed=D + 1)):
@@ -565,14 +571,15 @@ def test_transform_op_counts_closed_form():
                                             if D >= 0 else (0, 0, 0))
                         got = (counter.mul_count, counter.add_count,
                                counter.inv_count)
-                        want = (fmul + muls, fadd + muls - 2 * n * N, finv)
+                        want = (fmul + muls, fadd + adds, finv)
                         assert got == want, (n, d, D, grid.rows, inverse)
                         cases += 1
     assert cases > 600
 
 class _Recorded(int):
-    """A residue that records each * and + applied to it in ``ops``;
-    the reduction % p is free, as in the cost model."""
+    """A residue that records each *, + and - applied to it in ``ops``, a
+    subtraction as one addition; the reduction % p is free, as in the cost
+    model."""
 
     ops = Counter()
 
@@ -587,6 +594,14 @@ class _Recorded(int):
         return _Recorded(int.__add__(self, other))
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        _Recorded.ops["add"] += 1
+        return _Recorded(int.__sub__(self, other))
+
+    def __rsub__(self, other):
+        _Recorded.ops["add"] += 1
+        return _Recorded(int.__rsub__(self, other))
 
     def __mod__(self, p):
         return _Recorded(int.__mod__(self, p))
@@ -617,6 +632,35 @@ def test_transform_counts_what_executes():
                         counter.add_count - fadd), (n, d, b, inverse)
                     assert counter.inv_count == finv
                     assert out == _transform(plain, grid, b, inverse)
+
+def test_stage_kernel_sign_patterns():
+    # Every sign pattern of up to 4 columns against the direct sum, on
+    # columns of unequal length holding 0 and p-1: a subtracted column
+    # makes sums negative before the reduction, and the output stops where
+    # the shortest column does.
+    rng = random.Random(16)
+    for p in (2, 3, 65537, 2**62 - 57):
+        for k in range(1, 5):
+            for signs in itertools.product((-1, 0, 1), repeat=k):
+                cols = [[0, p - 1] + rng.choices(range(p), k=3 + i)
+                        for i in range(k)]
+                rng.shuffle(cols)
+                coefs = [rng.choice((1, p - 1, rng.randrange(p)))
+                         for s in signs if s == 0]
+                weights = iter(coefs)
+                scale = [next(weights) if s == 0 else s for s in signs]
+                want = [sum(c * x for c, x in zip(scale, xs)) % p
+                        for xs in zip(*cols)]
+                assert _kernel(signs)(coefs, cols, p) == want, (p, signs)
+    # the one exec site compiles only sign patterns; past the cache, which
+    # takes (True,) and (0.0,) for the equal (1,) and (0,), too
+    for bad in ((2,), 3, (), (0, -2), (None,)):
+        with pytest.raises(ValueError):
+            _kernel(bad)
+    for bad in ((True,), (0.0,), ("0",), [0]):
+        with pytest.raises(ValueError):
+            _kernel.__wrapped__(bad)
+
 
 def test_interp_counts_present():
     mod = PrimeModulus(65537)

@@ -104,9 +104,9 @@ def test_transform_runs_no_elimination():
 
 
 def test_code_is_compiled_only_by_the_stage_kernel():
-    # algo._kernel builds its comprehension from an integer alone; no
-    # other code in the package may run eval, exec or compile. The files
-    # are only parsed.
+    # algo._kernel builds its comprehension from a checked sign pattern
+    # over (-1, 0, 1) alone; no other code in the package may run eval,
+    # exec or compile. The files are only parsed.
     compilers = {"eval", "exec", "compile"}
     package = Path(trimmedpoly.__file__).resolve().parent
     allowed, offenders = [], []
