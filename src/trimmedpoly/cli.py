@@ -28,11 +28,11 @@ from .field import PrimeModulus, run_counted
 from .jsonio import (
     eval_table_from_dict,
     grid_from_dict,
-    sparse_poly_from_dict,
+    trimmed_poly_from_dict,
     write_eval_table,
     write_sparse_poly,
 )
-from .poly import ValidationError, from_sparse, random_poly, to_sparse
+from .poly import ValidationError, random_poly, to_sparse
 
 BENCH_HEADER = "algo,n,d,D,p,N,wall_time_ns,mul,add,inv,mul_per_Nn"
 # Cap on N^2 * n, the order of the quadratic oracle's field operations;
@@ -96,7 +96,7 @@ def _oracle_refusal(n: int, size: int) -> str | None:
 
 
 def cmd_eval(args) -> int:
-    poly = from_sparse(sparse_poly_from_dict(_read_json(args.poly)))
+    poly = trimmed_poly_from_dict(_read_json(args.poly))
     if args.grid is not None:
         grid = grid_from_dict(_read_json(args.grid))
     elif args.grid_gen == "seq":

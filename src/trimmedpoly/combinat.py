@@ -188,6 +188,28 @@ def degree_sums(n: int, d: int, b: int) -> list[int]:
     return [b - r for r in _levels(n, d, b)[n]]
 
 
+def layout_codes(n: int, d: int, b: int) -> list[int]:
+    """The byte code ``int.from_bytes(bytes(e), "little")`` of each
+    admissible vector e of (n, d, b), in canonical order, which is the
+    numeric order of the codes; b is the clamped budget, and b = -1 gives
+    no codes. Not cached: one list of N ints, built for one decode.
+
+    The (m, r) layout, budget r, is the concatenation over j <= min(d, r)
+    of the (m-1, r-j) layout's codes plus j * 256^(m-1); the j = 0 block
+    is the (m-1, r) codes themselves. Level m holds the codes of every
+    budget that level n reaches, built from level m-1.
+    """
+    codes = {r: [0] for r in range(b + 1)}
+    for m in range(1, n + 1):
+        shift = 1 << 8 * (m - 1)
+        below = codes
+        codes = {r: list(chain(below[r], *(
+            map((j * shift).__add__, below[r - j])
+            for j in range(1, min(d, r) + 1))))
+            for r in range(max(0, b - (n - m) * d), b + 1)}
+    return codes.get(b, [])
+
+
 @lru_cache(maxsize=None)
 def _vectors(n: int, d: int, b: int) -> tuple[tuple[int, ...], ...]:
     """The admissible vectors of (n, d, b) in canonical order; b >= 0 is

@@ -12,9 +12,20 @@ whole text.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import itemgetter
+
 from .algo import EvalTable, Grid
+from .combinat import SIZE_LIMIT, clamp_budget, layout_codes, layout_size
 from .field import PrimeModulus
-from .poly import SparsePoly, ValidationError
+from .poly import SparsePoly, TrimmedPoly, ValidationError, from_sparse
+
+# What the bulk decoders can raise on a malformed document; each then
+# falls back to the per-entry decode, which names the first bad entry.
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+# A layout's codes are n bytes each; the bulk polynomial decode builds
+# them only up to 8 * SIZE_LIMIT bytes in all.
+_CODE_BYTES = 8 * SIZE_LIMIT
 
 
 def _get(obj: dict, key: str, kinds, what: str):
@@ -112,6 +123,49 @@ def sparse_poly_from_dict(obj: dict) -> SparsePoly:
     return SparsePoly(modulus, n, d, D, terms)
 
 
+def trimmed_poly_from_dict(obj: dict) -> TrimmedPoly:
+    """``from_sparse(sparse_poly_from_dict(obj))``, decoded in bulk: no
+    exponent tuple, ``SparsePoly`` or per-term rank is built. A document
+    that a bulk check rejects, or whose bulk decode raises, goes through
+    ``from_sparse(sparse_poly_from_dict(obj))``, so every error is that
+    path's error."""
+    try:
+        poly = _bulk_poly(obj)
+    except _DECODE_ERRORS:
+        poly = None
+    return from_sparse(sparse_poly_from_dict(obj)) if poly is None else poly
+
+
+def _bulk_poly(obj: dict) -> TrimmedPoly | None:
+    what = "polynomial document"
+    modulus = _parse_modulus(obj, what)
+    n = _get(obj, "n", int, what)
+    d = _get(obj, "d", int, what)
+    D = clamp_budget(n, d, _get(obj, "D", int, what))
+    terms = _get(obj, "terms", list, what)
+    if n * layout_size(n, d, D) > _CODE_BYTES:
+        return None
+    exps = list(map(itemgetter("exp"), terms))
+    coeffs = list(map(int, map(itemgetter("coeff"), terms), repeat(10)))
+    if not (set(map(type, terms)) <= {dict}
+            and set(map(type, exps)) <= {list}
+            and set(map(len, exps)) <= {n}
+            and set(map(type, chain.from_iterable(exps))) <= {int}):
+        return None
+    # bytes() takes only ints in [0, 256), and d <= 127 (the cube cap), so
+    # equal codes are equal vectors
+    table = dict(zip(map(int.from_bytes, map(bytes, exps), repeat("little")),
+                     coeffs))
+    if len(table) < len(terms):
+        return None  # a duplicated term
+    p = modulus.p
+    coeffs = [c % p for c in map(table.pop, layout_codes(n, d, D),
+                                 repeat(0))]
+    # a code left over is a vector outside the layout: an exponent above
+    # d, or a sum above D
+    return None if table else TrimmedPoly._trusted(modulus, n, d, D, coeffs)
+
+
 def _parse_term(i: int, term) -> tuple[list, int]:
     if not isinstance(term, dict):
         raise ValidationError(f"term {i} is not an object")
@@ -172,5 +226,23 @@ def eval_table_from_dict(obj: dict) -> EvalTable:
     d = _get(obj, "d", int, what)
     D = _get(obj, "D", int, what)
     raw_values = _get(obj, "values", list, what)
-    values = [_parse_scalar(v, "table value") for v in raw_values]
+    values = _bulk_residues(raw_values, modulus.p)
+    if values is None:
+        values = [_parse_scalar(v, "table value") for v in raw_values]
+    else:
+        b = clamp_budget(n, d, D)
+        if len(values) == layout_size(n, d, b):
+            return EvalTable._trusted(modulus, n, d, b, values)
     return EvalTable(modulus, n, d, D, values)
+
+
+def _bulk_residues(raw: list, p: int) -> list | None:
+    """The ints of a list of decimal strings, each in [0, p), or None if
+    any entry is not one."""
+    if set(map(type, raw)) != {str}:
+        return None
+    try:
+        values = list(map(int, raw, repeat(10)))
+    except ValueError:
+        return None
+    return values if min(values) >= 0 and max(values) < p else None

@@ -81,6 +81,34 @@ def test_eval_refuses_shapes_above_size_limit(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+def test_well_formed_documents_take_the_bulk_decode(tmp_path, monkeypatch):
+    # eval and interp decode a well-formed document without the per-entry
+    # path, which would fail the test here; a malformed one still reaches it
+    from trimmedpoly import jsonio
+
+    def per_entry(*args):
+        raise AssertionError("per-entry decode ran")
+
+    parse_scalar = jsonio._parse_scalar
+    monkeypatch.setattr(jsonio, "sparse_poly_from_dict", per_entry)
+    monkeypatch.setattr(jsonio, "_parse_scalar", lambda value, what: (
+        per_entry() if what == "table value" else parse_scalar(value, what)))
+    grid = write(tmp_path / "grid.json", WORKED_GRID)
+    out = tmp_path / "out.json"
+    shuffled = dict(WORKED_POLY, terms=WORKED_POLY["terms"][::-1])
+    assert main(["eval", "--poly", write(tmp_path / "poly.json", shuffled),
+                 "--grid", grid, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["values"] == ["2", "0", "1"]
+    table = write(tmp_path / "table.json", json.loads(out.read_text()))
+    assert main(["interp", "--evals", table, "--grid", grid,
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["terms"] == WORKED_POLY["terms"]
+    duplicated = dict(WORKED_POLY, terms=WORKED_POLY["terms"] * 2)
+    with pytest.raises(AssertionError, match="per-entry decode ran"):
+        main(["eval", "--poly", write(tmp_path / "poly.json", duplicated),
+              "--grid", grid, "--out", str(out)])
+
+
 def test_eval_duplicate_node_exits_1(tmp_path, capsys):
     poly = write(tmp_path / "poly.json", WORKED_POLY)
     grid = write(tmp_path / "grid.json",

@@ -9,7 +9,9 @@ from trimmedpoly.combinat import (
     count_rows,
     ebc,
     ebc_cum,
+    clamp_budget,
     enumerate_trimmed,
+    layout_codes,
     layout_size,
     rank,
     unrank,
@@ -136,6 +138,23 @@ def test_enumerate_properties():
                 for exps in idxs:
                     assert all(0 <= e <= d for e in exps)
                     assert sum(exps) <= D
+
+
+def test_layout_codes_are_the_byte_codes_in_order():
+    for n in range(0, 6):
+        for d in range(1, 5):
+            for D in range(-1, n * d + 2):
+                b = clamp_budget(n, d, D)
+                codes = layout_codes(n, d, b)
+                vectors = enumerate_trimmed(n, d, D) if b >= 0 else ()
+                assert codes == [int.from_bytes(bytes(e), "little")
+                                 for e in vectors], (n, d, D)
+                # numeric order of the codes is the canonical order
+                assert codes == sorted(set(codes))
+    # at the cube cap, n * (d+1)^3 = 2^21, the top byte is d = 127
+    assert layout_codes(1, 127, 127) == list(range(128))
+    assert layout_codes(3, 2, 0) == [0]
+    assert layout_codes(3, 2, 1) == [0, 1, 256, 65536]
 
 
 def test_block_contiguity():
