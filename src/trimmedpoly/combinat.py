@@ -31,6 +31,13 @@ remaining budget b, the vectors that precede value e in coordinate m+1
 number sum_{j<e} ebc_cum(m, b-j, d) = S_m[b+1] - S_m[b+1-e], so a rank
 is n table differences and an unrank is n bisections.
 
+A bulk decode addresses a vector e by its byte code
+``int.from_bytes(bytes(e), "little")``: coordinate i is byte i, so the
+last coordinate is the most significant, and the numeric order of the
+codes is the canonical order. ``layout_codes`` lists a layout's codes in
+that order. A code is exact, one byte per coordinate, while d <= 255, and
+``layout_size``'s cube cap n * (d+1)^3 <= 2^21 keeps d <= 127 for n >= 1.
+
 A shape (n, d, D) needs n >= 0 and d >= 1; ``_check_params`` is the one
 place that rule is raised, as ValidationError, for every module of the
 package. A public construction checks it once, through ``layout_size``.

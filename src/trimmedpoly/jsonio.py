@@ -8,6 +8,28 @@ stay numeric. One ``p`` key per document.
 ``json.dump(<kind>_to_dict(obj), handle, indent=2)`` plus a newline would
 write, one list element per chunk, without building the dict or the
 whole text.
+
+Decoding. ``trimmed_poly_from_dict`` takes a parsed polynomial document
+straight to its dense ``TrimmedPoly``, as
+``from_sparse(sparse_poly_from_dict(obj))`` would, in bulk: it reads the
+exponent lists and the coefficients with ``map``, checks the types of the
+terms, of the exponent lists and of every exponent, and the lengths, each
+as one ``set(map(...))``, and keys each coefficient by the exponent
+vector's byte code ``int.from_bytes(bytes(e), "little")``. A code table
+shorter than the term list holds a duplicate. One pass over the layout's
+codes (``combinat.layout_codes``) then fills the dense vector, popping
+each code it finds; a code left over is a vector outside the layout, with
+an exponent above d or a sum above D. The codes take n bytes each, so a
+shape whose N codes would take more than 8 * SIZE_LIMIT bytes in all is
+left to the per-entry decode. ``eval_table_from_dict`` checks its values
+the same way: all decimal strings, each in [0, p).
+
+A bulk decode raises no error of its own. Whatever a bulk check rejects,
+and whatever makes a bulk step raise, goes through the per-entry decode
+(``sparse_poly_from_dict`` and ``from_sparse``, or ``_parse_scalar`` per
+table value), which names the first bad entry. So every message, and the
+order in which errors are found (term errors before shape and capacity
+errors), is that decode's.
 """
 
 from __future__ import annotations
@@ -20,11 +42,9 @@ from .combinat import SIZE_LIMIT, clamp_budget, layout_codes, layout_size
 from .field import PrimeModulus
 from .poly import SparsePoly, TrimmedPoly, ValidationError, from_sparse
 
-# What the bulk decoders can raise on a malformed document; each then
-# falls back to the per-entry decode, which names the first bad entry.
+# What the bulk polynomial decode can raise on a malformed document
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
-# A layout's codes are n bytes each; the bulk polynomial decode builds
-# them only up to 8 * SIZE_LIMIT bytes in all.
+# The most bytes, n per vector, that it builds layout codes for
 _CODE_BYTES = 8 * SIZE_LIMIT
 
 
@@ -152,8 +172,8 @@ def _bulk_poly(obj: dict) -> TrimmedPoly | None:
             and set(map(len, exps)) <= {n}
             and set(map(type, chain.from_iterable(exps))) <= {int}):
         return None
-    # bytes() takes only ints in [0, 256), and d <= 127 (the cube cap), so
-    # equal codes are equal vectors
+    # bytes() takes only ints in [0, 256), and every vector has n of them,
+    # so equal codes are equal vectors
     table = dict(zip(map(int.from_bytes, map(bytes, exps), repeat("little")),
                      coeffs))
     if len(table) < len(terms):
