@@ -122,13 +122,16 @@ def write_sparse_poly(sparse: SparsePoly, handle) -> None:
                     (term % (*e, c) for e, c in _canonical_terms(sparse)))
 
 
-def sparse_poly_from_dict(obj: dict) -> SparsePoly:
+def _poly_header(obj: dict) -> tuple:
+    """The modulus, n, d, D and term list of a polynomial document."""
     what = "polynomial document"
-    modulus = _parse_modulus(obj, what)
-    n = _get(obj, "n", int, what)
-    d = _get(obj, "d", int, what)
-    D = _get(obj, "D", int, what)
-    raw_terms = _get(obj, "terms", list, what)
+    return (_parse_modulus(obj, what), _get(obj, "n", int, what),
+            _get(obj, "d", int, what), _get(obj, "D", int, what),
+            _get(obj, "terms", list, what))
+
+
+def sparse_poly_from_dict(obj: dict) -> SparsePoly:
+    modulus, n, d, D, raw_terms = _poly_header(obj)
     terms = []
     for i, term in enumerate(raw_terms):
         # Fast path for the usual {"exp": [...], "coeff": "<decimal>"};
@@ -157,12 +160,8 @@ def trimmed_poly_from_dict(obj: dict) -> TrimmedPoly:
 
 
 def _bulk_poly(obj: dict) -> TrimmedPoly | None:
-    what = "polynomial document"
-    modulus = _parse_modulus(obj, what)
-    n = _get(obj, "n", int, what)
-    d = _get(obj, "d", int, what)
-    D = clamp_budget(n, d, _get(obj, "D", int, what))
-    terms = _get(obj, "terms", list, what)
+    modulus, n, d, D, terms = _poly_header(obj)
+    D = clamp_budget(n, d, D)
     if n * layout_size(n, d, D) > _CODE_BYTES:
         return None
     exps = list(map(itemgetter("exp"), terms))
