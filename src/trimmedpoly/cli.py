@@ -30,9 +30,9 @@ from .jsonio import (
     grid_from_dict,
     trimmed_poly_from_dict,
     write_eval_table,
-    write_sparse_poly,
+    write_trimmed_poly,
 )
-from .poly import ValidationError, random_poly, to_sparse
+from .poly import ValidationError, random_poly
 
 BENCH_HEADER = "algo,n,d,D,p,N,wall_time_ns,mul,add,inv,mul_per_Nn"
 # Cap on N^2 * n, the order of the quadratic oracle's field operations;
@@ -111,8 +111,8 @@ def cmd_eval(args) -> int:
 def cmd_interp(args) -> int:
     table = eval_table_from_dict(_read_json(args.evals))
     grid = grid_from_dict(_read_json(args.grid))
-    sparse = to_sparse(trimmed_interp(table, grid))
-    _write_atomic(args.out, lambda handle: write_sparse_poly(sparse, handle))
+    poly = trimmed_interp(table, grid)
+    _write_atomic(args.out, lambda handle: write_trimmed_poly(poly, handle))
     return 0
 
 

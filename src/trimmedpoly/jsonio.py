@@ -4,10 +4,19 @@ The modulus and every field element are decimal strings (JSON numbers
 lose exactness past 53 bits); structural integers (n, d, D, exponents)
 stay numeric. One ``p`` key per document.
 
-``write_sparse_poly`` and ``write_eval_table`` stream the bytes that
-``json.dump(<kind>_to_dict(obj), handle, indent=2)`` plus a newline would
-write, one list element per chunk, without building the dict or the
-whole text.
+``write_trimmed_poly`` and ``write_eval_table`` stream the bytes that
+``json.dump(doc, handle, indent=2)`` plus a newline would write, for doc
+``sparse_poly_to_dict(to_sparse(poly))`` or ``eval_table_to_dict(table)``,
+one list element per chunk, without building the dict or the whole text.
+
+Encoding. ``write_trimmed_poly`` writes a term for each nonzero
+coefficient, straight from the dense vector: it pairs the coefficients
+with the layout's byte codes (``combinat.layout_codes``), and byte i of a
+code is exponent i, so each exponent list is the code's bytes looked up
+in a table of digit strings. No exponent tuple is built per slot. The
+same gate as the decode's applies: a shape whose N codes would take more
+than 8 * SIZE_LIMIT bytes is written by ``combinat.unrank`` of each
+nonzero slot instead, so a wide shape costs its nonzero terms, not n * N.
 
 Decoding. ``trimmed_poly_from_dict`` takes a parsed polynomial document
 straight to its dense ``TrimmedPoly``, as
@@ -34,18 +43,22 @@ errors), is that decode's.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 
 from .algo import EvalTable, Grid
-from .combinat import SIZE_LIMIT, clamp_budget, layout_codes, layout_size
+from .combinat import (SIZE_LIMIT, clamp_budget, layout_codes, layout_size,
+                       unrank)
 from .field import PrimeModulus
 from .poly import SparsePoly, TrimmedPoly, ValidationError, from_sparse
 
 # What the bulk polynomial decode can raise on a malformed document
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
-# The most bytes, n per vector, that it builds layout codes for
+# The most bytes, n per vector, that a bulk decode or encode builds
+# layout codes for
 _CODE_BYTES = 8 * SIZE_LIMIT
+# The text of each exponent a layout code's byte can hold
+_DIGITS = tuple(map(str, range(256)))
 
 
 def _get(obj: dict, key: str, kinds, what: str):
@@ -95,31 +108,36 @@ def _write_document(handle, head, key: str, items) -> None:
     handle.writelines(chunks())
 
 
-def _canonical_terms(sparse: SparsePoly) -> list:
-    """Terms in canonical order: lexicographic on the reversed exponents."""
-    return sorted(sparse.terms, key=lambda t: t[0][::-1])
-
-
 def sparse_poly_to_dict(sparse: SparsePoly) -> dict:
     return {
         "p": str(sparse.modulus.p),
         "n": sparse.n,
         "d": sparse.d,
         "D": sparse.D,
+        # canonical order: lexicographic on the reversed exponents
         "terms": [{"exp": list(e), "coeff": str(c)}
-                  for e, c in _canonical_terms(sparse)],
+                  for e, c in sorted(sparse.terms, key=lambda t: t[0][::-1])],
     }
 
 
-def write_sparse_poly(sparse: SparsePoly, handle) -> None:
-    """Write the ``sparse_poly_to_dict`` document to a text handle."""
-    head = (("p", f'"{sparse.modulus.p}"'), ("n", sparse.n),
-            ("d", sparse.d), ("D", sparse.D))
-    exp = ("[\n        " + ",\n        ".join(["%d"] * sparse.n)
-           + "\n      ]" if sparse.n else "[]")
-    term = '{\n      "exp": ' + exp + ',\n      "coeff": "%d"\n    }'
-    _write_document(handle, head, "terms",
-                    (term % (*e, c) for e, c in _canonical_terms(sparse)))
+def write_trimmed_poly(poly: TrimmedPoly, handle) -> None:
+    """Write the ``sparse_poly_to_dict(to_sparse(poly))`` document to a
+    text handle, straight from the dense coefficients: the exponents of
+    each nonzero slot are the bytes of its layout code."""
+    n, d, D, coeffs = poly.n, poly.d, poly.D, poly.coeffs
+    head = (("p", f'"{poly.modulus.p}"'), ("n", n), ("d", d), ("D", D))
+    if n * len(coeffs) > _CODE_BYTES:
+        exps = (map(str, unrank(r, n, d, D))
+                for r in compress(range(len(coeffs)), coeffs))
+    else:
+        exps = (map(_DIGITS.__getitem__, code.to_bytes(n, "little"))
+                for code in compress(layout_codes(n, d, D), coeffs))
+    sep = ",\n        "
+    start, end = ("[\n        ", "\n      ]") if n else ("[", "]")
+    _write_document(handle, head, "terms", (
+        f'{{\n      "exp": {start}{sep.join(e)}{end},\n'
+        f'      "coeff": "{c}"\n    }}'
+        for e, c in zip(exps, filter(None, coeffs))))
 
 
 def _poly_header(obj: dict) -> tuple:

@@ -109,6 +109,26 @@ def test_well_formed_documents_take_the_bulk_decode(tmp_path, monkeypatch):
               "--grid", grid, "--out", str(out)])
 
 
+def test_interp_writes_without_exponent_tuples(tmp_path, monkeypatch):
+    # interp writes its polynomial from the layout codes: neither the
+    # cached exponent tuples nor a per-slot unrank may run
+    from trimmedpoly import combinat, jsonio
+
+    def tuples(*args):
+        raise AssertionError("exponent tuples built")
+
+    monkeypatch.setattr(combinat, "_vectors", tuples)
+    monkeypatch.setattr(jsonio, "unrank", tuples)
+    table = write(tmp_path / "table.json",
+                  {"p": "5", "n": 2, "d": 1, "D": 1,
+                   "values": ["2", "0", "1"]})
+    out = tmp_path / "poly.json"
+    assert main(["interp", "--evals", table,
+                 "--grid", write(tmp_path / "grid.json", WORKED_GRID),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["terms"] == WORKED_POLY["terms"]
+
+
 def test_eval_duplicate_node_exits_1(tmp_path, capsys):
     poly = write(tmp_path / "poly.json", WORKED_POLY)
     grid = write(tmp_path / "grid.json",
@@ -378,7 +398,7 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch,
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, "write_eval_table", broken)
-    monkeypatch.setattr(cli, "write_sparse_poly", broken)
+    monkeypatch.setattr(cli, "write_trimmed_poly", broken)
     grid = write(tmp_path / "grid.json", WORKED_GRID)
     if command == "eval":
         argv = ["eval", "--poly", write(tmp_path / "in.json", WORKED_POLY),

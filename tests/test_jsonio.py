@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from trimmedpoly import jsonio
 from trimmedpoly.algo import EvalTable, Grid, trimmed_eval
-from trimmedpoly.combinat import enumerate_trimmed
+from trimmedpoly.combinat import ebc_cum, enumerate_trimmed
 from trimmedpoly.field import PrimeModulus
 from trimmedpoly.jsonio import (
     eval_table_from_dict,
@@ -20,10 +20,11 @@ from trimmedpoly.jsonio import (
     sparse_poly_to_dict,
     trimmed_poly_from_dict,
     write_eval_table,
-    write_sparse_poly,
+    write_trimmed_poly,
 )
 from trimmedpoly.poly import (
     SparsePoly,
+    TrimmedPoly,
     ValidationError,
     from_sparse,
     random_poly,
@@ -157,7 +158,7 @@ def _dumped(doc: dict) -> str:
 @pytest.mark.parametrize("name", SPARSE_CASES)
 def test_write_sparse_poly_matches_json_dump(name):
     sparse = SPARSE_CASES[name]
-    assert _written(write_sparse_poly, sparse) == \
+    assert _written(write_trimmed_poly, from_sparse(sparse)) == \
         _dumped(sparse_poly_to_dict(sparse))
 
 
@@ -174,13 +175,78 @@ def test_writers_stream_one_element_per_chunk():
             self.sizes = [len(chunk) for chunk in chunks]
 
     for writer, obj, count in (
-            (write_sparse_poly, RANDOM_SPARSE, len(RANDOM_SPARSE.terms)),
+            (write_trimmed_poly, RANDOM_POLY, len(RANDOM_SPARSE.terms)),
             (write_eval_table, RANDOM_TABLE, len(RANDOM_TABLE.values))):
         handle = Recorder()
         writer(obj, handle)
         # one list element per chunk, never the whole document at once
         assert len(handle.sizes) == count + 2
         assert max(handle.sizes) < 200
+
+
+def _dumped_poly(poly: TrimmedPoly) -> str:
+    return _dumped(sparse_poly_to_dict(to_sparse(poly)))
+
+
+@st.composite
+def dense_polys(draw):
+    """Polynomials of small shapes, with 1- to 3-digit exponents and
+    coefficients from all zero to dense."""
+    p = draw(st.sampled_from([2, 65537, 2**62 - 57]))
+    d = draw(st.sampled_from([1, 2, 3, 10, 127]))
+    n = draw(st.integers(0, 1 if d == 127 else 4))  # the cube cap
+    D = draw(st.integers(-2, n * d + 1))
+    share = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    coeffs = [rng.randrange(1, p) if rng.random() < share else 0
+              for _ in range(ebc_cum(n, D, d))]
+    return TrimmedPoly(PrimeModulus(p), n, d, D, coeffs)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(dense_polys())
+def test_write_trimmed_poly_matches_json_dump_on_small_shapes(poly):
+    assert _written(write_trimmed_poly, poly) == _dumped_poly(poly)
+
+
+WRITE_CASES = {
+    "n=0": TrimmedPoly(MOD5, 0, 1, 3, [4]),
+    "n=0 zero": TrimmedPoly(MOD5, 0, 4, 0, [0]),
+    "D<0": TrimmedPoly(MOD5, 3, 2, -2, []),
+    "p=2 dense": TrimmedPoly(P2, 3, 1, 3, [1] * 8),
+    "d=127": TrimmedPoly(MOD_16, 1, 127, 127, range(128)),
+    "random (6,3,9)": RANDOM_POLY,
+}
+
+
+@pytest.mark.parametrize("gate", ["codes", "unrank"])
+@pytest.mark.parametrize("name", WRITE_CASES)
+def test_write_trimmed_poly_named_shapes(name, gate, monkeypatch):
+    # with the gate at 0 bytes, every shape with n >= 1 is above it
+    if gate == "unrank":
+        monkeypatch.setattr(jsonio, "_CODE_BYTES", 0)
+    poly = WRITE_CASES[name]
+    assert _written(write_trimmed_poly, poly) == _dumped_poly(poly)
+
+
+def test_wide_shapes_write_without_the_layout_codes():
+    # At (n, d, D) = (20000, 1, 1) the layout codes would hold 200 MB, and
+    # N exponent tuples 3 GB: only the nonzero slot is unranked.
+    n = 20_000
+    coeffs = [0] * n + [3]
+    poly = TrimmedPoly(MOD5, n, 1, 1, coeffs)
+    assert n * len(coeffs) > jsonio._CODE_BYTES
+    tracemalloc.start()
+    try:
+        text = _written(write_trimmed_poly, poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    exp = ",\n        ".join(["0"] * (n - 1) + ["1"])
+    assert text == ('{\n  "p": "5",\n  "n": 20000,\n  "d": 1,\n  "D": 1,\n'
+                    '  "terms": [\n    {\n      "exp": [\n        ' + exp
+                    + '\n      ],\n      "coeff": "3"\n    }\n  ]\n}\n')
+    assert peak < 16 << 20
 
 
 def _outcome(decode, doc):
