@@ -57,8 +57,9 @@ _DECODE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 # The most bytes, n per vector, that a bulk decode or encode builds
 # layout codes for
 _CODE_BYTES = 8 * SIZE_LIMIT
-# The text of each exponent a layout code's byte can hold
-_DIGITS = tuple(map(str, range(256)))
+# The text of each exponent a layout code's byte can hold; a dict, as
+# dict.__getitem__ is the fastest lookup to map over a code's bytes
+_DIGITS = {e: str(e) for e in range(256)}
 
 
 def _get(obj: dict, key: str, kinds, what: str):
