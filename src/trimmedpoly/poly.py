@@ -8,11 +8,11 @@ transforms is a plain partition of the coefficient vector into
 contiguous blocks. ``algo.EvalTable`` holds a table of values in the
 same layout; both are ``_DenseTable``, written once here.
 
-SparsePoly is a term list, kept as library API: the form a polynomial
-document takes under the per-term decode (``jsonio.sparse_poly_from_dict``)
-and under ``to_sparse``. The CLI reads and writes polynomial documents
-without it, straight to and from the dense coefficients, and no algorithm
-reads it.
+SparsePoly is a term list, kept as library API and as the form of the
+per-term decode (``jsonio.sparse_poly_from_dict``), which names the first
+bad term of a document that the bulk decode rejects. Otherwise the CLI
+reads and writes polynomial documents straight to and from the dense
+coefficients, and no algorithm reads it.
 
 ``naive_eval_point``, the term-by-term oracle, does its residue math on
 raw ints and records its field operations with ``field.tally``.
