@@ -464,6 +464,31 @@ def test_run_counted_single_term_point_eval():
             counter.inv_count) == (0, 1, 0)
 
 
+@pytest.mark.parametrize("n, d, D, p, every_third_zero, table_ops, point_ops", [
+    (3, 2, 4, 65537, False, (2967, 529, 0), (129, 23, 0)),
+    (4, 3, 7, 2**61 - 1, True, (215460, 23940, 0), (1134, 126, 0)),
+])
+def test_oracle_op_counts_pinned(n, d, D, p, every_third_zero, table_ops,
+                                 point_ops):
+    # (mul, add, inv) of the oracle on fixed shapes, a dense polynomial and
+    # one with every third coefficient zero (skipped terms cost nothing)
+    mod = PrimeModulus(p)
+    poly = random_poly(n, d, D, mod, seed=7)
+    if every_third_zero:
+        poly = TrimmedPoly(mod, n, d, D, [c if i % 3 else 0
+                                          for i, c in enumerate(poly.coeffs)])
+    grid = Grid.random(mod, n, d, seed=8)
+    table, counter = run_counted(naive_trimmed_eval, poly, grid)
+    assert (counter.mul_count, counter.add_count,
+            counter.inv_count) == table_ops
+    assert table == trimmed_eval(poly, grid)
+    point = grid.point((1,) * n)
+    value, counter = run_counted(naive_eval_point, poly, point)
+    assert (counter.mul_count, counter.add_count,
+            counter.inv_count) == point_ops
+    assert value == table.values[rank((1,) * n, n, d, D)]
+
+
 def test_run_counted_deterministic_and_shape_only():
     mod = PrimeModulus(65537)
     grid = Grid.random(mod, 3, 2, seed=2)
