@@ -94,14 +94,14 @@ from __future__ import annotations
 import random
 from array import array
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from operator import itemgetter
 
 from .combinat import (ValidationError, _check_params, count_rows,
-                       degree_sums, enumerate_trimmed)
+                       degree_sums, layout_vectors)
 from .field import PrimeModulus, tally
 from .linalg import vandermonde_factors
-from .poly import TrimmedPoly, _DenseTable, naive_eval_point
+from .poly import TrimmedPoly, _DenseTable, _term_sum, to_sparse
 
 __all__ = [
     "Grid", "EvalTable", "trimmed_eval", "trimmed_interp",
@@ -389,12 +389,11 @@ def naive_trimmed_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:
     canonical enumeration. O(N^2 * n) field multiplications.
     """
     _check_grid_match(poly, grid, "polynomial")
-    mod = poly.modulus
-    if poly.D < 0:
-        return EvalTable._trusted(mod, poly.n, poly.d, poly.D, ())
-    values = [naive_eval_point(poly, grid.point(exps))
-              for exps in enumerate_trimmed(poly.n, poly.d, poly.D)]
-    return EvalTable._trusted(mod, poly.n, poly.d, poly.D, values)
+    terms = to_sparse(poly).terms
+    p = poly.modulus.p
+    values = [_term_sum(terms, grid.point(exps), p) for exps in
+              layout_vectors(poly.n, poly.d, poly.D, repeat(1))]
+    return EvalTable._trusted(poly.modulus, poly.n, poly.d, poly.D, values)
 
 
 def yates_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:

@@ -21,9 +21,9 @@ so that fixing the last coordinate always selects a contiguous slice.
 The layout of (n, d, b), b a budget, is built here only. The cached
 ``count_rows`` holds ebc_cum(m, k, d) for m <= n and k <= b; the counts,
 the rank table and the stage plan of ``algo`` read it. One walk from the
-last coordinate to the first, ``_levels``, gives the sums of the vectors
-(``degree_sums``, for the plan) and, with the counts, the vectors
-themselves (``enumerate_trimmed``).
+last coordinate to the first gives the sums of the vectors
+(``degree_sums``, for the plan), and the layout codes below are the one
+listing of the vectors themselves.
 
 ``rank`` and ``unrank`` read one prefix table per (n, d, D): row m holds
 the running sums S_m[k] = sum_{y<k} ebc_cum(m, y, d). Under the
@@ -31,12 +31,19 @@ remaining budget b, the vectors that precede value e in coordinate m+1
 number sum_{j<e} ebc_cum(m, b-j, d) = S_m[b+1] - S_m[b+1-e], so a rank
 is n table differences and an unrank is n bisections.
 
-A bulk decode addresses a vector e by its byte code
-``int.from_bytes(bytes(e), "little")``: coordinate i is byte i, so the
-last coordinate is the most significant, and the numeric order of the
-codes is the canonical order. ``layout_codes`` lists a layout's codes in
-that order. A code is exact, one byte per coordinate, while d <= 255, and
-``layout_size``'s cube cap n * (d+1)^3 <= 2^21 keeps d <= 127 for n >= 1.
+A vector e has the byte code ``int.from_bytes(bytes(e), "little")``:
+coordinate i is byte i, so the last coordinate is the most significant,
+and the numeric order of the codes is the canonical order.
+``layout_codes`` lists a layout's codes in that order. A code is exact,
+one byte per coordinate, while d <= 255, and ``layout_size``'s cube cap
+n * (d+1)^3 <= 2^21 keeps d <= 127 for n >= 1. The codes take n bytes
+per vector, so they have one gate for wide shapes: above ``_CODE_BYTES``
+= 8 * SIZE_LIMIT bytes in all, ``layout_codes`` gives None, and the
+bulk decode of ``jsonio`` falls back. Every other listing of a layout's
+vectors reads ``layout_vectors``, which yields the selected slots' code
+bytes, or their ``unrank`` tuples above the gate: ``enumerate_trimmed``,
+``poly.to_sparse``, the oracle and the writer of ``jsonio``. None of
+them is cached.
 
 A shape (n, d, D) needs n >= 0 and d >= 1; ``_check_params`` is the one
 place that rule is raised, as ValidationError, for every module of the
@@ -57,10 +64,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 
 COUNT_LIMIT = (1 << 63) - 1
 SIZE_LIMIT = 1 << 21
+# The most bytes, n per vector, that ``layout_codes`` builds codes for
+_CODE_BYTES = 8 * SIZE_LIMIT
 
 
 class CapacityError(OverflowError):
@@ -175,37 +184,38 @@ def check_index(exponents, n: int, d: int, D: int) -> tuple[int, ...]:
     return exps
 
 
-def _levels(n: int, d: int, b: int) -> list[list[int]]:
-    """Levels 0..n of the (n, d, b) layout, b >= 0, from the last
-    coordinate, the most significant: level i lists the budget left under
-    each admissible suffix (e_{n-i+1}, ..., e_n), in canonical order. So
-    level n holds b minus the sum of each admissible vector."""
-    # The budgets left after each value 0..min(d, r) of a coordinate.
-    left = [range(r, r - min(d, r) - 1, -1) for r in range(b + 1)]
-    levels = [[b]]
-    for _ in range(n):
-        levels.append(list(chain.from_iterable(
-            map(left.__getitem__, levels[-1]))))
-    return levels
-
-
 def degree_sums(n: int, d: int, b: int) -> list[int]:
     """Coordinate sum of each admissible vector of (n, d, b), b >= 0, in
-    canonical order."""
-    return [b - r for r in _levels(n, d, b)[n]]
+    canonical order.
+
+    One walk from the last coordinate, the most significant, to the
+    first: level i lists the budget left under each admissible suffix
+    (e_{n-i+1}, ..., e_n), in canonical order, so level n holds b minus
+    the sum of each vector.
+    """
+    # The budgets left after each value 0..min(d, r) of a coordinate.
+    left = [range(r, r - min(d, r) - 1, -1) for r in range(b + 1)]
+    level = [b]
+    for _ in range(n):
+        level = list(chain.from_iterable(map(left.__getitem__, level)))
+    return [b - r for r in level]
 
 
-def layout_codes(n: int, d: int, b: int) -> list[int]:
+def layout_codes(n: int, d: int, b: int) -> list[int] | None:
     """The byte code ``int.from_bytes(bytes(e), "little")`` of each
-    admissible vector e of (n, d, b), in canonical order, which is the
-    numeric order of the codes; b is the clamped budget, and b = -1 gives
-    no codes. Not cached: one list of N ints, built for one decode.
+    admissible vector e of the checked shape (n, d, b), in canonical
+    order, which is the numeric order of the codes; b is the clamped
+    budget, and b = -1 gives no codes. None if the N codes would take
+    more than ``_CODE_BYTES``, n bytes each. Not cached: one list of N
+    ints, built for one call.
 
     The (m, r) layout, budget r, is the concatenation over j <= min(d, r)
     of the (m-1, r-j) layout's codes plus j * 256^(m-1); the j = 0 block
     is the (m-1, r) codes themselves. Level m holds the codes of every
     budget that level n reaches, built from level m-1.
     """
+    if n * _cum(n, d, b) > _CODE_BYTES:
+        return None
     codes = {r: [0] for r in range(b + 1)}
     for m in range(1, n + 1):
         shift = 1 << 8 * (m - 1)
@@ -217,25 +227,17 @@ def layout_codes(n: int, d: int, b: int) -> list[int]:
     return codes.get(b, [])
 
 
-@lru_cache(maxsize=None)
-def _vectors(n: int, d: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """The admissible vectors of (n, d, b) in canonical order; b >= 0 is
-    the clamped budget.
-
-    Under a suffix with budget r left, coordinate k takes each value
-    j <= min(d, r) for a run of ebc_cum(k-1, r-j, d) positions, so column
-    k is one such run per entry of level n-k. Every step is linear in its
-    output, and the final zip consumes the columns lazily.
-    """
-    rows = count_rows(n, d, b)
-    cols = []
-    for k, rems in zip(range(n, 0, -1), _levels(n, d, b)):
-        below = rows[k - 1]
-        runs = {r: list(chain.from_iterable(
-            repeat(j, below[r - j]) for j in range(min(d, r) + 1)))
-            for r in set(rems)}
-        cols.append(chain.from_iterable(map(runs.__getitem__, rems)))
-    return tuple(zip(*reversed(cols))) if n else ((),)
+def layout_vectors(n: int, d: int, b: int, selectors):
+    """The exponent vector of each slot of the checked shape (n, d, b)
+    that ``selectors`` keeps, in canonical order: the bytes of its layout
+    code, or, where ``layout_codes`` gives None, its ``unrank`` tuple. So
+    a shape above the code gate costs its selected slots, not n * N."""
+    codes = layout_codes(n, d, b)
+    if codes is None:
+        return (unrank(r, n, d, b)
+                for r in compress(range(_cum(n, d, b)), selectors))
+    return map(int.to_bytes, compress(codes, selectors), repeat(n),
+               repeat("little"))
 
 
 def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
@@ -243,7 +245,8 @@ def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
     layout_size(n, d, D)
     if D < 0:
         raise ValueError(f"total degree bound must be >= 0, got {D}")
-    return _vectors(n, d, clamp_budget(n, d, D))
+    return tuple(map(tuple, layout_vectors(n, d, clamp_budget(n, d, D),
+                                           repeat(1))))
 
 
 @lru_cache(maxsize=None)

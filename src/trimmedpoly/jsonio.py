@@ -13,10 +13,11 @@ Encoding. ``write_trimmed_poly`` writes a term for each nonzero
 coefficient, straight from the dense vector: it pairs the coefficients
 with the layout's byte codes (``combinat.layout_codes``), and byte i of a
 code is exponent i, so each exponent list is the code's bytes looked up
-in a table of digit strings. No exponent tuple is built per slot. The
-same gate as the decode's applies: a shape whose N codes would take more
-than 8 * SIZE_LIMIT bytes is written by ``combinat.unrank`` of each
-nonzero slot instead, so a wide shape costs its nonzero terms, not n * N.
+in a table of digit strings. No exponent tuple is built per slot. It
+reads them through ``combinat.layout_vectors``, so the gate of
+``combinat`` applies: a shape whose N codes would take more than
+8 * SIZE_LIMIT bytes gets the ``unrank`` tuple of each nonzero slot
+instead, and a wide shape costs its nonzero terms, not n * N.
 
 Decoding. ``trimmed_poly_from_dict`` takes a parsed polynomial document
 straight to its dense ``TrimmedPoly``, as
@@ -28,35 +29,33 @@ vector's byte code ``int.from_bytes(bytes(e), "little")``. A code table
 shorter than the term list holds a duplicate. One pass over the layout's
 codes (``combinat.layout_codes``) then fills the dense vector, popping
 each code it finds; a code left over is a vector outside the layout, with
-an exponent above d or a sum above D. The codes take n bytes each, so a
-shape whose N codes would take more than 8 * SIZE_LIMIT bytes in all is
-left to the per-entry decode. ``eval_table_from_dict`` checks its values
-the same way: all decimal strings, each in [0, p).
+an exponent above d or a sum above D. A shape above the gate of
+``combinat``, where ``layout_codes`` gives None, is left to the
+per-entry decode. ``eval_table_from_dict`` parses its values with one
+``map(int, ...)`` and leaves the range check to ``EvalTable``, which
+checks all of them at once.
 
 A bulk decode raises no error of its own. Whatever a bulk check rejects,
 and whatever makes a bulk step raise, goes through the per-entry decode
-(``sparse_poly_from_dict`` and ``from_sparse``, or ``_parse_scalar`` per
-table value), which names the first bad entry. So every message, and the
-order in which errors are found (term errors before shape and capacity
-errors), is that decode's.
+(``sparse_poly_from_dict`` and ``from_sparse``, or ``_parse_scalar`` and
+``modulus.residue`` per table value), which names the first bad entry.
+So every message, and the order in which errors are found (term errors
+before shape and capacity errors), is that decode's.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .algo import EvalTable, Grid
-from .combinat import (SIZE_LIMIT, clamp_budget, layout_codes, layout_size,
-                       unrank)
+from .combinat import (clamp_budget, layout_codes, layout_size,
+                       layout_vectors)
 from .field import PrimeModulus
 from .poly import SparsePoly, TrimmedPoly, ValidationError, from_sparse
 
 # What the bulk polynomial decode can raise on a malformed document
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
-# The most bytes, n per vector, that a bulk decode or encode builds
-# layout codes for
-_CODE_BYTES = 8 * SIZE_LIMIT
 # The text of each exponent a layout code's byte can hold; a dict, as
 # dict.__getitem__ is the fastest lookup to map over a code's bytes
 _DIGITS = {e: str(e) for e in range(256)}
@@ -127,18 +126,13 @@ def write_trimmed_poly(poly: TrimmedPoly, handle) -> None:
     each nonzero slot are the bytes of its layout code."""
     n, d, D, coeffs = poly.n, poly.d, poly.D, poly.coeffs
     head = (("p", f'"{poly.modulus.p}"'), ("n", n), ("d", d), ("D", D))
-    if n * len(coeffs) > _CODE_BYTES:
-        exps = (map(str, unrank(r, n, d, D))
-                for r in compress(range(len(coeffs)), coeffs))
-    else:
-        exps = (map(_DIGITS.__getitem__, code.to_bytes(n, "little"))
-                for code in compress(layout_codes(n, d, D), coeffs))
     sep = ",\n        "
     start, end = ("[\n        ", "\n      ]") if n else ("[", "]")
     _write_document(handle, head, "terms", (
-        f'{{\n      "exp": {start}{sep.join(e)}{end},\n'
-        f'      "coeff": "{c}"\n    }}'
-        for e, c in zip(exps, filter(None, coeffs))))
+        f'{{\n      "exp": {start}{sep.join(map(_DIGITS.__getitem__, e))}'
+        f'{end},\n      "coeff": "{c}"\n    }}'
+        for e, c in zip(layout_vectors(n, d, D, coeffs),
+                        filter(None, coeffs))))
 
 
 def _poly_header(obj: dict) -> tuple:
@@ -153,14 +147,7 @@ def sparse_poly_from_dict(obj: dict) -> SparsePoly:
     modulus, n, d, D, raw_terms = _poly_header(obj)
     terms = []
     for i, term in enumerate(raw_terms):
-        # Fast path for the usual {"exp": [...], "coeff": "<decimal>"};
-        # whatever it does not accept goes through _parse_term's checks.
-        try:
-            exp, coeff = term["exp"], int(term["coeff"], 10)
-        except (TypeError, KeyError, ValueError):
-            exp = None
-        if type(exp) is not list:
-            exp, coeff = _parse_term(i, term)
+        exp, coeff = _parse_term(i, term)
         terms.append((tuple(exp), coeff))
     return SparsePoly(modulus, n, d, D, terms)
 
@@ -181,7 +168,9 @@ def trimmed_poly_from_dict(obj: dict) -> TrimmedPoly:
 def _bulk_poly(obj: dict) -> TrimmedPoly | None:
     modulus, n, d, D, terms = _poly_header(obj)
     D = clamp_budget(n, d, D)
-    if n * layout_size(n, d, D) > _CODE_BYTES:
+    layout_size(n, d, D)
+    codes = layout_codes(n, d, D)
+    if codes is None:
         return None
     exps = list(map(itemgetter("exp"), terms))
     coeffs = list(map(int, map(itemgetter("coeff"), terms), repeat(10)))
@@ -197,8 +186,7 @@ def _bulk_poly(obj: dict) -> TrimmedPoly | None:
     if len(table) < len(terms):
         return None  # a duplicated term
     p = modulus.p
-    coeffs = [c % p for c in map(table.pop, layout_codes(n, d, D),
-                                 repeat(0))]
+    coeffs = [c % p for c in map(table.pop, codes, repeat(0))]
     # a code left over is a vector outside the layout: an exponent above
     # d, or a sum above D
     return None if table else TrimmedPoly._trusted(modulus, n, d, D, coeffs)
@@ -264,23 +252,8 @@ def eval_table_from_dict(obj: dict) -> EvalTable:
     d = _get(obj, "d", int, what)
     D = _get(obj, "D", int, what)
     raw_values = _get(obj, "values", list, what)
-    values = _bulk_residues(raw_values, modulus.p)
-    if values is None:
-        values = [_parse_scalar(v, "table value") for v in raw_values]
-    else:
-        b = clamp_budget(n, d, D)
-        if len(values) == layout_size(n, d, b):
-            return EvalTable._trusted(modulus, n, d, b, values)
-    return EvalTable(modulus, n, d, D, values)
-
-
-def _bulk_residues(raw: list, p: int) -> list | None:
-    """The ints of a list of decimal strings, each in [0, p), or None if
-    any entry is not one."""
-    if set(map(type, raw)) != {str}:
-        return None
     try:
-        values = list(map(int, raw, repeat(10)))
-    except ValueError:
-        return None
-    return values if min(values) >= 0 and max(values) < p else None
+        values = list(map(int, raw_values, repeat(10)))
+    except (TypeError, ValueError):
+        values = [_parse_scalar(v, "table value") for v in raw_values]
+    return EvalTable(modulus, n, d, D, values)

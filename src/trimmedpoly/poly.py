@@ -14,8 +14,10 @@ bad term of a document that the bulk decode rejects. Otherwise the CLI
 reads and writes polynomial documents straight to and from the dense
 coefficients, and no algorithm reads it.
 
-``naive_eval_point``, the term-by-term oracle, does its residue math on
-raw ints and records its field operations with ``field.tally``.
+``naive_eval_point``, the term-by-term oracle, reads the terms of
+``to_sparse`` and shares its term sum with ``algo.naive_trimmed_eval``,
+which converts once per table. It does its residue math on raw ints and
+records its field operations with ``field.tally``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 
 from .combinat import (ValidationError, _check_params, check_index,
-                       clamp_budget, enumerate_trimmed, layout_size, ranker)
+                       clamp_budget, layout_size, layout_vectors, ranker)
 from .field import PrimeModulus, tally
 
 
@@ -35,8 +37,10 @@ class _DenseTable:
     unit) and ``_noun`` (its name in a length error).
 
     The public constructor checks the shape once, through
-    ``layout_size``, and canonicalises every entry; internal producers,
-    whose residues are valid by construction, use ``_trusted``.
+    ``layout_size``, and its entries once, in bulk: all ints in [0, p),
+    or else each canonicalised by ``modulus.residue``. Internal
+    producers, whose residues are valid by construction, use
+    ``_trusted``.
     """
 
     __slots__ = ("modulus", "n", "d", "D", "_entries")
@@ -45,7 +49,10 @@ class _DenseTable:
                  entries) -> None:
         D = clamp_budget(n, d, D)
         expected = layout_size(n, d, D)
-        vals = tuple(modulus.residue(v) for v in entries)
+        vals = tuple(entries)
+        if not (set(map(type, vals)) <= {int} and min(vals, default=0) >= 0
+                and max(vals, default=0) < modulus.p):
+            vals = tuple(map(modulus.residue, vals))
         if len(vals) != expected:
             raise ValidationError(
                 f"{self._noun} has length {len(vals)}, expected {expected} "
@@ -168,10 +175,8 @@ def from_sparse(sparse: SparsePoly) -> TrimmedPoly:
 
 def to_sparse(poly: TrimmedPoly) -> SparsePoly:
     """Inverse of ``from_sparse`` up to term order (rank order here)."""
-    if poly.D < 0:
-        return SparsePoly._trusted(poly.modulus, poly.n, poly.d, poly.D, ())
-    indices = enumerate_trimmed(poly.n, poly.d, poly.D)
-    terms = [(exps, c) for exps, c in zip(indices, poly.coeffs) if c]
+    vectors = layout_vectors(poly.n, poly.d, poly.D, poly.coeffs)
+    terms = list(zip(map(tuple, vectors), filter(None, poly.coeffs)))
     return SparsePoly._trusted(poly.modulus, poly.n, poly.d, poly.D, terms)
 
 
@@ -183,26 +188,25 @@ def naive_eval_point(poly: TrimmedPoly, point) -> int:
     variable and one addition per nonzero term: O(N * n) field
     multiplications per point.
     """
-    p = poly.modulus.p
     xs = [poly.modulus.residue(x) for x in point]
     if len(xs) != poly.n:
         raise ValidationError(
             f"point has {len(xs)} coordinates, expected {poly.n}")
-    if poly.D < 0:
-        return 0
-    indices = enumerate_trimmed(poly.n, poly.d, poly.D)
-    acc = muls = terms = 0
-    for exps, coeff in zip(indices, poly.coeffs):
-        if not coeff:
-            continue
+    return _term_sum(to_sparse(poly).terms, xs, poly.modulus.p)
+
+
+def _term_sum(terms, xs, p: int) -> int:
+    """sum_t c_t * prod_i x_i^(e_i) mod p over (e, c) terms at residues
+    xs, tallied as ``naive_eval_point`` states."""
+    acc = muls = 0
+    for exps, coeff in terms:
         term = coeff
         for x, e in zip(xs, exps):
             term = term * pow(x, e, p) % p
             if e:
                 muls += e.bit_count() + e.bit_length() - 1
         acc += term
-        terms += 1
-    tally(mul=muls + poly.n * terms, add=terms)
+    tally(mul=muls + len(xs) * len(terms), add=len(terms))
     return acc % p
 
 

@@ -110,15 +110,15 @@ def test_well_formed_documents_take_the_bulk_decode(tmp_path, monkeypatch):
 
 
 def test_interp_writes_without_exponent_tuples(tmp_path, monkeypatch):
-    # interp writes its polynomial from the layout codes: neither the
-    # cached exponent tuples nor a per-slot unrank may run
-    from trimmedpoly import combinat, jsonio
+    # interp writes its polynomial from the layout codes: neither an
+    # enumeration of exponent tuples nor a per-slot unrank may run
+    from trimmedpoly import combinat
 
     def tuples(*args):
         raise AssertionError("exponent tuples built")
 
-    monkeypatch.setattr(combinat, "_vectors", tuples)
-    monkeypatch.setattr(jsonio, "unrank", tuples)
+    monkeypatch.setattr(combinat, "enumerate_trimmed", tuples)
+    monkeypatch.setattr(combinat, "unrank", tuples)
     table = write(tmp_path / "table.json",
                   {"p": "5", "n": 2, "d": 1, "D": 1,
                    "values": ["2", "0", "1"]})

@@ -146,7 +146,10 @@ def test_layout_codes_are_the_byte_codes_in_order():
             for D in range(-1, n * d + 2):
                 b = clamp_budget(n, d, D)
                 codes = layout_codes(n, d, b)
-                vectors = enumerate_trimmed(n, d, D) if b >= 0 else ()
+                # canonical order: lexicographic on the reversed vector
+                vectors = sorted((e for e in itertools.product(
+                    range(d + 1), repeat=n) if sum(e) <= b),
+                    key=lambda e: e[::-1])
                 assert codes == [int.from_bytes(bytes(e), "little")
                                  for e in vectors], (n, d, D)
                 # numeric order of the codes is the canonical order

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trimmedpoly import jsonio
+from trimmedpoly import combinat, jsonio
 from trimmedpoly.algo import EvalTable, Grid, trimmed_eval
-from trimmedpoly.combinat import ebc_cum, enumerate_trimmed
+from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, layout_codes
 from trimmedpoly.field import PrimeModulus
 from trimmedpoly.jsonio import (
     eval_table_from_dict,
@@ -224,7 +224,7 @@ WRITE_CASES = {
 def test_write_trimmed_poly_named_shapes(name, gate, monkeypatch):
     # with the gate at 0 bytes, every shape with n >= 1 is above it
     if gate == "unrank":
-        monkeypatch.setattr(jsonio, "_CODE_BYTES", 0)
+        monkeypatch.setattr(combinat, "_CODE_BYTES", 0)
     poly = WRITE_CASES[name]
     assert _written(write_trimmed_poly, poly) == _dumped_poly(poly)
 
@@ -235,7 +235,7 @@ def test_wide_shapes_write_without_the_layout_codes():
     n = 20_000
     coeffs = [0] * n + [3]
     poly = TrimmedPoly(MOD5, n, 1, 1, coeffs)
-    assert n * len(coeffs) > jsonio._CODE_BYTES
+    assert layout_codes(n, 1, 1) is None
     tracemalloc.start()
     try:
         text = _written(write_trimmed_poly, poly)

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from trimmedpoly.combinat import ebc_cum, enumerate_trimmed
+from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, layout_size
 from trimmedpoly.field import PrimeModulus
 from trimmedpoly.poly import (
     SparsePoly,
@@ -57,6 +59,37 @@ def test_to_sparse_round_trip():
         D = rng.randint(0, n * d)
         poly = random_poly(n, d, D, MOD5, rng.randrange(1000))
         assert from_sparse(to_sparse(poly)) == poly
+
+
+def _traced(call):
+    """The traced peak of call(), and what stays allocated once its
+    result is dropped, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+        del result
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return peak, kept
+
+
+def test_wide_shapes_keep_no_enumeration():
+    # At (1999, 1, 1) the N = 2000 exponent tuples take 32 MB, and no
+    # other test enumerates this shape, so nothing is cached before.
+    # Converting or evaluating the zero polynomial walks the layout codes,
+    # about 2 MB, and keeps none of it; an enumeration is dropped with
+    # its result.
+    n = 1999
+    poly = TrimmedPoly(MOD5, n, 1, 1, [0] * layout_size(n, 1, 1))
+    peak, kept = _traced(lambda: to_sparse(poly))
+    assert peak < 4 << 20 and kept < 1 << 16
+    peak, kept = _traced(lambda: naive_eval_point(poly, (1,) * n))
+    assert peak < 4 << 20 and kept < 1 << 16
+    peak, kept = _traced(lambda: enumerate_trimmed(n, 1, 1))
+    assert kept < 1 << 16
 
 
 def test_degree_normalization():
