@@ -80,6 +80,19 @@ def test_eval_table_validation():
     assert table.D == 2
 
 
+@pytest.mark.parametrize("cls", [TrimmedPoly, EvalTable])
+def test_dense_tables_canonicalise_entries(cls):
+    # the bulk check keeps ints in [0, p) as they are; p itself, negatives
+    # and ints above p are reduced, and a non-int raises
+    assert cls(MOD5, 2, 1, 1, (0, 4, 3))._entries == (0, 4, 3)
+    assert cls(MOD5, 2, 1, 1, [0, 4, 5])._entries == (0, 4, 0)
+    assert cls(MOD5, 2, 1, 1, iter([-1, 3, 0]))._entries == (4, 3, 0)
+    assert cls(MOD5, 2, 1, 1, [12, 0, 1])._entries == (2, 0, 1)
+    for bad in ([0, True, 1], [0, 1.0, 1], [0, "1", 1]):
+        with pytest.raises(TypeError):
+            cls(MOD5, 2, 1, 1, bad)
+
+
 def test_shape_mismatch_rejected():
     poly, _ = worked_instance()
     with pytest.raises(ValidationError):
