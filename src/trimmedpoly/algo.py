@@ -97,8 +97,8 @@ from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from operator import itemgetter
 
-from .combinat import (ValidationError, _check_params, count_rows,
-                       degree_sums, layout_vectors)
+from .combinat import (ValidationError, _check_params, _layout_walk,
+                       layout_vectors)
 from .field import PrimeModulus, tally
 from .linalg import vandermonde_factors
 from .poly import TrimmedPoly, _DenseTable, _term_sum, to_sparse
@@ -211,29 +211,28 @@ def _level_plan(nv: int, b: int, d: int):
 def _level_tables(nv: int, b: int, d: int):
     """``_level_plan`` with ``up`` as an index array."""
     jmax = min(d, b)
-    cum = count_rows(nv, d, b)[nv - 1]
-    offs = tuple(accumulate((cum[b - j] for j in range(jmax + 1)), initial=0))
-    sums = degree_sums(nv - 1, d, b)
-    # Block j lists the prefixes (e_1, ..., e_{nv-1}) with sum <= b-j:
-    # canonically in the order of ``sums``, internally as the first width_j
-    # entries of ``graded``, that order sorted stably by sum. ``enter``
-    # holds each one's canonical index, offs[j] plus the count of earlier
-    # prefixes that fit; ``back``, its inverse, holds offs[j] plus each
-    # fitting prefix i's rank in ``graded``, grank[i].
+    sums = _layout_walk(nv - 1, d, b, 1)
+    # Block j lists the width_j prefixes (e_1, ..., e_{nv-1}) with sum <=
+    # b-j: canonically in the order of ``sums``, internally as the first
+    # width_j entries of ``graded``, that order sorted stably by sum.
+    # ``enter`` holds each one's canonical index, offs[j] plus the count of
+    # earlier prefixes that fit; ``back``, its inverse, holds offs[j] plus
+    # each fitting prefix i's rank in ``graded``, grank[i].
+    fits = [[s <= b - j for s in sums] for j in range(jmax + 1)]
+    widths = [sum(fit) for fit in fits]
+    offs = tuple(accumulate(widths, initial=0))
     graded = sorted(range(len(sums)), key=sums.__getitem__)
     grank = sorted(range(len(sums)), key=graded.__getitem__)
-    widths = [offs[j + 1] - offs[j] for j in range(jmax + 1)]
-    fits = [[s <= b - j for s in sums] for j in range(jmax + 1)]
     enter, back = array("i"), array("i")
     for j, fit in enumerate(fits):
         index = list(accumulate(fit, initial=offs[j]))
         enter.extend([index[g] for g in graded[:widths[j]]])
         back.extend([offs[j] + r for r in compress(grank, fit)])
     # The relabelled canonical order lists each prefix i with its
-    # admissible top values j under it, from position start[i] on, so
-    # ``up`` finds the entry (prefix g, top j) at relabelled internal
-    # position back[start[g] + j].
-    start = list(accumulate(map(sum, zip(*fits)), initial=0))
+    # admissible top values j <= min(d, b - sums[i]) under it, from
+    # position start[i] on, so ``up`` finds the entry (prefix g, top j) at
+    # relabelled internal position back[start[g] + j].
+    start = list(accumulate((min(d, b - s) + 1 for s in sums), initial=0))
     up = array("i", [back[start[g] + j] for j, w in enumerate(widths)
                      for g in graded[:w]])
     return jmax, offs, enter, array("i", [up[i] for i in back]), up

@@ -20,10 +20,11 @@ so that fixing the last coordinate always selects a contiguous slice.
 
 The layout of (n, d, b), b a budget, is built here only. The cached
 ``count_rows`` holds ebc_cum(m, k, d) for m <= n and k <= b; the counts,
-the rank table and the stage plan of ``algo`` read it. One walk from the
-last coordinate to the first gives the sums of the vectors
-(``degree_sums``, for the plan), and the layout codes below are the one
-listing of the vectors themselves.
+the capacity checks and the rank table read it. One walk,
+``_layout_walk(n, d, b, unit)``, lists sum_i e_i * unit^(i-1) for each
+admissible vector e in canonical order: with unit 256 it gives the layout
+codes below, the one listing of the vectors themselves, and with unit 1
+the coordinate sums that the stage plan of ``algo`` reads.
 
 ``rank`` and ``unrank`` read one prefix table per (n, d, D): row m holds
 the running sums S_m[k] = sum_{y<k} ebc_cum(m, y, d). Under the
@@ -157,18 +158,9 @@ def layout_size(n: int, d: int, D: int) -> int:
     return size
 
 
-_INT = frozenset((int,))
-
-
 def check_index(exponents, n: int, d: int, D: int) -> tuple[int, ...]:
     """Validate an exponent vector against (n, d, D); returns it as a tuple."""
     exps = tuple(exponents)
-    # A few whole-tuple builtin calls accept the common case; anything they
-    # do not accept (a bad vector, or an int subclass) gets the full check.
-    if (len(exps) == n and _INT.issuperset(map(type, exps))
-            and min(exps, default=0) >= 0 and max(exps, default=0) <= d
-            and sum(exps) <= D):
-        return exps
     if len(exps) != n:
         raise ValueError(f"expected {n} exponents, got {len(exps)}")
     for i, e in enumerate(exps):
@@ -184,21 +176,24 @@ def check_index(exponents, n: int, d: int, D: int) -> tuple[int, ...]:
     return exps
 
 
-def degree_sums(n: int, d: int, b: int) -> list[int]:
-    """Coordinate sum of each admissible vector of (n, d, b), b >= 0, in
-    canonical order.
+def _layout_walk(n: int, d: int, b: int, unit: int) -> list[int]:
+    """sum_i e_i * unit^(i-1) for each admissible vector e of the checked
+    shape (n, d, b), in canonical order; b = -1 gives none.
 
-    One walk from the last coordinate, the most significant, to the
-    first: level i lists the budget left under each admissible suffix
-    (e_{n-i+1}, ..., e_n), in canonical order, so level n holds b minus
-    the sum of each vector.
+    The (m, r) layout, budget r, is the concatenation over j <= min(d, r)
+    of the (m-1, r-j) layout's walk plus j * unit^(m-1); the j = 0 block
+    is the (m-1, r) walk itself. Level m holds the walk of every budget
+    that level n reaches, built from level m-1.
     """
-    # The budgets left after each value 0..min(d, r) of a coordinate.
-    left = [range(r, r - min(d, r) - 1, -1) for r in range(b + 1)]
-    level = [b]
-    for _ in range(n):
-        level = list(chain.from_iterable(map(left.__getitem__, level)))
-    return [b - r for r in level]
+    walk = {r: [0] for r in range(b + 1)}
+    for m in range(1, n + 1):
+        shift = unit ** (m - 1)
+        below = walk
+        walk = {r: list(chain(below[r], *(
+            map((j * shift).__add__, below[r - j])
+            for j in range(1, min(d, r) + 1))))
+            for r in range(max(0, b - (n - m) * d), b + 1)}
+    return walk.get(b, [])
 
 
 def layout_codes(n: int, d: int, b: int) -> list[int] | None:
@@ -208,23 +203,10 @@ def layout_codes(n: int, d: int, b: int) -> list[int] | None:
     budget, and b = -1 gives no codes. None if the N codes would take
     more than ``_CODE_BYTES``, n bytes each. Not cached: one list of N
     ints, built for one call.
-
-    The (m, r) layout, budget r, is the concatenation over j <= min(d, r)
-    of the (m-1, r-j) layout's codes plus j * 256^(m-1); the j = 0 block
-    is the (m-1, r) codes themselves. Level m holds the codes of every
-    budget that level n reaches, built from level m-1.
     """
     if n * _cum(n, d, b) > _CODE_BYTES:
         return None
-    codes = {r: [0] for r in range(b + 1)}
-    for m in range(1, n + 1):
-        shift = 1 << 8 * (m - 1)
-        below = codes
-        codes = {r: list(chain(below[r], *(
-            map((j * shift).__add__, below[r - j])
-            for j in range(1, min(d, r) + 1))))
-            for r in range(max(0, b - (n - m) * d), b + 1)}
-    return codes.get(b, [])
+    return _layout_walk(n, d, b, 256)
 
 
 def layout_vectors(n: int, d: int, b: int, selectors):

@@ -20,7 +20,7 @@ from trimmedpoly.algo import (
 )
 from trimmedpoly.checks import product, substitution_rows
 from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, rank, unrank
-from trimmedpoly.field import PrimeModulus, active_counter, run_counted
+from trimmedpoly.field import PrimeModulus, active_counter, run_counted, tally
 from trimmedpoly.linalg import (
     SquareMatrix,
     ZeroPivotError,
@@ -71,6 +71,28 @@ def test_grid_generators():
     assert rnd == Grid.random(MOD5, 3, 2, seed=1)
     assert all(len(set(row)) == 3 for row in rnd.rows)
     assert seq.point((1, 0, 2)) == (1, 0, 2)
+
+
+def test_value_objects_repr_hash_and_foreign_equality():
+    # Each pins its text; equal objects hash equal; a foreign type gives
+    # NotImplemented, so == falls back to identity and is False.
+    grid = Grid.sequential(MOD5, 2, 1)
+    assert repr(grid) == "Grid(n=2, d=1, p=5)"
+    assert grid.__eq__(object()) is NotImplemented and grid != 5
+    _, counter = run_counted(tally, mul=3, add=2, inv=1)
+    assert repr(counter) == "OpCounter(mul=3, add=2, inv=1)"
+    assert repr(MOD5) == "PrimeModulus(5)"
+    assert hash(PrimeModulus(5)) == hash(MOD5)
+    assert MOD5.__eq__(5) is NotImplemented and MOD5 != 5
+    for cls in (TrimmedPoly, EvalTable):
+        one, two = cls(MOD5, 1, 1, 1, [1, 2]), cls(MOD5, 1, 1, 1, [6, -3])
+        assert one == two and hash(one) == hash(two)
+        assert one.__eq__((1, 2)) is NotImplemented
+    sparse = SparsePoly(MOD5, 2, 1, 1, [((0, 0), 2), ((1, 0), 5),
+                                        ((0, 1), 4)])
+    assert repr(sparse) == "SparsePoly(n=2, d=1, D=1, p=5, 2 terms)"
+    assert sparse.__eq__(sparse.terms) is NotImplemented
+    assert sparse != sparse.terms
 
 
 def test_eval_table_validation():
@@ -270,40 +292,42 @@ def test_transforms_stack_depth_does_not_grow_with_n():
     finally:
         sys.setrecursionlimit(limit)
 
+
 def test_level_plan_blocks_are_degree_ordered():
-    # Every shape with 1 <= n <= 5, d <= 4 and 0 <= b <= nd. The stages
-    # combine blocks as prefixes of one another, which is right only if
-    # each top-variable block is in degree order.
-    for n in range(1, 6):
-        for d in range(1, 5):
-            for b in range(n * d + 1):
-                jmax, offs, enter, leave, relabel = _level_plan(n, b, d)
-                N = ebc_cum(n, b, d)
-                ident = list(range(N))
-                # the relabelling is a gather: on the identity it gives its
-                # index table, as a sequence also at N = 1
-                up = list(relabel(ident))
-                assert sorted(enter) == ident == sorted(up), (n, d, b)
-                exps = enumerate_trimmed(n, d, b)
-                for j in range(jmax + 1):
-                    block = enter[offs[j]:offs[j + 1]]
-                    assert sorted(block) == ident[offs[j]:offs[j + 1]]
-                    sums = [sum(exps[c]) for c in block]
-                    assert sums == sorted(sums), (n, d, b, j)
-                # up brings e_1 to the top: the entry it moves to
-                # (e_2, ..., e_n, e_1) comes from (e_1, ..., e_n)
-                inner = [exps[c] for c in enter]
-                assert all(f == inner[i][1:] + inner[i][:1]
-                           for i, f in zip(up, inner)), (n, d, b)
-                perm = ident
-                for _ in range(n):
-                    perm = relabel(perm)
-                assert list(perm) == ident, (n, d, b)
-                # the stages' path: enter, 2n - 1 relabellings, leave
-                perm = list(enter)
-                for _ in range(2 * n - 1):
-                    perm = relabel(perm)
-                assert [perm[i] for i in leave] == ident, (n, d, b)
+    # Every shape with 1 <= n <= 5, d <= 4 and 0 <= b <= nd, and two wide
+    # shapes whose budgets lie far below nd. The stages combine blocks as
+    # prefixes of one another, which is right only if each top-variable
+    # block is in degree order.
+    shapes = [(n, d, b) for n in range(1, 6) for d in range(1, 5)
+              for b in range(n * d + 1)]
+    for n, d, b in shapes + [(60, 1, 2), (25, 2, 3)]:
+        jmax, offs, enter, leave, relabel = _level_plan(n, b, d)
+        N = ebc_cum(n, b, d)
+        ident = list(range(N))
+        # the relabelling is a gather: on the identity it gives its
+        # index table, as a sequence also at N = 1
+        up = list(relabel(ident))
+        assert sorted(enter) == ident == sorted(up), (n, d, b)
+        exps = enumerate_trimmed(n, d, b)
+        for j in range(jmax + 1):
+            block = enter[offs[j]:offs[j + 1]]
+            assert sorted(block) == ident[offs[j]:offs[j + 1]]
+            sums = [sum(exps[c]) for c in block]
+            assert sums == sorted(sums), (n, d, b, j)
+        # up brings e_1 to the top: the entry it moves to
+        # (e_2, ..., e_n, e_1) comes from (e_1, ..., e_n)
+        inner = [exps[c] for c in enter]
+        assert all(f == inner[i][1:] + inner[i][:1]
+                   for i, f in zip(up, inner)), (n, d, b)
+        perm = ident
+        for _ in range(n):
+            perm = relabel(perm)
+        assert list(perm) == ident, (n, d, b)
+        # the stages' path: enter, 2n - 1 relabellings, leave
+        perm = list(enter)
+        for _ in range(2 * n - 1):
+            perm = relabel(perm)
+        assert [perm[i] for i in leave] == ident, (n, d, b)
 
 
 # Why interpolation does not factor V^-1: a lower*upper factorization of

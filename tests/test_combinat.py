@@ -6,6 +6,7 @@ import pytest
 from trimmedpoly.combinat import (
     SIZE_LIMIT,
     CapacityError,
+    _layout_walk,
     count_rows,
     ebc,
     ebc_cum,
@@ -154,6 +155,8 @@ def test_layout_codes_are_the_byte_codes_in_order():
                                  for e in vectors], (n, d, D)
                 # numeric order of the codes is the canonical order
                 assert codes == sorted(set(codes))
+                # with unit 1 the same walk gives the coordinate sums
+                assert _layout_walk(n, d, b, 1) == [sum(e) for e in vectors]
     # at the cube cap, n * (d+1)^3 = 2^21, the top byte is d = 127
     assert layout_codes(1, 127, 127) == list(range(128))
     assert layout_codes(3, 2, 0) == [0]

@@ -21,6 +21,17 @@ def test_is_prime_basics():
     assert not is_prime(561)
 
 
+def test_miller_rabin_rejects_composites_past_trial_division():
+    # Every factor exceeds the largest witness, 37, so trial division
+    # passes each of these and only a Miller-Rabin round rejects it. The
+    # last is a strong pseudoprime to every witness up to 31: only 37
+    # catches it.
+    for n in (1763, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+        with pytest.raises(ValueError, match="is not prime"):
+            PrimeModulus(n)
+
+
 def test_modulus_rejects_bad_values():
     with pytest.raises(ValueError):
         PrimeModulus(4)
