@@ -19,18 +19,18 @@ evaluation table in this package is addressed by ``rank`` in this order,
 so that fixing the last coordinate always selects a contiguous slice.
 
 The layout of (n, d, b), b a budget, is built here only. The cached
-``count_rows`` holds ebc_cum(m, k, d) for m <= n and k <= b; the counts,
-the capacity checks and the rank table read it. One walk,
-``_layout_walk(n, d, b, unit)``, lists sum_i e_i * unit^(i-1) for each
-admissible vector e in canonical order: with unit 256 it gives the layout
-codes below, the one listing of the vectors themselves, and with unit 1
-the coordinate sums that the stage plan of ``algo`` reads.
-
-``rank`` and ``unrank`` read one prefix table per (n, d, D): row m holds
-the running sums S_m[k] = sum_{y<k} ebc_cum(m, y, d). Under the
+``count_rows``, keyed on the clamped budget, is its one table: row m
+holds the running sums S_m[k] = sum_{y<k} ebc_cum(m, y, d) for m <= n
+and k <= b+1, so ebc_cum(m, k, d) = S_m[k+1] - S_m[k]. The counts, the
+capacity checks, ``rank`` and ``unrank`` all read it. Under the
 remaining budget b, the vectors that precede value e in coordinate m+1
 number sum_{j<e} ebc_cum(m, b-j, d) = S_m[b+1] - S_m[b+1-e], so a rank
 is n table differences and an unrank is n bisections.
+
+One walk, ``_layout_walk(n, d, b, unit)``, lists sum_i e_i * unit^(i-1)
+for each admissible vector e in canonical order: with unit 256 it gives
+the layout codes below, the one listing of the vectors themselves, and
+with unit 1 the coordinate sums that the stage plan of ``algo`` reads.
 
 A vector e has the byte code ``int.from_bytes(bytes(e), "little")``:
 coordinate i is byte i, so the last coordinate is the most significant,
@@ -97,24 +97,26 @@ def _check_params(n: int, d: int) -> None:
 
 @lru_cache(maxsize=None)
 def count_rows(n: int, d: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """Rows m = 0..n of ebc_cum(m, k, d) for k = 0..b.
+    """Rows m = 0..n of the running sums S_m[k] = sum_{y<k} ebc_cum(m, y, d)
+    for k = 0..b+1, so ebc_cum(m, k, d) = S_m[k+1] - S_m[k].
 
-    Row m follows from row m-1 by the window rule on cumulative counts,
-    cum_m[k] = sum_{j<=d} cum_{m-1}[k-j]. A row's entries never exceed its
+    The counts of row m follow from S_{m-1} by the window rule on
+    cumulative counts, cum_m[k] = sum_{j<=d} cum_{m-1}[k-j] =
+    S_{m-1}[k+1] - S_{m-1}[max(0, k-d)]. A row's counts never exceed its
     last one and rows grow with m, so the build raises CapacityError as
-    soon as a last entry passes COUNT_LIMIT. With b = -1, the budget of an
-    empty layout, every row is empty.
+    soon as a last count passes COUNT_LIMIT. With b = -1, the budget of an
+    empty layout, every row is (0,).
     """
     _check_size((n + 1) * (b + 1), f"count table of (n={n}, d={d}, D={b})")
-    row = (1,) * (b + 1)
-    rows = [row]
+    run = tuple(range(b + 2))  # every count of row 0 is 1
+    rows = [run]
     for m in range(1, n + 1):
-        run = list(accumulate(row, initial=0))
-        row = tuple(run[k + 1] - run[max(0, k - d)] for k in range(b + 1))
+        row = [run[k + 1] - run[max(0, k - d)] for k in range(b + 1)]
         if row and row[-1] > COUNT_LIMIT:
             raise CapacityError(
                 f"more than 2^63 - 1 vectors for (n={n}, d={d}, D={b})")
-        rows.append(row)
+        run = tuple(accumulate(row, initial=0))
+        rows.append(run)
     return tuple(rows)
 
 
@@ -129,13 +131,17 @@ def ebc(n: int, k: int, d: int) -> int:
     _check_params(n, d)
     if k < 0 or k > n * d:
         return 0
-    row = count_rows(n, d, k)[n]
-    return row[k] - (row[k - 1] if k else 0)
+    run = count_rows(n, d, k)[n]
+    return run[k + 1] - run[k] - (run[k] - run[k - 1] if k else 0)
 
 
 def _cum(n: int, d: int, b: int) -> int:
-    """ebc_cum(n, b, d) of a checked shape and a clamped budget b."""
-    return count_rows(n, d, b)[n][b] if b >= 0 else 0
+    """ebc_cum(n, b, d) of a checked shape and a clamped budget b: the
+    difference S_n[b+1] - S_n[b] of ``count_rows(n, d, b)``."""
+    if b < 0:
+        return 0
+    run = count_rows(n, d, b)[n]
+    return run[b + 1] - run[b]
 
 
 def ebc_cum(n: int, D: int, d: int) -> int:
@@ -183,14 +189,15 @@ def _layout_walk(n: int, d: int, b: int, unit: int) -> list[int]:
     The (m, r) layout, budget r, is the concatenation over j <= min(d, r)
     of the (m-1, r-j) layout's walk plus j * unit^(m-1); the j = 0 block
     is the (m-1, r) walk itself. Level m holds the walk of every budget
-    that level n reaches, built from level m-1.
+    that level n reaches, built from level m-1. The shift unit^(m-1), an
+    m-byte int at unit 256, is computed only for a block j >= 1, so at
+    b = 0 the walk is linear in n.
     """
     walk = {r: [0] for r in range(b + 1)}
     for m in range(1, n + 1):
-        shift = unit ** (m - 1)
         below = walk
         walk = {r: list(chain(below[r], *(
-            map((j * shift).__add__, below[r - j])
+            map((j * unit ** (m - 1)).__add__, below[r - j])
             for j in range(1, min(d, r) + 1))))
             for r in range(max(0, b - (n - m) * d), b + 1)}
     return walk.get(b, [])
@@ -231,39 +238,26 @@ def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
                                            repeat(1))))
 
 
-@lru_cache(maxsize=None)
-def _prefix_sums(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
-    """Rows S_0..S_{n-1} of the rank table; D is already within [-1, n*d]."""
-    return tuple(tuple(accumulate(row, initial=0))
-                 for row in count_rows(n, d, D)[:n])
-
-
-@lru_cache(maxsize=None)
-def ranker(n: int, d: int, D: int):
-    """The rank function of (n, d, D) for vectors that already passed
-    ``check_index(exps, n, d, D)``; it does not validate them again."""
-    _check_params(n, d)
-    top = clamp_budget(n, d, D)
-    rows = tuple(reversed(_prefix_sums(n, d, top)))
-
-    def rank_of(exps) -> int:
-        r = 0
-        b = top + 1
-        for sums, e in zip(rows, reversed(exps)):
-            r += sums[b] - sums[b - e]
-            b -= e
-        return r
-
-    return rank_of
+def _rank(exps, rows, b: int) -> int:
+    """The rank of a vector that passed ``check_index``: rows are
+    S_{n-1}, ..., S_0 of ``count_rows(n, d, b)``, b the clamped budget."""
+    r = 0
+    b += 1
+    for sums, e in zip(rows, reversed(exps)):
+        r += sums[b] - sums[b - e]
+        b -= e
+    return r
 
 
 def rank(exponents, n: int, d: int, D: int) -> int:
     """Position of an exponent vector in the canonical order.
 
-    O(n) lookups in the cached prefix table of (n, d, D).
+    n lookups in the cached ``count_rows`` of (n, d, D).
     """
     exps = check_index(exponents, n, d, D)
-    return ranker(n, d, D)(exps)
+    _check_params(n, d)
+    b = clamp_budget(n, d, D)
+    return _rank(exps, count_rows(n, d, b)[:n][::-1], b)
 
 
 def unrank(position: int, n: int, d: int, D: int) -> tuple[int, ...]:
@@ -278,7 +272,7 @@ def unrank(position: int, n: int, d: int, D: int) -> tuple[int, ...]:
     r = position
     b = top + 1
     out = []
-    for sums in reversed(_prefix_sums(n, d, top)):
+    for sums in reversed(count_rows(n, d, top)[:n]):
         # sums is strictly increasing; this coordinate's value is b - x
         x = bisect_left(sums, sums[b] - r, 0, b + 1)
         r -= sums[b] - sums[x]

@@ -135,16 +135,16 @@ def write_trimmed_poly(poly: TrimmedPoly, handle) -> None:
                         filter(None, coeffs))))
 
 
-def _poly_header(obj: dict) -> tuple:
-    """The modulus, n, d, D and term list of a polynomial document."""
-    what = "polynomial document"
+def _header(obj: dict, what: str, key: str) -> tuple:
+    """The modulus, n, d, D and ``key`` list of a polynomial or table
+    document, read in that order."""
     return (_parse_modulus(obj, what), _get(obj, "n", int, what),
             _get(obj, "d", int, what), _get(obj, "D", int, what),
-            _get(obj, "terms", list, what))
+            _get(obj, key, list, what))
 
 
 def sparse_poly_from_dict(obj: dict) -> SparsePoly:
-    modulus, n, d, D, raw_terms = _poly_header(obj)
+    modulus, n, d, D, raw_terms = _header(obj, "polynomial document", "terms")
     terms = []
     for i, term in enumerate(raw_terms):
         exp, coeff = _parse_term(i, term)
@@ -166,7 +166,7 @@ def trimmed_poly_from_dict(obj: dict) -> TrimmedPoly:
 
 
 def _bulk_poly(obj: dict) -> TrimmedPoly | None:
-    modulus, n, d, D, terms = _poly_header(obj)
+    modulus, n, d, D, terms = _header(obj, "polynomial document", "terms")
     D = clamp_budget(n, d, D)
     layout_size(n, d, D)
     codes = layout_codes(n, d, D)
@@ -246,12 +246,8 @@ def write_eval_table(table: EvalTable, handle) -> None:
 
 
 def eval_table_from_dict(obj: dict) -> EvalTable:
-    what = "evaluation table document"
-    modulus = _parse_modulus(obj, what)
-    n = _get(obj, "n", int, what)
-    d = _get(obj, "d", int, what)
-    D = _get(obj, "D", int, what)
-    raw_values = _get(obj, "values", list, what)
+    modulus, n, d, D, raw_values = _header(
+        obj, "evaluation table document", "values")
     try:
         values = list(map(int, raw_values, repeat(10)))
     except (TypeError, ValueError):

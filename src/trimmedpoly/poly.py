@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import random
 
-from .combinat import (ValidationError, _check_params, check_index,
-                       clamp_budget, layout_size, layout_vectors, ranker)
+from .combinat import (ValidationError, _check_params, _rank, check_index,
+                       clamp_budget, count_rows, layout_size, layout_vectors)
 from .field import PrimeModulus, tally
 
 
@@ -165,12 +165,12 @@ class SparsePoly:
 
 def from_sparse(sparse: SparsePoly) -> TrimmedPoly:
     """Densify a term list into canonical-order coefficients."""
-    coeffs = [0] * layout_size(sparse.n, sparse.d, sparse.D)
-    rank_of = ranker(sparse.n, sparse.d, sparse.D)
+    n, d, b = sparse.n, sparse.d, sparse.D
+    coeffs = [0] * layout_size(n, d, b)
+    rows = count_rows(n, d, b)[:n][::-1]
     for exps, coeff in sparse.terms:  # validated when sparse was built
-        coeffs[rank_of(exps)] = coeff
-    return TrimmedPoly._trusted(sparse.modulus, sparse.n, sparse.d, sparse.D,
-                                coeffs)
+        coeffs[_rank(exps, rows, b)] = coeff
+    return TrimmedPoly._trusted(sparse.modulus, n, d, b, coeffs)
 
 
 def to_sparse(poly: TrimmedPoly) -> SparsePoly:

@@ -171,6 +171,20 @@ def test_interp_zero_table(tmp_path):
     assert json.loads(out.read_text())["terms"] == []
 
 
+@pytest.mark.parametrize("command", ["eval", "interp"])
+def test_non_object_document_exits_1(tmp_path, capsys, command):
+    # a top-level array is refused with one line, and no output is written
+    doc = write(tmp_path / "in.json", [WORKED_POLY])
+    flag = "--poly" if command == "eval" else "--evals"
+    out = tmp_path / "out.json"
+    assert main([command, flag, doc, "--grid",
+                 write(tmp_path / "grid.json", WORKED_GRID),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {doc}: top-level JSON value must be an object\n"
+    assert not out.exists()
+
+
 def test_interp_wrong_length_exits_1(tmp_path, capsys):
     table = write(tmp_path / "table.json",
                   {"p": "5", "n": 2, "d": 1, "D": 1, "values": ["2", "0"]})
@@ -206,6 +220,16 @@ def test_roundtrip_bad_params(capsys):
     assert main(["roundtrip", "--n", "2", "--d", "1", "--D", "1",
                  "--prime", "6", "--trials", "1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--D", "--trials"])
+def test_roundtrip_negative_budget_or_trials_exits_1(capsys, flag):
+    argv = {"--n": "2", "--d": "1", "--D": "1", "--prime": "7",
+            "--trials": "1", flag: "-1"}
+    assert main(["roundtrip", *(x for kv in argv.items() for x in kv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need D >= 0 and trials >= 0\n"
+    assert captured.out == ""
 
 
 def test_roundtrip_prime_below_node_count_exits_1(capsys):
@@ -247,6 +271,15 @@ def test_parse_sweep():
         parse_sweep("n=2;d=1;D=half")
     with pytest.raises(ValidationError):
         parse_sweep("n=0..2;d=1;D=nd")
+    # a blank assignment is skipped
+    assert parse_sweep("n=2;;d=1;D=nd") == [(2, 1, 2)]
+    for spec, message in [("n=3..1;d=1;D=nd", "n: empty range '3..1'"),
+                          ("n=2;d;D=nd", "sweep entry 'd' is not key=value"),
+                          ("n=2;d=1;D=nd;k=3", "unknown sweep key 'k'"),
+                          ("n=2;d=1;D=-1", "negative D = -1 in sweep")]:
+        with pytest.raises(ValidationError) as excinfo:
+            parse_sweep(spec)
+        assert str(excinfo.value) == message
 
 
 def test_bench_refuses_huge_sweep_before_expanding(tmp_path, capsys):

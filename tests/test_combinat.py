@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -163,6 +164,15 @@ def test_layout_codes_are_the_byte_codes_in_order():
     assert layout_codes(3, 2, 1) == [0, 1, 256, 65536]
 
 
+def test_one_point_layouts_walk_in_linear_time():
+    # At D = 0 no block j >= 1 exists, so the walk computes no shift
+    # unit^(m-1): an m-byte int per level would make 50,000 levels take
+    # tens of seconds
+    start = time.perf_counter()
+    assert layout_codes(50000, 1, 0) == [0]
+    assert time.perf_counter() - start < 3
+
+
 def test_block_contiguity():
     # indices with last coordinate j occupy one contiguous range per j
     for n in range(1, 5):
@@ -194,6 +204,29 @@ def test_rank_unrank_exhaustive_bijection():
                 for position, exps in enumerate(idxs):
                     assert rank(exps, n, d, D) == position, (n, d, D, exps)
                     assert unrank(position, n, d, D) == exps
+
+
+def test_rank_and_unrank_keep_no_table_of_their_own():
+    # count_rows is the one per-shape table: rank and unrank read the
+    # running sums that layout_size built, keyed on the clamped budget.
+    # No other test uses (30000, 1, 1), whose table is about 2.6 MB.
+    n = 30000
+    last = (0,) * (n - 1) + (1,)
+    count_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        layout_size(n, 1, 1)
+        table = tracemalloc.get_traced_memory()[0]
+        assert rank(last, n, 1, 1) == n
+        assert unrank(n, n, 1, 1) == last
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.1 * table
+    entries = count_rows.cache_info().currsize
+    assert rank((0, 1), 2, 1, 9) == rank((0, 1), 2, 1, 2) == 2
+    assert unrank(2, 2, 1, 9) == (0, 1)
+    assert count_rows.cache_info().currsize == entries + 1
 
 
 def test_rank_unrank_rejects_out_of_range():
