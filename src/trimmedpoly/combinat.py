@@ -21,8 +21,9 @@ so that fixing the last coordinate always selects a contiguous slice.
 The layout of (n, d, b), b a budget, is built here only. The cached
 ``count_rows``, keyed on the clamped budget, is its one table: row m
 holds the running sums S_m[k] = sum_{y<k} ebc_cum(m, y, d) for m <= n
-and k <= b+1, so ebc_cum(m, k, d) = S_m[k+1] - S_m[k]. The counts, the
-capacity checks, ``rank`` and ``unrank`` all read it. Under the
+and k <= b+1, so ebc_cum(m, k, d) = S_m[k+1] - S_m[k]. ``ebc_cum``, the
+capacity checks, ``rank`` and ``unrank`` all read it; ``ebc(n, k, d)``
+builds the rows of budget k uncached, so no table is kept per k. Under the
 remaining budget b, the vectors that precede value e in coordinate m+1
 number sum_{j<e} ebc_cum(m, b-j, d) = S_m[b+1] - S_m[b+1-e], so a rank
 is n table differences and an unrank is n bisections.
@@ -38,13 +39,11 @@ and the numeric order of the codes is the canonical order.
 ``layout_codes`` lists a layout's codes in that order. A code is exact,
 one byte per coordinate, while d <= 255, and ``layout_size``'s cube cap
 n * (d+1)^3 <= 2^21 keeps d <= 127 for n >= 1. The codes take n bytes
-per vector, so they have one gate for wide shapes: above ``_CODE_BYTES``
-= 8 * SIZE_LIMIT bytes in all, ``layout_codes`` gives None, and the
-bulk decode of ``jsonio`` falls back. Every other listing of a layout's
-vectors reads ``layout_vectors``, which yields the selected slots' code
-bytes, or their ``unrank`` tuples above the gate: ``enumerate_trimmed``,
-``poly.to_sparse``, the oracle and the writer of ``jsonio``. None of
-them is cached.
+per vector, n * N in all, which ``WORK_LIMIT`` bounds. The bulk decode
+of ``jsonio`` reads them, and every other listing of a layout's vectors
+reads ``layout_vectors``, the selected slots' code bytes:
+``enumerate_trimmed``, ``poly.to_sparse``, the oracle and the writer of
+``jsonio``. None of them is cached.
 
 A shape (n, d, D) needs n >= 0 and d >= 1; ``_check_params`` is the one
 place that rule is raised, as ValidationError, for every module of the
@@ -58,7 +57,9 @@ shape cost more than ``SIZE_LIMIT``: its (n+1) * (b+1) count rows, or (in
 ``layout_size``) its N-entry layout or n * (d+1)^3. The last bounds the
 per-variable factors, written in closed form in O(n * (d+1)^2), more
 tightly than their size: a square bound would admit d+1 = 1448 at n = 1,
-seconds of work for one point. Each is checked before anything is built.
+seconds of work for one point. ``layout_size`` also caps n * N, the
+entries that one direction's n stages visit and the layout codes' bytes,
+at ``WORK_LIMIT``. Each is checked before anything is built.
 """
 
 from __future__ import annotations
@@ -69,12 +70,12 @@ from itertools import accumulate, chain, compress, repeat
 
 COUNT_LIMIT = (1 << 63) - 1
 SIZE_LIMIT = 1 << 21
-# The most bytes, n per vector, that ``layout_codes`` builds codes for
-_CODE_BYTES = 8 * SIZE_LIMIT
+# The most n * N of a shape: entry visits per stage pair, and code bytes
+WORK_LIMIT = 1 << 26
 
 
 class CapacityError(OverflowError):
-    """A count exceeds the 2^63 - 1 guard, or a shape SIZE_LIMIT."""
+    """A count exceeds 2^63 - 1, or a shape SIZE_LIMIT or WORK_LIMIT."""
 
 
 class ValidationError(ValueError):
@@ -131,7 +132,7 @@ def ebc(n: int, k: int, d: int) -> int:
     _check_params(n, d)
     if k < 0 or k > n * d:
         return 0
-    run = count_rows(n, d, k)[n]
+    run = count_rows.__wrapped__(n, d, k)[n]  # no table cached per k
     return run[k + 1] - run[k] - (run[k] - run[k - 1] if k else 0)
 
 
@@ -152,15 +153,19 @@ def ebc_cum(n: int, D: int, d: int) -> int:
 
 def layout_size(n: int, d: int, D: int) -> int:
     """ebc_cum(n, D, d) for a shape about to be built, once the shape
-    rule holds and its factors and its layout are known to fit
-    SIZE_LIMIT."""
+    rule holds, its factors and its layout are known to fit SIZE_LIMIT,
+    and n * N is known to fit WORK_LIMIT."""
     _check_params(n, d)
     cube = n * (d + 1) ** 3
     if cube > SIZE_LIMIT:
         raise CapacityError(f"factors of (n={n}, d={d}): n*(d+1)^3 is "
                             f"{cube}, more than the limit {SIZE_LIMIT}")
     size = _cum(n, d, clamp_budget(n, d, D))
-    _check_size(size, f"layout of (n={n}, d={d}, D={D})")
+    what = f"layout of (n={n}, d={d}, D={D})"
+    _check_size(size, what)
+    if n * size > WORK_LIMIT:
+        raise CapacityError(f"{what}: n*N is {n * size}, more than the "
+                            f"limit {WORK_LIMIT}")
     return size
 
 
@@ -203,30 +208,22 @@ def _layout_walk(n: int, d: int, b: int, unit: int) -> list[int]:
     return walk.get(b, [])
 
 
-def layout_codes(n: int, d: int, b: int) -> list[int] | None:
+def layout_codes(n: int, d: int, b: int) -> list[int]:
     """The byte code ``int.from_bytes(bytes(e), "little")`` of each
     admissible vector e of the checked shape (n, d, b), in canonical
     order, which is the numeric order of the codes; b is the clamped
-    budget, and b = -1 gives no codes. None if the N codes would take
-    more than ``_CODE_BYTES``, n bytes each. Not cached: one list of N
-    ints, built for one call.
+    budget, and b = -1 gives no codes. Not cached: one list of N ints,
+    built for one call.
     """
-    if n * _cum(n, d, b) > _CODE_BYTES:
-        return None
     return _layout_walk(n, d, b, 256)
 
 
 def layout_vectors(n: int, d: int, b: int, selectors):
     """The exponent vector of each slot of the checked shape (n, d, b)
     that ``selectors`` keeps, in canonical order: the bytes of its layout
-    code, or, where ``layout_codes`` gives None, its ``unrank`` tuple. So
-    a shape above the code gate costs its selected slots, not n * N."""
-    codes = layout_codes(n, d, b)
-    if codes is None:
-        return (unrank(r, n, d, b)
-                for r in compress(range(_cum(n, d, b)), selectors))
-    return map(int.to_bytes, compress(codes, selectors), repeat(n),
-               repeat("little"))
+    code."""
+    return map(int.to_bytes, compress(layout_codes(n, d, b), selectors),
+               repeat(n), repeat("little"))
 
 
 def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
@@ -254,8 +251,8 @@ def rank(exponents, n: int, d: int, D: int) -> int:
 
     n lookups in the cached ``count_rows`` of (n, d, D).
     """
-    exps = check_index(exponents, n, d, D)
     _check_params(n, d)
+    exps = check_index(exponents, n, d, D)
     b = clamp_budget(n, d, D)
     return _rank(exps, count_rows(n, d, b)[:n][::-1], b)
 

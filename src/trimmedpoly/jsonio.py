@@ -13,11 +13,7 @@ Encoding. ``write_trimmed_poly`` writes a term for each nonzero
 coefficient, straight from the dense vector: it pairs the coefficients
 with the layout's byte codes (``combinat.layout_codes``), and byte i of a
 code is exponent i, so each exponent list is the code's bytes looked up
-in a table of digit strings. No exponent tuple is built per slot. It
-reads them through ``combinat.layout_vectors``, so the gate of
-``combinat`` applies: a shape whose N codes would take more than
-8 * SIZE_LIMIT bytes gets the ``unrank`` tuple of each nonzero slot
-instead, and a wide shape costs its nonzero terms, not n * N.
+in a table of digit strings. No exponent tuple is built per slot.
 
 Decoding. ``trimmed_poly_from_dict`` takes a parsed polynomial document
 straight to its dense ``TrimmedPoly``, as
@@ -29,11 +25,9 @@ vector's byte code ``int.from_bytes(bytes(e), "little")``. A code table
 shorter than the term list holds a duplicate. One pass over the layout's
 codes (``combinat.layout_codes``) then fills the dense vector, popping
 each code it finds; a code left over is a vector outside the layout, with
-an exponent above d or a sum above D. A shape above the gate of
-``combinat``, where ``layout_codes`` gives None, is left to the
-per-entry decode. ``eval_table_from_dict`` parses its values with one
-``map(int, ...)`` and leaves the range check to ``EvalTable``, which
-checks all of them at once.
+an exponent above d or a sum above D. ``eval_table_from_dict`` parses
+its values with one ``map(int, ...)`` and leaves the range check to
+``EvalTable``, which checks all of them at once.
 
 A bulk decode raises no error of its own. Whatever a bulk check rejects,
 and whatever makes a bulk step raise, goes through the per-entry decode
@@ -169,9 +163,6 @@ def _bulk_poly(obj: dict) -> TrimmedPoly | None:
     modulus, n, d, D, terms = _header(obj, "polynomial document", "terms")
     D = clamp_budget(n, d, D)
     layout_size(n, d, D)
-    codes = layout_codes(n, d, D)
-    if codes is None:
-        return None
     exps = list(map(itemgetter("exp"), terms))
     coeffs = list(map(int, map(itemgetter("coeff"), terms), repeat(10)))
     if not (set(map(type, terms)) <= {dict}
@@ -186,7 +177,8 @@ def _bulk_poly(obj: dict) -> TrimmedPoly | None:
     if len(table) < len(terms):
         return None  # a duplicated term
     p = modulus.p
-    coeffs = [c % p for c in map(table.pop, codes, repeat(0))]
+    coeffs = [c % p for c in map(table.pop, layout_codes(n, d, D),
+                                 repeat(0))]
     # a code left over is a vector outside the layout: an exponent above
     # d, or a sum above D
     return None if table else TrimmedPoly._trusted(modulus, n, d, D, coeffs)

@@ -56,11 +56,13 @@ def test_eval_constant_poly(tmp_path):
     {"p": "65537", "n": 10000, "d": 100, "D": 1000000, "terms": []},
     {"p": "5", "n": 30, "d": 1, "D": 30, "terms": []},
     {"p": "65537", "n": 1, "d": 200, "D": 0, "terms": []},
-], ids=["wide", "deep-budget", "big-layout", "cubic-factor"])
+    {"p": "5", "n": 200, "d": 1, "D": 3, "terms": []},
+], ids=["wide", "deep-budget", "big-layout", "cubic-factor", "stage-work"])
 def test_eval_refuses_shapes_above_size_limit(tmp_path, capsys, doc):
     # A few bytes of JSON must not make eval build n factors, a huge
     # count table or a huge layout, nor factors of degree 200, over the
-    # cube bound n*(d+1)^3: refused before anything is built.
+    # cube bound n*(d+1)^3, nor run stages of n*N over the work limit:
+    # refused before anything is built.
     # The first call is untraced: it pays argparse's lazy imports, so that
     # the traced second call measures the refusal itself.
     poly = write(tmp_path / "poly.json", doc)
@@ -78,6 +80,22 @@ def test_eval_refuses_shapes_above_size_limit(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "more than the limit" in err
     assert peak < 256 << 10
+    assert not out.exists()
+
+
+def test_interp_refuses_shapes_above_work_limit(tmp_path, capsys):
+    # (200, 1, 3) has N = 1,333,501 within SIZE_LIMIT, but n*N over the
+    # work limit: refused with one line before the values are checked
+    table = write(tmp_path / "table.json",
+                  {"p": "5", "n": 200, "d": 1, "D": 3, "values": []})
+    grid = write(tmp_path / "grid.json",
+                 {"p": "5", "n": 200, "d": 1, "nodes": [["0", "1"]] * 200})
+    out = tmp_path / "poly.json"
+    assert main(["interp", "--evals", table, "--grid", grid,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n*N is 266700200, more than the limit 67108864" in err
     assert not out.exists()
 
 

@@ -4,9 +4,12 @@ import tracemalloc
 
 import pytest
 
+from trimmedpoly.checks import extended_pascal
 from trimmedpoly.combinat import (
     SIZE_LIMIT,
+    WORK_LIMIT,
     CapacityError,
+    ValidationError,
     _layout_walk,
     count_rows,
     ebc,
@@ -18,6 +21,8 @@ from trimmedpoly.combinat import (
     rank,
     unrank,
 )
+from trimmedpoly.field import PrimeModulus
+from trimmedpoly.poly import TrimmedPoly
 
 
 def brute_count(n, k, d):
@@ -73,6 +78,20 @@ def test_parameter_validation():
         ebc(3, 1, 0)
     with pytest.raises(ValueError):
         enumerate_trimmed(2, 1, -1)
+    # rank raises the shape rule before it reads the exponents
+    with pytest.raises(ValidationError, match="variable count must be >= 0"):
+        rank((0,), -1, 1, 1)
+    with pytest.raises(ValidationError, match="individual degree must be >= 1"):
+        rank((0,), 1, 0, 1)
+
+
+def test_ebc_keeps_no_table_per_k():
+    # ebc(n, k, d) builds the count rows of budget k uncached: a cached
+    # table per distinct k left 585 tables after extended_pascal
+    entries = count_rows.cache_info().currsize
+    assert extended_pascal() > 0
+    assert count_rows.cache_info().currsize == entries
+    assert ebc(200, 5, 1) == 2535650040
 
 
 def test_capacity_guard():
@@ -116,6 +135,17 @@ def test_size_limit_bounds_every_table():
         layout_size(30, 1, 30)  # N = 2^30
     with pytest.raises(CapacityError, match="layout"):
         enumerate_trimmed(30, 1, 30)
+    # n*N, the stages' entry visits per direction and the layout codes'
+    # bytes, is capped at WORK_LIMIT = 2^26, after the layout's own check
+    assert WORK_LIMIT == 1 << 26
+    assert layout_size(8191, 1, 1) == 8192  # n*N = 2^26 - 1
+    with pytest.raises(CapacityError, match=r"n\*N is 67117056, more than "
+                       r"the limit 67108864"):
+        layout_size(8192, 1, 1)
+    with pytest.raises(CapacityError, match=r"n\*N"):
+        layout_size(200, 1, 3)  # N = 1,333,501, within SIZE_LIMIT
+    with pytest.raises(CapacityError, match=r"n\*N"):
+        TrimmedPoly(PrimeModulus(5), 20000, 1, 1, [0] * 20001)
     # the largest shapes the tests transform stay within it
     assert layout_size(10, 3, 30) == 4 ** 10
     assert layout_size(2000, 1, 1) == 2001
@@ -208,14 +238,14 @@ def test_rank_unrank_exhaustive_bijection():
 
 def test_rank_and_unrank_keep_no_table_of_their_own():
     # count_rows is the one per-shape table: rank and unrank read the
-    # running sums that layout_size built, keyed on the clamped budget.
+    # running sums that ebc_cum built, keyed on the clamped budget.
     # No other test uses (30000, 1, 1), whose table is about 2.6 MB.
     n = 30000
     last = (0,) * (n - 1) + (1,)
     count_rows.cache_clear()
     tracemalloc.start()
     try:
-        layout_size(n, 1, 1)
+        ebc_cum(n, 1, 1)
         table = tracemalloc.get_traced_memory()[0]
         assert rank(last, n, 1, 1) == n
         assert unrank(n, n, 1, 1) == last

@@ -1,15 +1,14 @@
 import io
 import json
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trimmedpoly import combinat, jsonio
+from trimmedpoly import jsonio
 from trimmedpoly.algo import EvalTable, Grid, trimmed_eval
-from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, layout_codes
+from trimmedpoly.combinat import ebc_cum, enumerate_trimmed
 from trimmedpoly.field import PrimeModulus
 from trimmedpoly.jsonio import (
     eval_table_from_dict,
@@ -219,34 +218,10 @@ WRITE_CASES = {
 }
 
 
-@pytest.mark.parametrize("gate", ["codes", "unrank"])
 @pytest.mark.parametrize("name", WRITE_CASES)
-def test_write_trimmed_poly_named_shapes(name, gate, monkeypatch):
-    # with the gate at 0 bytes, every shape with n >= 1 is above it
-    if gate == "unrank":
-        monkeypatch.setattr(combinat, "_CODE_BYTES", 0)
+def test_write_trimmed_poly_named_shapes(name):
     poly = WRITE_CASES[name]
     assert _written(write_trimmed_poly, poly) == _dumped_poly(poly)
-
-
-def test_wide_shapes_write_without_the_layout_codes():
-    # At (n, d, D) = (20000, 1, 1) the layout codes would hold 200 MB, and
-    # N exponent tuples 3 GB: only the nonzero slot is unranked.
-    n = 20_000
-    coeffs = [0] * n + [3]
-    poly = TrimmedPoly(MOD5, n, 1, 1, coeffs)
-    assert layout_codes(n, 1, 1) is None
-    tracemalloc.start()
-    try:
-        text = _written(write_trimmed_poly, poly)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    exp = ",\n        ".join(["0"] * (n - 1) + ["1"])
-    assert text == ('{\n  "p": "5",\n  "n": 20000,\n  "d": 1,\n  "D": 1,\n'
-                    '  "terms": [\n    {\n      "exp": [\n        ' + exp
-                    + '\n      ],\n      "coeff": "3"\n    }\n  ]\n}\n')
-    assert peak < 16 << 20
 
 
 def _outcome(decode, doc):
@@ -372,23 +347,6 @@ def test_bulk_poly_decode_reduces_and_clamps():
     poly = trimmed_poly_from_dict(POLY_DOCS["p=2"][0])
     assert poly.coeffs == (0, 0, 0, 1, 1, 0, 0)
     assert trimmed_poly_from_dict(POLY_DOCS["D=-5 no terms"][0]).D == -1
-
-
-def test_wide_shapes_skip_the_layout_codes():
-    # A layout code takes n bytes: at (n, d, D) = (20000, 1, 1) the codes
-    # would hold 200 MB, so the per-term path decodes the document.
-    n = 20_000
-    doc = _poly([([0] * (n - 1) + [1], "3")], n=n)
-    assert not _takes_bulk_path(doc)
-    tracemalloc.start()
-    try:
-        poly = trimmed_poly_from_dict(doc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert poly == _reference_poly(doc)
-    assert poly.coeffs[-1] == 3 and sum(poly.coeffs) == 3
-    assert peak < 16 << 20
 
 
 TABLE_DOCS = {

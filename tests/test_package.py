@@ -82,29 +82,6 @@ def test_only_field_records_operations():
     assert not offenders, offenders
 
 
-def test_only_combinat_names_the_code_gate():
-    # The wide-shape gate, _CODE_BYTES, lives in combinat: layout_codes
-    # gives None above it, and every other module follows that None. The
-    # files are only parsed.
-    package = Path(trimmedpoly.__file__).resolve().parent
-    offenders = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "combinat.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.alias):
-                hit = node.name == "_CODE_BYTES"
-            elif isinstance(node, ast.Name):
-                hit = node.id == "_CODE_BYTES"
-            elif isinstance(node, ast.Attribute):
-                hit = node.attr == "_CODE_BYTES"
-            else:
-                continue
-            if hit:
-                offenders.append((path.name, node.lineno))
-    assert not offenders, offenders
-
-
 def test_transform_runs_no_elimination():
     # algo builds its factors in closed form; the elimination in linalg is
     # the reference that tests and selftest compare them with. The file is
