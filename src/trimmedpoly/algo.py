@@ -30,62 +30,77 @@ pass over the columns that cover it, one sign per column: 0 multiplies
 the column by a coefficient, +1 adds it and -1 subtracts it. Every lower
 row j >= 1 has L[j][0] = L[j][j] = 1 on any nodes, and its substitution
 row -1 and 1 in the same places, so it multiplies only by its j-1
-interior coefficients; every other row, upper rows and lower row 0,
-multiplies by all of its coefficients. For a lower factor, row j reads
-blocks 0..j, whose budgets never fall below b-j, so the target is a
-prefix of each source and the whole target is one segment. For an upper
-factor, row j reads blocks j..d, whose budgets never exceed b-j, so each
-source is a prefix of the target: the target splits where the sources
-end, and each segment reads only the sources that reach it. Nothing is
-zero-padded, so each stage executes exactly the products and sums that
-it tallies.
+interior coefficients; lower row 0 multiplies by its one coefficient.
+The upper factor is unit: row j has U'[j][j] = 1, as does its
+substitution row, so it adds block j and multiplies only by the
+coefficients right of its diagonal, and row jmax, the identity, is
+skipped. For a lower factor, row j reads blocks 0..j, whose budgets
+never fall below b-j, so the target is a prefix of each source and the
+whole target is one segment. For an upper factor, row j reads blocks
+j..d, whose budgets never exceed b-j, so each source is a prefix of the
+target: the target splits where the sources end, and each segment reads
+only the sources that reach it. Nothing is zero-padded, so each stage
+executes exactly the products and sums that it tallies.
 
 Factors
 -------
 Evaluation factors each variable's Vandermonde matrix as V = L * U, the
 Doolittle factorization, which exists without pivoting on distinct
 nodes: every leading principal minor is itself a nonzero Vandermonde
-determinant. No elimination finds the factors:
-``linalg.vandermonde_factors`` writes them in closed form through the
-Newton basis prod_{l<i} (x - x_l), and for interpolation their
-substitution rows; its docstring gives the formulas and the counts. A
-row costs O((d+1)^2) field operations and one batched inversion.
+determinant. U = D * U' splits off its diagonal D = diag(delta_i),
+delta_i = prod_{l<i} (x_i - x_l), and leaves U' unit upper triangular:
+the change of basis from the monomials to the Newton basis
+prod_{l<i} (x - x_l). No elimination finds the factors:
+``linalg.vandermonde_factors`` writes L, U' and the scale row (delta_i)
+in closed form, and for interpolation their substitution rows and
+(1/delta_i); its docstring gives the formulas and the counts. A row
+costs O((d+1)^2) field operations and one batched inversion.
+
+The stages run L and U'. D_m, the diagonal along variable m, scales an
+entry by a factor that depends on e_m alone, so it commutes with every
+stage along another variable, and the n diagonals are paid once, in one
+weight pass (``_weigh``) between the two halves: the entry e times w(e) =
+prod_m s^(m)_{e_m}, with s = delta to evaluate and s = 1/delta to
+interpolate. It costs 2N - 1 products, against the N products per upper
+stage that multiplying by D there would cost.
 
 Interpolation is substitution. On a fiber of f entries a stage
-multiplies by the leading f x f block of L or U, which is triangular, so
-solving with that block undoes it: forward substitution for L, back
-substitution for U. A substitution row has the shape and the cost of the
-factor row, and the same kernel runs it.
+multiplies by the leading f x f block of L or U', which is triangular,
+so solving with that block undoes it: forward substitution for L, back
+substitution for U'. A substitution row has the shape and the cost of
+the factor row, and the same kernel runs it.
 
 Stage order
 -----------
-Evaluation runs U along every variable, then L along every variable.
-Within a half the stages commute, because the layout {e in [0,d]^n :
-sum(e) <= b} is downward closed: a lower stage along m reads only
-entries with a smaller e_m, all in the layout, and an upper stage those
-with a larger e_m that stay in it. The upper half must come first: on
-the full cube evaluation is (prod L)(prod U) of the zero-padded
-coefficients, and as a lower stage reads only entries below its own, it
-never needs the values that the upper stages would leave outside the
-layout; the reverse order would.
+Evaluation runs U' along every variable, then the weight pass, then L
+along every variable. Within a half the stages commute, because the
+layout {e in [0,d]^n : sum(e) <= b} is downward closed: a lower stage
+along m reads only entries with a smaller e_m, all in the layout, and an
+upper stage those with a larger e_m that stay in it. The upper half must
+come first: on the full cube evaluation is (prod L)(prod D)(prod U') of
+the zero-padded coefficients, and as a lower stage reads only entries
+below its own, it never needs the values that the upper stages would
+leave outside the layout; the reverse order would.
 
 Each stage needs its variable on top. The layout is symmetric under
 permuting coordinates, so one cached gather, ``up``, relabels the
 degree-ordered blocks as (e_2, ..., e_n, e_1), which brings the next
 variable to the top, and each half takes the variables in that order:
 
-    U_n, U_1, ..., U_{n-1},  then  L_n, L_1, ..., L_{n-1}.
+    U'_n, U'_1, ..., U'_{n-1},  D,  L_n, L_1, ..., L_{n-1}.
 
-Interpolation solves with L_n, L_1, ..., L_{n-1}, then with U_n, U_1,
-..., U_{n-1}. Each stage overwrites its blocks in place, one row at a
-time, ascending in the first half and descending in the second: a factor
-row then reads only blocks not yet overwritten, its inputs, and a
-substitution row the blocks already solved.
+After n gathers the blocks are back in the ``enter`` order, where the
+weight pass runs. Interpolation solves with L_n, L_1, ..., L_{n-1}, then
+with D, then with U'_n, U'_1, ..., U'_{n-1}. Each stage overwrites its
+blocks in place, one row at a time, ascending in the first half and
+descending in the second: a factor row then reads only blocks not yet
+overwritten, its inputs, and a substitution row the blocks already
+solved.
 
-A transform call tallies its stages once. With w_j = len(block_j), an
-upper stage executes sum_j (j+1) * w_j multiplications, a lower one
-w_0 + sum_{j>=2} (j-1) * w_j, and each stage sum_j (j+1) * w_j - N
-additions, a subtraction counted as one. Its
+A transform call tallies its stages and its weight pass once. With w_j =
+len(block_j), a unit upper stage executes sum_j j * w_j multiplications,
+a lower one w_0 + sum_{j>=2} (j-1) * w_j, the weight pass 2N - 1, and
+each stage sum_j j * w_j additions, a subtraction counted as one. Its
 factors are tallied once per row, by ``linalg.vandermonde_factors``.
 """
 
@@ -191,21 +206,23 @@ class EvalTable(_DenseTable):
 def _level_plan(nv: int, b: int, d: int):
     """Layout tables of every stage on the (nv, b) layout.
 
-    Returns (jmax, block offsets, enter, leave, up). ``[data[i] for i in
-    enter]`` puts canonical data into the degree-ordered blocks of the
-    module docstring; in that internal order, ``up(data)`` relabels (e_1,
-    ..., e_nv) as (e_2, ..., e_nv, e_1), a gather by one cached
+    Returns (jmax, block offsets, enter, leave, up, fits). ``[data[i] for
+    i in enter]`` puts canonical data into the degree-ordered blocks of
+    the module docstring; in that internal order, ``up(data)`` relabels
+    (e_1, ..., e_nv) as (e_2, ..., e_nv, e_1), a gather by one cached
     ``itemgetter``. The stages apply ``up`` 2*nv - 1 times, one short of
     the identity, so ``leave`` applies it once more and then undoes
-    ``enter``.
+    ``enter``. ``fits[j]`` is a bytes row over the canonical (nv-1, b)
+    listing, 1 where a prefix's sum is at most b-j.
     """
-    jmax, offs, enter, leave, up = _level_tables(nv, b, d)
+    jmax, offs, enter, leave, up, fits = _level_tables(nv, b, d)
     # The getter's N index objects are made once the tables' temporaries
     # are gone, into the memory they held. One index would make itemgetter
     # return the bare item; the only relabelling of one entry is the
     # identity, a copy.
     return (jmax, offs, enter, leave,
-            itemgetter(*up) if len(up) > 1 else itemgetter(slice(None)))
+            itemgetter(*up) if len(up) > 1 else itemgetter(slice(None)),
+            fits)
 
 
 def _level_tables(nv: int, b: int, d: int):
@@ -218,7 +235,7 @@ def _level_tables(nv: int, b: int, d: int):
     # ``enter`` holds each one's canonical index, offs[j] plus the count of
     # earlier prefixes that fit; ``back``, its inverse, holds offs[j] plus
     # each fitting prefix i's rank in ``graded``, grank[i].
-    fits = [[s <= b - j for s in sums] for j in range(jmax + 1)]
+    fits = [bytes(s <= b - j for s in sums) for j in range(jmax + 1)]
     widths = [sum(fit) for fit in fits]
     offs = tuple(accumulate(widths, initial=0))
     graded = sorted(range(len(sums)), key=sums.__getitem__)
@@ -235,7 +252,7 @@ def _level_tables(nv: int, b: int, d: int):
     start = list(accumulate((min(d, b - s) + 1 for s in sums), initial=0))
     up = array("i", [back[start[g] + j] for j, w in enumerate(widths)
                      for g in graded[:w]])
-    return jmax, offs, enter, array("i", [up[i] for i in back]), up
+    return jmax, offs, enter, array("i", [up[i] for i in back]), up, fits
 
 
 # The stage kernel: one comprehension per segment, one pass over its
@@ -272,39 +289,46 @@ def _kernel(signs: tuple):
 
 def _transform(data, grid: Grid, b: int, inverse: bool):
     """The 2*n stages of the module docstring on the grid's (n, b) layout,
-    ``b`` the effective budget: evaluation with the grid's LU factors,
-    interpolation (``inverse``) by substitution with them. With n = 0 or
-    b < 0 there is nothing to transform, and ``data`` comes back as it is.
+    ``b`` the effective budget, with the weight pass between the halves:
+    evaluation with the grid's factors, interpolation (``inverse``) by
+    substitution with them. With n = 0 or b < 0 there is nothing to
+    transform, and ``data`` comes back as it is.
     """
     nv, d, p = grid.n, grid.d, grid.modulus.p
     if nv == 0 or b < 0:
         return data
     factors = _factors(grid, inverse)
-    jmax, offs, enter, leave, up = _level_plan(nv, b, d)
+    jmax, offs, enter, leave, up, fits = _level_plan(nv, b, d)
     widths = [offs[j + 1] - offs[j] for j in range(jmax + 1)]
-    # An upper stage multiplies by every coefficient; a lower one skips
-    # the structural columns of rows j >= 1.
-    terms = sum((j + 1) * w for j, w in enumerate(widths))
+    # A unit upper stage multiplies by every coefficient off the diagonal;
+    # a lower one skips the structural columns of rows j >= 1. The weight
+    # pass takes 2N - 1 products.
+    upper = sum(j * w for j, w in enumerate(widths))
     lower = widths[0] + sum((j - 1) * widths[j] for j in range(2, jmax + 1))
-    tally(mul=nv * (terms + lower), add=2 * nv * (terms - offs[-1]))
+    tally(mul=nv * (upper + lower) + 2 * offs[-1] - 1, add=2 * nv * upper)
     # Row j reads blocks first..last with its kernel, and multiplies by
-    # its coefficients c0..c1-1: an upper row by all of j..jmax, a lower
-    # row j >= 1 only by 1..j-1, as its column j is 1 and its column 0 is
-    # 1 in a factor row and -1 in a substitution row. general[k] takes
-    # k + 1 coefficients.
-    general = [_kernel((0,) * k) for k in range(1, jmax + 2)]
+    # its coefficients c0..c1-1: a unit upper row j < jmax adds block j
+    # and multiplies by j+1..jmax, a lower row j >= 1 only by 1..j-1, as
+    # its column j is 1 and its column 0 is 1 in a factor row and -1 in a
+    # substitution row. unit[k] adds one column and multiplies k others;
+    # unit[0], the identity, passes its column's slice on as it is.
+    unit = [lambda coefs, cols, p: cols[0]] + [
+        _kernel((1,) + (0,) * k) for k in range(1, jmax + 1)]
     one = -1 if inverse else 1
     # Lower row 0 keeps its product by 1: a bare x % p is x itself for
     # x < p, and block 0 then shared earlier stages' ints, which spread
     # live ints over more allocator pools (lib-bigprime max RSS +8%).
-    plans = ([(0, 0, general[0], 0, 1)]
+    # Upper row jmax is the identity and is skipped.
+    plans = ([(0, 0, _kernel((0,)), 0, 1)]
              + [(0, j, _kernel((one,) + (0,) * (j - 1) + (1,)), 1, j)
                 for j in range(1, jmax + 1)],
-             [(j, jmax, general[jmax - j], j, jmax + 1)
-              for j in range(jmax + 1)])
+             [(j, jmax, unit[jmax - j], j + 1, jmax + 1)
+              for j in range(jmax)])
     # Stage k runs on variable k % nv, or nv where that is 0: the upper
     # rows first when evaluating, the lower ones when interpolating.
-    # Before every stage but the first, ``up`` brings its variable on top.
+    # Before every stage but the first, ``up`` brings its variable on top;
+    # before stage nv that restores the ``enter`` order, where the weight
+    # pass runs.
     data = [data[i] for i in enter]
     for k in range(2 * nv):
         if k:
@@ -312,13 +336,19 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
         side = int((k < nv) != inverse)  # 1 for the upper factor
         rows, plan = factors[k % nv - 1][side], plans[side]
         blocks = [data[offs[i]:offs[i + 1]] for i in range(jmax + 1)]
+        if k == nv:
+            # Weighing block by block frees each block's residues as it
+            # goes, so the pass holds N + w_0 of them, not 2N.
+            del data
+            _weigh(blocks, factors, enter, fits, p)
+            data = blocks[:]
         # Row j overwrites block j: upwards in the first half, downwards in
         # the second, so a factor row reads only inputs and a substitution
         # row reads the blocks already solved. ``data`` keeps the inputs
         # alive until the last row: freeing each block's residues as soon
         # as it is overwritten made lib-bigprime's transforms 7-9% slower
         # (CPython 3.11, 2 vCPUs).
-        for j in range(jmax + 1) if k < nv else range(jmax, -1, -1):
+        for j in range(len(plan)) if k < nv else range(len(plan) - 1, -1, -1):
             # Row j reads blocks first..last, each a prefix of the one
             # before, so zip stops the first segment at the end of block
             # last. For a lower row that is the target, block j; an upper
@@ -330,7 +360,7 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
             for i in range(last - 1, j - 1, -1):
                 if widths[i] > lo:
                     cols = [block[lo:widths[i]] for block in blocks[j:i + 1]]
-                    out += general[i - j](rows[j][j:i + 1], cols, p)
+                    out += unit[i - j](rows[j][j + 1:i + 1], cols, p)
                     lo = widths[i]
             blocks[j] = out
         data = []
@@ -339,7 +369,36 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
         # Drop the stage's blocks before the next gather, which would
         # otherwise hold three tables at once.
         del blocks
-    return [data[i] for i in leave]
+    # ``| 0`` copies each residue into a fresh int, no field operation.
+    # The unit upper rows pass residues on uncopied, and without the copy
+    # lib-bigprime's max RSS read 6% (eval) and 9% (interp) higher, an
+    # allocator placement effect (CPython 3.11, 2 vCPUs).
+    return [data[i] | 0 for i in leave]
+
+
+def _weigh(blocks, factors, enter, fits, p: int) -> None:
+    """D = diag(w) on the blocks in the ``enter`` order, in place: the
+    entry e times w(e) = prod_m s^(m)_{e_m}, s^(m) the scale row of
+    variable m (see Factors).
+
+    The weights of the canonical (nv-1, b) listing are built level by
+    level, in w_0 - 1 products: W_0 = [1], and level m appends, for each
+    top value j >= 1, s^(m)_j times the entries of W_{m-1} whose sums
+    are at most b-j. Block j holds the first len(block_j) prefixes of the
+    degree order, so it is weighed by those of G, the weights in that
+    order, and by s^(nv)_j: one product in block 0, two in the others.
+    Only the w_0 weights live, and only during the pass.
+    """
+    weights = [1]
+    for *_, scale in factors[:-1]:
+        weights += [scale[j] * w % p for j in range(1, len(blocks))
+                    for w in compress(weights, fits[j])]
+    weights = [weights[i] for i in enter[:len(blocks[0])]]
+    blocks[0] = [x * g % p for x, g in zip(blocks[0], weights)]
+    scale = factors[-1][2]
+    for j in range(1, len(blocks)):
+        s = scale[j]
+        blocks[j] = [x * g * s % p for x, g in zip(blocks[j], weights)]
 
 
 def _check_grid_match(obj, grid: Grid, what: str) -> None:
@@ -354,8 +413,9 @@ def _check_grid_match(obj, grid: Grid, what: str) -> None:
 
 
 def _factors(grid: Grid, inverse: bool):
-    """Per-variable (lower rows, upper rows): the LU factors of the row's
-    Vandermonde matrix, or with ``inverse`` their substitution rows."""
+    """Per-variable (lower rows, unit upper rows, scale row): the factors
+    L, U', D of the row's Vandermonde matrix, or with ``inverse`` their
+    substitution rows."""
     p = grid.modulus.p
     return [vandermonde_factors(row, p, inverse) for row in grid.rows]
 

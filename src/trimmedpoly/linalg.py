@@ -1,10 +1,12 @@
 """Vandermonde LU factors over F_p: the closed forms the transforms use,
 and the elimination they are checked against.
 
-``vandermonde_factors`` builds the Doolittle factors of one row's
-Vandermonde matrix, or the rows that solve with them by substitution,
+``vandermonde_factors`` builds the Doolittle factors L, U of one row's
+Vandermonde matrix, with U = D * U' split into its diagonal D and a unit
+upper triangular U', or the rows that solve with them by substitution,
 from closed forms: O(m^2) operations and one batched inversion per row,
-and no elimination. It is the only name here that ``algo`` uses.
+and no elimination; its docstring gives the per-row counts. It is the
+only name here that ``algo`` uses.
 
 The rest is a reference, not the product path: ``build_vandermonde`` and
 ``lu_decompose`` find the factors by elimination, O(m^3) per matrix, on
@@ -168,9 +170,10 @@ def _inverses(values, p: int) -> list[int]:
 
 
 def vandermonde_factors(row, p: int, inverse: bool):
-    """(lower rows, upper rows) of the Doolittle factors L, U of the
-    Vandermonde matrix of ``row``, m distinct residues x_0..x_{m-1} mod p,
-    or with ``inverse`` their substitution rows: m-tuples of m-tuples.
+    """(lower rows, unit upper rows, scale row) of the Doolittle factors of
+    the Vandermonde matrix of ``row``, m distinct residues x_0..x_{m-1} mod
+    p, or with ``inverse`` their substitution rows: m-tuples of m-tuples,
+    and one m-tuple.
 
     Closed forms (H. Oruc and G. M. Phillips, Linear Algebra Appl. 315,
     2000), with P[j][i] = prod_{l<i} (x_j - x_l) and delta_i = P[i][i]:
@@ -178,10 +181,15 @@ def vandermonde_factors(row, p: int, inverse: bool):
         L[j][i] = P[j][i] / delta_i
         U[i][k] = delta_i * h_{k-i}(x_0..x_i)     (h complete homogeneous)
 
-    Solving L y = x upwards, or U y = x downwards, each y_j is the dot
+    so U = D * U', D = diag(delta_0, ..., delta_{m-1}) and U'[i][k] =
+    h_{k-i}(x_0..x_i) unit upper triangular, the change of basis from the
+    monomials to the Newton basis. The factors are L, U' and the scale row
+    (delta_i) = (1, delta_1, ..., delta_{m-1}).
+
+    Solving L y = x upwards, or U' y = x downwards, each y_j is the dot
     product of a substitution row with the solved entries and x_j: row j
-    of L is (-L[j][0], ..., -L[j][j-1], 1), and row i of U is (1/U[i][i],
-    -U[i][k]/U[i][i] for k > i) = (1/delta_i, -h_1, -h_2, ...).
+    of L is (-L[j][0], ..., -L[j][j-1], 1), and row i of U' is (1, -h_1,
+    -h_2, ...). D is solved by the scale row (1/delta_i).
 
     One batch (P. L. Montgomery, Math. Comp. 48, 1987) inverts
     delta_1..delta_{m-2}, and delta_{m-1} too for the substitution rows.
@@ -189,7 +197,7 @@ def vandermonde_factors(row, p: int, inverse: bool):
     ``tally`` per row, made once the row is built (a row that raises on
     duplicate nodes tallies nothing), counts what executes, a negation
     as one addition: nothing at m = 1, and for m >= 2
-      factors: 2(m-1)(m-2) + 3 max(m-3, 0) multiplications, (m-1)^2
+      factors: 3(m-1)(m-2)/2 + 3 max(m-3, 0) multiplications, (m-1)^2
         additions, and one inversion if m >= 3;
       substitution rows: 3(m-2)(m+1)/2 multiplications, m(m-1)
         additions and one inversion.
@@ -231,12 +239,11 @@ def vandermonde_factors(row, p: int, inverse: bool):
             for v in h[2:-1]:
                 new.append((v + x * new[-1]) % p)
         h = new
-        lead = inv_delta[i - 1] if inverse else delta[i]
-        tail = h[1:] if inverse else [lead * v % p for v in h[1:]]
-        upper.append((0,) * i + (lead, *tail))
+        upper.append((0,) * i + tuple(h))
     if m > 1 and inverse:
         tally(mul=3 * (m - 2) * (m + 1) // 2, add=m * (m - 1), inv=1)
     elif m > 1:
-        tally(mul=2 * (m - 1) * (m - 2) + 3 * max(m - 3, 0),
+        tally(mul=3 * (m - 1) * (m - 2) // 2 + 3 * max(m - 3, 0),
               add=(m - 1) ** 2, inv=int(m > 2))
-    return tuple(lower), tuple(upper)
+    return (tuple(lower), tuple(upper),
+            (1, *inv_delta) if inverse else tuple(delta))

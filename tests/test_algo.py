@@ -18,7 +18,7 @@ from trimmedpoly.algo import (
     trimmed_interp,
     yates_eval,
 )
-from trimmedpoly.checks import product, substitution_rows
+from trimmedpoly.checks import product, substitution_rows, unit_factors
 from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, rank, unrank
 from trimmedpoly.field import PrimeModulus, active_counter, run_counted, tally
 from trimmedpoly.linalg import (
@@ -301,7 +301,7 @@ def test_level_plan_blocks_are_degree_ordered():
     shapes = [(n, d, b) for n in range(1, 6) for d in range(1, 5)
               for b in range(n * d + 1)]
     for n, d, b in shapes + [(60, 1, 2), (25, 2, 3)]:
-        jmax, offs, enter, leave, relabel = _level_plan(n, b, d)
+        jmax, offs, enter, leave, relabel, fits = _level_plan(n, b, d)
         N = ebc_cum(n, b, d)
         ident = list(range(N))
         # the relabelling is a gather: on the identity it gives its
@@ -549,9 +549,9 @@ def test_run_counted_counts_every_distinct_modulus():
     for grid_mod in (PrimeModulus(65537), poly.modulus):
         grid = Grid.random(grid_mod, 4, 2, 0)
         _, counter = run_counted(trimmed_eval, poly, grid)
-        # the stages' (480, 296, 0) plus four rows' factors at (4, 4, 1)
+        # the stages' (375, 296, 0) plus four rows' factors at (4, 4, 1)
         assert (counter.mul_count, counter.add_count,
-                counter.inv_count) == (496, 312, 4)
+                counter.inv_count) == (391, 312, 4)
         assert active_counter.get() is None
 
 
@@ -565,27 +565,30 @@ def test_run_counted_counts_every_calling_form():
             run_counted(lambda: trimmed_eval(poly, grid)))
     for _, counter in runs:
         assert (counter.mul_count, counter.add_count,
-                counter.inv_count) == (496, 312, 4)
+                counter.inv_count) == (391, 312, 4)
 
 
 
 def _stage_ops(n: int, d: int, D: int) -> tuple[int, int]:
-    """(mul, add) of the 2n stages, in closed form: along variable m, the
-    fiber whose other coordinates sum to s has l = min(d, D-s) + 1
-    entries. Its upper stage costs l(l+1)/2 products, one per nonzero of
-    the factor's leading l x l block. Its lower stage skips the structural
-    +-1 in columns 0 and j of rows j >= 1 but keeps row 0's product by 1:
-    1 + (l-1)(l-2)/2 products. Each stage costs l(l+1)/2 - l additions.
-    Each fiber is named by its vector with e_m = 0."""
+    """(mul, add) of the 2n stages and the weight pass, in closed form:
+    along variable m, the fiber whose other coordinates sum to s has l =
+    min(d, D-s) + 1 entries. Its unit upper stage costs l(l-1)/2
+    products, one per nonzero of the factor's leading l x l block off
+    its diagonal. Its lower stage skips the structural +-1 in columns 0
+    and j of rows j >= 1 but keeps row 0's product by 1: 1 + (l-1)(l-2)/2
+    products. Each stage costs l(l+1)/2 - l additions. Each fiber is
+    named by its vector with e_m = 0. The weight pass costs 2N - 1
+    products when n >= 1."""
     if D < 0:
         return 0, 0
     exps = enumerate_trimmed(n, d, D)
-    mul = add = 0
+    mul = 2 * len(exps) - 1 if n else 0
+    add = 0
     for m in range(n):
         for e in exps:
             if e[m] == 0:
                 ell = min(d, D - sum(e)) + 1
-                mul += ell * (ell + 1) // 2 + 1 + (ell - 1) * (ell - 2) // 2
+                mul += ell * (ell - 1) // 2 + 1 + (ell - 1) * (ell - 2) // 2
                 add += ell * (ell + 1) - 2 * ell
     return mul, add
 
@@ -594,10 +597,10 @@ def _stage_ops(n: int, d: int, D: int) -> tuple[int, int]:
 # tests/test_linalg.py: factors, substitution rows
 ROW_OPS = {
     2: ((0, 1, 0), (0, 2, 1)),
-    3: ((4, 4, 1), (6, 6, 1)),
-    4: ((15, 9, 1), (15, 12, 1)),
-    5: ((30, 16, 1), (27, 20, 1)),
-    6: ((49, 25, 1), (42, 30, 1)),
+    3: ((3, 4, 1), (6, 6, 1)),
+    4: ((12, 9, 1), (15, 12, 1)),
+    5: ((24, 16, 1), (27, 20, 1)),
+    6: ((39, 25, 1), (42, 30, 1)),
 }
 
 
@@ -671,10 +674,11 @@ class _Recorded(int):
 
 def test_transform_counts_what_executes():
     # Every shape with n <= 4, d <= 5 and 0 <= b <= nd, both directions:
-    # the products and sums that the stages execute on recorded residues
-    # equal the stage tally, the transform's count minus its factors'.
-    # Zero-padding a column, or any other untallied operation, shows up
-    # as an excess.
+    # the products and sums that the stages and the weight pass execute on
+    # recorded residues equal their tally, the transform's count minus its
+    # factors' and minus the w_0 - 1 products that build the weights from
+    # the factors' plain residues. Zero-padding a column, or any other
+    # untallied operation, shows up as an excess.
     mod = PrimeModulus(2**61 - 1)
     for n in range(1, 5):
         for d in range(1, 6):
@@ -689,8 +693,9 @@ def test_transform_counts_what_executes():
                                                inverse)
                     ops = _Recorded.ops
                     fmul, fadd, finv = _factor_ops(grid, inverse)
+                    build = ebc_cum(n - 1, b, d) - 1
                     assert (ops["mul"], ops["add"]) == (
-                        counter.mul_count - fmul,
+                        counter.mul_count - fmul - build,
                         counter.add_count - fadd), (n, d, b, inverse)
                     assert counter.inv_count == finv
                     assert out == _transform(plain, grid, b, inverse)
@@ -784,11 +789,12 @@ def test_internal_containers_equal_public_copies():
                 van = build_vandermonde(row, mod)
                 fac = lu_decompose(van)
                 assert product(fac.L.rows, fac.U.rows, p) == van.rows
-                assert lu + solve == (fac.L.rows, fac.U.rows,
+                assert lu + solve == (*unit_factors(fac),
                                       *substitution_rows(fac))
-                for rows in lu + solve:
+                for rows in lu[:2] + solve[:2]:
                     assert type(rows) is tuple
                     assert all(canonical(r, p) for r in rows)
+                assert canonical(lu[2], p) and canonical(solve[2], p)
                 for matrix in (van, fac.L, fac.U):
                     assert type(matrix.rows) is tuple
                     assert all(canonical(r, p) for r in matrix.rows)
@@ -833,3 +839,24 @@ def test_public_constructors_still_canonicalise_and_reject():
     with pytest.raises(ValidationError,
                        match="^coefficient vector has length 3"):
         TrimmedPoly(MOD5, 1, 1, 1, [1, 2, 3])
+
+
+def test_transform_at_budget_zero_runs_only_products_by_one():
+    # At b = 0 the layout is the one point 0. No upper row runs, each lower
+    # stage multiplies by L[0][0] = 1 and the weight pass by w(0) = 1: the
+    # value is the constant coefficient, at n + 1 products and no sums
+    # beyond the factors'.
+    for p in (2, 3, 65537, 2**62 - 57):
+        mod = PrimeModulus(p)
+        for n in range(1, 4):
+            for d in range(1, min(p - 1, 3) + 1):
+                grid = Grid.random(mod, n, d, seed=n + d)
+                poly = random_poly(n, d, 0, mod, seed=p + n)
+                table, ev = run_counted(trimmed_eval, poly, grid)
+                assert table.values == poly.coeffs, (p, n, d)
+                back, inv = run_counted(trimmed_interp, table, grid)
+                assert back == poly
+                for counter, inverse in ((ev, False), (inv, True)):
+                    fmul, fadd, finv = _factor_ops(grid, inverse)
+                    assert (counter.mul_count - fmul, counter.add_count - fadd,
+                            counter.inv_count - finv) == (n + 1, 0, 0)
