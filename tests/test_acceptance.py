@@ -6,18 +6,19 @@ whose constants are frozen here as regression thresholds:
 
 - C_MUL_BOUND: counted multiplications of the fast evaluation must stay
   below C * N * n * (d+1)^2. Measured maximum of the ratio across the
-  whole sweep is exactly 0.5, reached at every d=1 shape: there the two
-  stages along a variable cost two products per entry, w_0 + 2 w_1 in
-  the upper one and w_0 in the lower one (w_j the width of block j), and
-  a row of two nodes costs no factor multiplication.
+  whole sweep is 15/32 = 0.469, at (n, d, D) = (2, 1, 2): at d=1 the two
+  stages along a variable cost one product per entry, w_1 in the unit
+  upper one and w_0 in the lower one (w_j the width of block j), the
+  weight pass costs 2N - 1, and a row of two nodes costs no factor
+  multiplication, so the ratio is 1/4 + (2N - 1)/(4nN).
   Counts are shape-determined, so 1.25 gives headroom only against
   future implementation changes.
 - MONOTONE_SLACK: within each (d, D-fraction) series the per-point ratio
   mul/(N*n) may exceed the running minimum over smaller n by at most 10%
-  (measured worst excursion: 3.7%, at d=3, D=nd/2, n=9).
+  (measured worst excursion: 1.5%, at d=3, D=nd/2, n=9).
 - Separation: the quadratic oracle's multiplication count must exceed the
-  fast transform's by a factor that grows with N (measured: 1x at N=3 up
-  to ~215x at N=435 on the feasible subrange).
+  fast transform's by a factor that grows with N (measured: 7.4x at N=8
+  up to 434.5x at N=435 on the feasible subrange).
 """
 
 import random
