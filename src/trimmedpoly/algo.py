@@ -22,25 +22,26 @@ stage (``enter``) and back after the last (``leave``).
 Stage scheme
 ------------
 A stage multiplies every fiber along the top (last) variable by a
-leading principal block of one triangular factor T, or solves with it
-(see Factors): output block j is sum_i T[j][i] * block_i over the row's
-nonzero range, on the first len(block_j) positions. One kernel,
-``_kernel(signs)``, computes each output position of a segment in one
-pass over the columns that cover it, one sign per column: 0 multiplies
-the column by a coefficient, +1 adds it and -1 subtracts it. Every lower
-row j >= 1 has L[j][0] = L[j][j] = 1 on any nodes, and its substitution
-row -1 and 1 in the same places, so it multiplies only by its j-1
-interior coefficients; lower row 0 multiplies by its one coefficient.
-The upper factor is unit: row j has U'[j][j] = 1, as does its
-substitution row, so it adds block j and multiplies only by the
-coefficients right of its diagonal, and row jmax, the identity, is
-skipped. For a lower factor, row j reads blocks 0..j, whose budgets
-never fall below b-j, so the target is a prefix of each source and the
-whole target is one segment. For an upper factor, row j reads blocks
-j..d, whose budgets never exceed b-j, so each source is a prefix of the
-target: the target splits where the sources end, and each segment reads
-only the sources that reach it. Nothing is zero-padded, so each stage
-executes exactly the products and sums that it tallies.
+leading principal block of one unit triangular factor T, or solves with
+it (see Factors): output block j is block_j + sum_{i != j} T[j][i] *
+block_i over the row's nonzero range, on the first len(block_j)
+positions, or block_j minus that sum. One kernel, ``_kernel(signs,
+minus)``, computes each output position of a segment in one pass over
+the columns that cover it. Column 0 is the diagonal block, and every
+other column is added, or subtracted with ``minus``; a column's sign 0
+multiplies it by a coefficient, and 1 takes it as it is. Every lower row
+j >= 1 has L[j][0] = L[j][j] = 1 on any nodes, so it reads block j, then
+blocks 0..j-1, and multiplies only by its j-1 interior coefficients;
+lower row 0 multiplies block 0 by its one coefficient. The upper factor is unit:
+row j has U'[j][j] = 1, so it multiplies only by the coefficients right
+of its diagonal, and row jmax, the identity, is skipped. For a lower
+factor, row j reads blocks 0..j, whose budgets never fall below b-j, so
+the target is a prefix of each source and the whole target is one
+segment. For an upper factor, row j reads blocks j..d, whose budgets
+never exceed b-j, so each source is a prefix of the target: the target
+splits where the sources end, and each segment reads only the sources
+that reach it. Nothing is zero-padded, so each stage executes exactly
+the products and sums that it tallies.
 
 Factors
 -------
@@ -52,8 +53,8 @@ delta_i = prod_{l<i} (x_i - x_l), and leaves U' unit upper triangular:
 the change of basis from the monomials to the Newton basis
 prod_{l<i} (x - x_l). No elimination finds the factors:
 ``linalg.vandermonde_factors`` writes L, U' and the scale row (delta_i)
-in closed form, and for interpolation their substitution rows and
-(1/delta_i); its docstring gives the formulas and the counts. A row
+in closed form, and for interpolation the same L and U' and the scale
+row (1/delta_i); its docstring gives the formulas and the count. A row
 costs O((d+1)^2) field operations and one batched inversion.
 
 The stages run L and U'. D_m, the diagonal along variable m, scales an
@@ -64,11 +65,13 @@ prod_m s^(m)_{e_m}, with s = delta to evaluate and s = 1/delta to
 interpolate. It costs 2N - 1 products, against the N products per upper
 stage that multiplying by D there would cost.
 
-Interpolation is substitution. On a fiber of f entries a stage
-multiplies by the leading f x f block of L or U', which is triangular,
-so solving with that block undoes it: forward substitution for L, back
-substitution for U'. A substitution row has the shape and the cost of
-the factor row, and the same kernel runs it.
+Interpolation solves with the same factors. On a fiber of f entries a
+stage multiplies by the leading f x f block of L or U', which is unit
+triangular, so solving with that block undoes it: forward substitution
+for L, back substitution for U', where each entry is its own block minus
+the row's other terms on the entries already solved. A row solves at the
+cost at which it multiplies, with the same coefficients and the same
+kernel, and no second form of the factors is built.
 
 Stage order
 -----------
@@ -93,15 +96,19 @@ After n gathers the blocks are back in the ``enter`` order, where the
 weight pass runs. Interpolation solves with L_n, L_1, ..., L_{n-1}, then
 with D, then with U'_n, U'_1, ..., U'_{n-1}. Each stage overwrites its
 blocks in place, one row at a time, ascending in the first half and
-descending in the second: a factor row then reads only blocks not yet
-overwritten, its inputs, and a substitution row the blocks already
+descending in the second: an evaluation row then reads only blocks not
+yet overwritten, its inputs, and a solving row the blocks already
 solved.
 
 A transform call tallies its stages and its weight pass once. With w_j =
 len(block_j), a unit upper stage executes sum_j j * w_j multiplications,
 a lower one w_0 + sum_{j>=2} (j-1) * w_j, the weight pass 2N - 1, and
-each stage sum_j j * w_j additions, a subtraction counted as one. Its
-factors are tallied once per row, by ``linalg.vandermonde_factors``.
+each stage sum_j j * w_j additions, a subtraction counted as one, in
+either direction. Its factors are tallied once per row, by
+``linalg.vandermonde_factors``: interpolation's batch also inverts
+delta_d, which costs 3 more products per row for d >= 2, and for d = 1
+the one inversion that evaluation does not need. So an interpolation
+executes exactly the additions of an evaluation on the same shape.
 """
 
 from __future__ import annotations
@@ -164,12 +171,14 @@ class Grid:
     @classmethod
     def sequential(cls, modulus: PrimeModulus, n: int, d: int) -> "Grid":
         """Nodes z[i][j] = j; the reproducible human-checkable choice."""
+        _check_params(n, d)
         return cls(modulus, [list(range(d + 1))] * n, d=d)
 
     @classmethod
     def random(cls, modulus: PrimeModulus, n: int, d: int,
                seed: int) -> "Grid":
         """Seeded distinct nodes per row."""
+        _check_params(n, d)
         _check_node_count(modulus, d)
         rng = random.Random(seed)
         rows = [rng.sample(range(modulus.p), d + 1) for _ in range(n)]
@@ -257,32 +266,32 @@ def _level_tables(nv: int, b: int, d: int):
 
 # The stage kernel: one comprehension per segment, one pass over its
 # columns. Residue math is inlined with deferred reduction: each output
-# position is one sum of k terms, each a product (below p^2) or a signed
-# column (below p in size), exact in Python ints, reduced once. The source
-# is built from the sign pattern alone, after checking that it is one.
+# position is one sum of k terms, each a product (below p^2) or a column
+# (below p), exact in Python ints, reduced once. The source is built from
+# the sign pattern and the direction alone, after checking that they are
+# one.
 
 @lru_cache(maxsize=None)
-def _kernel(signs: tuple):
-    """kernel(coefs, cols, p): [(sum_i term_i) % p] for every position t
-    that all columns cover, in one comprehension. term_i is c * cols[i][t],
-    c the next coefficient of ``coefs``, if signs[i] is 0, and signs[i] *
-    cols[i][t] if it is +1 or -1."""
-    if (type(signs) is not tuple or not signs
-            or any(type(s) is not int or s not in (-1, 0, 1) for s in signs)):
+def _kernel(signs: tuple, minus: bool):
+    """kernel(coefs, cols, p): [(term_0 +- term_1 +- ...) % p] for every
+    position t that all columns cover, in one comprehension. term_i is c *
+    cols[i][t], c the next coefficient of ``coefs``, if signs[i] is 0, and
+    cols[i][t] if it is 1. Column 0 is added; every other column is added,
+    or subtracted with ``minus``."""
+    if (type(signs) is not tuple or not signs or type(minus) is not bool
+            or any(type(s) is not int or s not in (0, 1) for s in signs)):
         raise ValueError(f"kernel sign pattern must be a non-empty tuple "
-                         f"over (-1, 0, 1), got {signs!r}")
+                         f"over (0, 1) and minus a bool, got {signs!r}, "
+                         f"{minus!r}")
     general = [i for i, s in enumerate(signs) if s == 0]
     unpack = "".join(f"c{i}, " for i in general) + "= coefs" if general else ""
     xs = "".join(f"x{i}, " for i in range(len(signs)))
-    # The added columns first, then the subtracted ones: a column is
-    # negated on its own only if no column is added.
-    expr = " + ".join(f"c{i} * x{i}" if s == 0 else f"x{i}"
-                      for i, s in enumerate(signs) if s >= 0)
-    expr += "".join(f" - x{i}" for i, s in enumerate(signs) if s < 0)
+    expr = (" - " if minus else " + ").join(
+        f"c{i} * x{i}" if s == 0 else f"x{i}" for i, s in enumerate(signs))
     namespace = {}
     exec(f"def kernel(coefs, cols, p):\n"
          f"    {unpack}\n"
-         f"    return [({expr.strip()}) % p for {xs}in zip(*cols)]\n",
+         f"    return [({expr}) % p for {xs}in zip(*cols)]\n",
          namespace)
     return namespace["kernel"]
 
@@ -291,7 +300,7 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
     """The 2*n stages of the module docstring on the grid's (n, b) layout,
     ``b`` the effective budget, with the weight pass between the halves:
     evaluation with the grid's factors, interpolation (``inverse``) by
-    substitution with them. With n = 0 or b < 0 there is nothing to
+    solving with them. With n = 0 or b < 0 there is nothing to
     transform, and ``data`` comes back as it is.
     """
     nv, d, p = grid.n, grid.d, grid.modulus.p
@@ -306,23 +315,21 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
     upper = sum(j * w for j, w in enumerate(widths))
     lower = widths[0] + sum((j - 1) * widths[j] for j in range(2, jmax + 1))
     tally(mul=nv * (upper + lower) + 2 * offs[-1] - 1, add=2 * nv * upper)
-    # Row j reads blocks first..last with its kernel, and multiplies by
-    # its coefficients c0..c1-1: a unit upper row j < jmax adds block j
-    # and multiplies by j+1..jmax, a lower row j >= 1 only by 1..j-1, as
-    # its column j is 1 and its column 0 is 1 in a factor row and -1 in a
-    # substitution row. unit[k] adds one column and multiplies k others;
-    # unit[0], the identity, passes its column's slice on as it is.
+    # Row j reads block j, then blocks first..stop-1, with its kernel, and
+    # multiplies by its coefficients c0..c1-1 (see Stage scheme): a lower
+    # row j >= 1 by 1..j-1 only, a unit upper row j < jmax by j+1..jmax.
+    # unit[k] multiplies the k blocks after block j; unit[0], the
+    # identity, passes its column's slice on as it is.
     unit = [lambda coefs, cols, p: cols[0]] + [
-        _kernel((1,) + (0,) * k) for k in range(1, jmax + 1)]
-    one = -1 if inverse else 1
+        _kernel((1,) + (0,) * k, inverse) for k in range(1, jmax + 1)]
     # Lower row 0 keeps its product by 1: a bare x % p is x itself for
     # x < p, and block 0 then shared earlier stages' ints, which spread
     # live ints over more allocator pools (lib-bigprime max RSS +8%).
     # Upper row jmax is the identity and is skipped.
-    plans = ([(0, 0, _kernel((0,)), 0, 1)]
-             + [(0, j, _kernel((one,) + (0,) * (j - 1) + (1,)), 1, j)
+    plans = ([(_kernel((0,), inverse), 0, 0, 0, 1)]
+             + [(_kernel((1, 1) + (0,) * (j - 1), inverse), 0, j, 1, j)
                 for j in range(1, jmax + 1)],
-             [(j, jmax, unit[jmax - j], j + 1, jmax + 1)
+             [(unit[jmax - j], j + 1, jmax + 1, j + 1, jmax + 1)
               for j in range(jmax)])
     # Stage k runs on variable k % nv, or nv where that is 0: the upper
     # rows first when evaluating, the lower ones when interpolating.
@@ -343,21 +350,22 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
             _weigh(blocks, factors, enter, fits, p)
             data = blocks[:]
         # Row j overwrites block j: upwards in the first half, downwards in
-        # the second, so a factor row reads only inputs and a substitution
-        # row reads the blocks already solved. ``data`` keeps the inputs
-        # alive until the last row: freeing each block's residues as soon
-        # as it is overwritten made lib-bigprime's transforms 7-9% slower
+        # the second, so an evaluation row reads only inputs and a solving
+        # row the blocks already solved. ``data`` keeps the inputs alive
+        # until the last row: freeing each block's residues as soon as it
+        # is overwritten made lib-bigprime's transforms 7-9% slower
         # (CPython 3.11, 2 vCPUs).
         for j in range(len(plan)) if k < nv else range(len(plan) - 1, -1, -1):
-            # Row j reads blocks first..last, each a prefix of the one
-            # before, so zip stops the first segment at the end of block
-            # last. For a lower row that is the target, block j; an upper
-            # row's target runs on, and its segment past the end of block
-            # i + 1, up to the end of block i, reads blocks j..i.
-            first, last, kernel, c0, c1 = plan[j]
-            out = kernel(rows[j][c0:c1], blocks[first:last + 1], p)
-            lo = widths[last]
-            for i in range(last - 1, j - 1, -1):
+            # A lower row's target, block j, is a prefix of every block it
+            # reads, so it is one segment. An upper row's blocks are each a
+            # prefix of the one before, so zip stops the first segment at
+            # the end of block jmax; the target runs on, and its segment
+            # past the end of block i + 1, up to the end of block i, reads
+            # blocks j..i.
+            kernel, first, stop, c0, c1 = plan[j]
+            out = kernel(rows[j][c0:c1], [blocks[j], *blocks[first:stop]], p)
+            lo = widths[stop - 1]
+            for i in range(stop - 2, j - 1, -1):
                 if widths[i] > lo:
                     cols = [block[lo:widths[i]] for block in blocks[j:i + 1]]
                     out += unit[i - j](rows[j][j + 1:i + 1], cols, p)
@@ -414,8 +422,8 @@ def _check_grid_match(obj, grid: Grid, what: str) -> None:
 
 def _factors(grid: Grid, inverse: bool):
     """Per-variable (lower rows, unit upper rows, scale row): the factors
-    L, U', D of the row's Vandermonde matrix, or with ``inverse`` their
-    substitution rows."""
+    L, U', D of the row's Vandermonde matrix, or with ``inverse`` L, U' and
+    1/D."""
     p = grid.modulus.p
     return [vandermonde_factors(row, p, inverse) for row in grid.rows]
 

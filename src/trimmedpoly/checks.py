@@ -39,35 +39,24 @@ def product(left, right, p: int):
                        for col in cols) for row in left)
 
 
-def unit_factors(fac: LUFactors):
-    """L, U' and D of U = D * U', read off the elimination's factors: the
-    rows of L, the rows of U each divided by its diagonal entry, and that
-    diagonal."""
+def unit_factors(fac: LUFactors, inverse: bool):
+    """L, U' and D of U = D * U', or with ``inverse`` L, U' and 1/D, read
+    off the elimination's factors: the rows of L, the rows of U each
+    divided by its diagonal entry, and that diagonal or its inverse."""
     p = fac.L.modulus.p
     scale = tuple(row[i] for i, row in enumerate(fac.U.rows))
     unit = tuple(tuple(v * pow(s, -1, p) % p for v in row)
                  for s, row in zip(scale, fac.U.rows))
+    if inverse:
+        scale = tuple(pow(s, -1, p) for s in scale)
     return fac.L.rows, unit, scale
-
-
-def substitution_rows(fac: LUFactors):
-    """The substitution rows of L and U' and the inverse of D, read off
-    the elimination's factors: (-L[j][0], ..., -L[j][j-1], 1), (1,
-    -U[i][k] / U[i][i] for k > i), zero elsewhere, and 1/U[i][i]."""
-    lower, unit, scale = unit_factors(fac)
-    p = fac.L.modulus.p
-    lower = tuple(tuple(-v % p for v in row[:j]) + row[j:]
-                  for j, row in enumerate(lower))
-    unit = tuple(row[:i + 1] + tuple(-v % p for v in row[i + 1:])
-                 for i, row in enumerate(unit))
-    return lower, unit, tuple(pow(s, -1, p) for s in scale)
 
 
 def lu_contract() -> int:
     """L * U reconstructs random Vandermonde matrices on distinct nodes,
-    the closed-form factors L, U', D and their substitution rows, which
-    the transforms use, equal the elimination's, and a duplicated node
-    always raises ZeroPivotError."""
+    the closed-form factors L, U' and D, and 1/D, which the transforms use,
+    equal the elimination's, and a duplicated node always raises
+    ZeroPivotError."""
     moduli = [PrimeModulus(p) for p in (11, 101, 65537, 2**31 - 1, 2**61 - 1)]
     rng = random.Random(44)
     trials = 100
@@ -79,10 +68,9 @@ def lu_contract() -> int:
         fac = lu_decompose(van)
         assert product(fac.L.rows, fac.U.rows, mod.p) == van.rows, \
             (mod.p, nodes)
-        assert vandermonde_factors(nodes, mod.p, False) == \
-            unit_factors(fac), (mod.p, nodes)
-        assert vandermonde_factors(nodes, mod.p, True) == \
-            substitution_rows(fac), (mod.p, nodes)
+        for inverse in (False, True):
+            assert vandermonde_factors(nodes, mod.p, inverse) == \
+                unit_factors(fac, inverse), (mod.p, nodes)
         dup = list(nodes)
         dup[rng.randrange(1, d + 1)] = dup[0]
         try:

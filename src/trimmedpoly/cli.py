@@ -153,13 +153,15 @@ def _parse_range(text: str, key: str) -> list[range]:
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if ".." in chunk:
-            lo_text, hi_text = chunk.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValidationError(f"{key}: empty range {chunk!r}")
-        else:
-            lo = hi = int(chunk)
+        lo_text, dots, hi_text = chunk.partition("..")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
+        except ValueError:
+            kind = "an integer range" if dots else "an integer"
+            raise ValidationError(f"{key}: {chunk!r} is not {kind}") from None
+        if hi < lo:
+            raise ValidationError(f"{key}: empty range {chunk!r}")
         if lo < 1:
             raise ValidationError(f"{key}: values must be >= 1")
         values.append(range(lo, hi + 1))

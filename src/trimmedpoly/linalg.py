@@ -3,10 +3,10 @@ and the elimination they are checked against.
 
 ``vandermonde_factors`` builds the Doolittle factors L, U of one row's
 Vandermonde matrix, with U = D * U' split into its diagonal D and a unit
-upper triangular U', or the rows that solve with them by substitution,
-from closed forms: O(m^2) operations and one batched inversion per row,
-and no elimination; its docstring gives the per-row counts. It is the
-only name here that ``algo`` uses.
+upper triangular U', from closed forms: O(m^2) operations and one
+batched inversion per row, and no elimination; its docstring gives the
+per-row count. Interpolation solves with the same L and U' and needs only
+1/D besides. It is the only name here that ``algo`` uses.
 
 The rest is a reference, not the product path: ``build_vandermonde`` and
 ``lu_decompose`` find the factors by elimination, O(m^3) per matrix, on
@@ -172,8 +172,7 @@ def _inverses(values, p: int) -> list[int]:
 def vandermonde_factors(row, p: int, inverse: bool):
     """(lower rows, unit upper rows, scale row) of the Doolittle factors of
     the Vandermonde matrix of ``row``, m distinct residues x_0..x_{m-1} mod
-    p, or with ``inverse`` their substitution rows: m-tuples of m-tuples,
-    and one m-tuple.
+    p: m-tuples of m-tuples, and one m-tuple.
 
     Closed forms (H. Oruc and G. M. Phillips, Linear Algebra Appl. 315,
     2000), with P[j][i] = prod_{l<i} (x_j - x_l) and delta_i = P[i][i]:
@@ -184,23 +183,18 @@ def vandermonde_factors(row, p: int, inverse: bool):
     so U = D * U', D = diag(delta_0, ..., delta_{m-1}) and U'[i][k] =
     h_{k-i}(x_0..x_i) unit upper triangular, the change of basis from the
     monomials to the Newton basis. The factors are L, U' and the scale row
-    (delta_i) = (1, delta_1, ..., delta_{m-1}).
-
-    Solving L y = x upwards, or U' y = x downwards, each y_j is the dot
-    product of a substitution row with the solved entries and x_j: row j
-    of L is (-L[j][0], ..., -L[j][j-1], 1), and row i of U' is (1, -h_1,
-    -h_2, ...). D is solved by the scale row (1/delta_i).
+    (delta_i) = (1, delta_1, ..., delta_{m-1}), or with ``inverse`` the
+    same L and U' and the scale row (1/delta_i). L and U' are unit
+    triangular, so they need no second form to solve with: y_j is x_j
+    minus the row's other terms.
 
     One batch (P. L. Montgomery, Math. Comp. 48, 1987) inverts
-    delta_1..delta_{m-2}, and delta_{m-1} too for the substitution rows.
+    delta_1..delta_{m-2}, and delta_{m-1} too with ``inverse``.
     Multiplications by a structural 1 (delta_0, h_0) are skipped. One
     ``tally`` per row, made once the row is built (a row that raises on
-    duplicate nodes tallies nothing), counts what executes, a negation
-    as one addition: nothing at m = 1, and for m >= 2
-      factors: 3(m-1)(m-2)/2 + 3 max(m-3, 0) multiplications, (m-1)^2
-        additions, and one inversion if m >= 3;
-      substitution rows: 3(m-2)(m+1)/2 multiplications, m(m-1)
-        additions and one inversion.
+    duplicate nodes tallies nothing), counts what executes: with k the
+    batch length, 3(m-1)(m-2)/2 + 3 max(k-1, 0) multiplications, (m-1)^2
+    additions and one inversion if k >= 1.
     """
     m = len(row)
     # newton[j][i] = P[j][i] for i <= j
@@ -212,22 +206,19 @@ def vandermonde_factors(row, p: int, inverse: bool):
             prods.append(prods[-1] * (x - y) % p)
         newton.append(prods)
     delta = [prods[-1] for prods in newton]
-    inv_delta = _inverses(delta[1:m if inverse else m - 1], p)
-    # lower row j is (1, P[j][1] / delta_1, ..., 1), or its negation but
-    # for the 1 at j
-    first, scale = 1, inv_delta
-    if inverse:
-        first, scale = p - 1, [-v % p for v in inv_delta[:m - 2]]
+    batch = delta[1:m if inverse else m - 1]
+    inv_delta = _inverses(batch, p)
+    # lower row j is (1, P[j][1] / delta_1, ..., 1)
     lower = [(1,) + (0,) * (m - 1)]
     for j in range(1, m):
-        body = [a * b % p for a, b in zip(newton[j][1:j], scale)]
-        lower.append((first, *body, 1) + (0,) * (m - 1 - j))
-    # h[r] = h_r(x_0..x_i), or -h_r(x_0..x_i) with ``inverse``: h_r(x_0) =
-    # x_0^r, and h_r(x_0..x_i) = h_r(x_0..x_{i-1}) + x_i * h_{r-1}(x_0..x_i),
-    # where h_0 = 1 enters only as +-x_i
+        body = [a * b % p for a, b in zip(newton[j][1:j], inv_delta)]
+        lower.append((1, *body, 1) + (0,) * (m - 1 - j))
+    # h[r] = h_r(x_0..x_i): h_r(x_0) = x_0^r, and h_r(x_0..x_i) =
+    # h_r(x_0..x_{i-1}) + x_i * h_{r-1}(x_0..x_i), where h_0 = 1 enters
+    # only as x_i
     h = [1]
     if m > 1:
-        h.append(-row[0] % p if inverse else row[0])
+        h.append(row[0])
     for _ in range(m - 2):
         h.append(h[-1] * row[0] % p)
     upper = [tuple(h)]
@@ -235,15 +226,14 @@ def vandermonde_factors(row, p: int, inverse: bool):
         x = row[i]
         new = [1]
         if i < m - 1:
-            new.append((h[1] - x if inverse else h[1] + x) % p)
+            new.append((h[1] + x) % p)
             for v in h[2:-1]:
                 new.append((v + x * new[-1]) % p)
         h = new
         upper.append((0,) * i + tuple(h))
-    if m > 1 and inverse:
-        tally(mul=3 * (m - 2) * (m + 1) // 2, add=m * (m - 1), inv=1)
-    elif m > 1:
-        tally(mul=3 * (m - 1) * (m - 2) // 2 + 3 * max(m - 3, 0),
-              add=(m - 1) ** 2, inv=int(m > 2))
+    if m > 1:
+        k = len(batch)
+        tally(mul=3 * (m - 1) * (m - 2) // 2 + 3 * max(k - 1, 0),
+              add=(m - 1) ** 2, inv=int(k >= 1))
     return (tuple(lower), tuple(upper),
             (1, *inv_delta) if inverse else tuple(delta))

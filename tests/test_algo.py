@@ -18,7 +18,7 @@ from trimmedpoly.algo import (
     trimmed_interp,
     yates_eval,
 )
-from trimmedpoly.checks import product, substitution_rows, unit_factors
+from trimmedpoly.checks import product, unit_factors
 from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, rank, unrank
 from trimmedpoly.field import PrimeModulus, active_counter, run_counted, tally
 from trimmedpoly.linalg import (
@@ -71,6 +71,12 @@ def test_grid_generators():
     assert rnd == Grid.random(MOD5, 3, 2, seed=1)
     assert all(len(set(row)) == 3 for row in rnd.rows)
     assert seq.point((1, 0, 2)) == (1, 0, 2)
+    # a negative count is refused, not read as an empty grid
+    for make in (lambda: Grid.sequential(MOD5, -2, 2),
+                 lambda: Grid.random(MOD5, -5, 2, 0)):
+        with pytest.raises(ValidationError,
+                           match="^variable count must be >= 0, got -"):
+            make()
 
 
 def test_value_objects_repr_hash_and_foreign_equality():
@@ -594,13 +600,13 @@ def _stage_ops(n: int, d: int, D: int) -> tuple[int, int]:
 
 
 # (mul, add, inv) per row of m = d+1 nodes, pinned as in
-# tests/test_linalg.py: factors, substitution rows
+# tests/test_linalg.py: evaluation, interpolation
 ROW_OPS = {
-    2: ((0, 1, 0), (0, 2, 1)),
-    3: ((3, 4, 1), (6, 6, 1)),
-    4: ((12, 9, 1), (15, 12, 1)),
-    5: ((24, 16, 1), (27, 20, 1)),
-    6: ((39, 25, 1), (42, 30, 1)),
+    2: ((0, 1, 0), (0, 1, 1)),
+    3: ((3, 4, 1), (6, 4, 1)),
+    4: ((12, 9, 1), (15, 9, 1)),
+    5: ((24, 16, 1), (27, 16, 1)),
+    6: ((39, 25, 1), (42, 25, 1)),
 }
 
 
@@ -640,6 +646,32 @@ def test_transform_op_counts_closed_form():
                         assert got == want, (n, d, D, grid.rows, inverse)
                         cases += 1
     assert cases > 600
+
+def test_interp_costs_what_eval_costs():
+    # Interpolation builds the same L and U' as evaluation and runs the
+    # same stages backwards, so it executes the same additions; its batch
+    # also inverts delta_d, at 3 more products per variable for d >= 2 and
+    # one inversion in place of none for d = 1. With n = 0 or D < 0 neither
+    # direction builds factors.
+    cases = 0
+    for p in (2, 3, 65537, 2**61 - 1):
+        mod = PrimeModulus(p)
+        for n in range(5):
+            for d in range(1, min(p - 1, 4) + 1):
+                grid = Grid.random(mod, n, d, seed=n + d)
+                for D in range(-1, n * d + 2):
+                    poly = random_poly(n, d, D, mod, seed=D)
+                    table, ev = run_counted(trimmed_eval, poly, grid)
+                    _, inv = run_counted(trimmed_interp, table, grid)
+                    extra = ((0, 0, 0) if n == 0 or D < 0
+                             else (3 * n, 0, 0) if d >= 2 else (0, 0, n))
+                    assert (inv.mul_count - ev.mul_count,
+                            inv.add_count - ev.add_count,
+                            inv.inv_count - ev.inv_count) == extra, \
+                        (p, n, d, D)
+                    cases += 1
+    assert cases == 405
+
 
 class _Recorded(int):
     """A residue that records each *, + and - applied to it in ``ops``, a
@@ -701,32 +733,41 @@ def test_transform_counts_what_executes():
                     assert out == _transform(plain, grid, b, inverse)
 
 def test_stage_kernel_sign_patterns():
-    # Every sign pattern of up to 4 columns against the direct sum, on
-    # columns of unequal length holding 0 and p-1: a subtracted column
-    # makes sums negative before the reduction, and the output stops where
-    # the shortest column does.
+    # Every sign pattern of up to 4 columns, in both directions, against
+    # the direct sum, on columns of unequal length holding 0 and p-1: a
+    # subtracted column makes sums negative before the reduction, and the
+    # output stops where the shortest column does.
     rng = random.Random(16)
     for p in (2, 3, 65537, 2**62 - 57):
         for k in range(1, 5):
-            for signs in itertools.product((-1, 0, 1), repeat=k):
-                cols = [[0, p - 1] + rng.choices(range(p), k=3 + i)
-                        for i in range(k)]
-                rng.shuffle(cols)
-                coefs = [rng.choice((1, p - 1, rng.randrange(p)))
-                         for s in signs if s == 0]
-                weights = iter(coefs)
-                scale = [next(weights) if s == 0 else s for s in signs]
-                want = [sum(c * x for c, x in zip(scale, xs)) % p
-                        for xs in zip(*cols)]
-                assert _kernel(signs)(coefs, cols, p) == want, (p, signs)
-    # the one exec site compiles only sign patterns; past the cache, which
-    # takes (True,) and (0.0,) for the equal (1,) and (0,), too
-    for bad in ((2,), 3, (), (0, -2), (None,)):
-        with pytest.raises(ValueError):
-            _kernel(bad)
+            for signs in itertools.product((0, 1), repeat=k):
+                for minus in (False, True):
+                    cols = [[0, p - 1] + rng.choices(range(p), k=3 + i)
+                            for i in range(k)]
+                    rng.shuffle(cols)
+                    coefs = [rng.choice((1, p - 1, rng.randrange(p)))
+                             for s in signs if s == 0]
+                    weights = iter(coefs)
+                    scale = [next(weights) if s == 0 else 1 for s in signs]
+                    if minus:
+                        scale[1:] = [-c for c in scale[1:]]
+                    want = [sum(c * x for c, x in zip(scale, xs)) % p
+                            for xs in zip(*cols)]
+                    got = _kernel(signs, minus)(coefs, cols, p)
+                    assert got == want, (p, signs, minus)
+    # the one exec site compiles only sign patterns and a bool; past the
+    # cache, which takes (True,) and (0.0,) for the equal (1,) and (0,),
+    # and 0 and 1 for False and True, too
+    for bad in ((2,), 3, (), (0, -2), (-1,), (1, -1), (None,)):
+        for minus in (False, True):
+            with pytest.raises(ValueError):
+                _kernel(bad, minus)
     for bad in ((True,), (0.0,), ("0",), [0]):
         with pytest.raises(ValueError):
-            _kernel.__wrapped__(bad)
+            _kernel.__wrapped__(bad, False)
+    for minus in (0, 1, None, "True"):
+        with pytest.raises(ValueError):
+            _kernel.__wrapped__((1, 0), minus)
 
 
 def test_interp_counts_present():
@@ -789,8 +830,8 @@ def test_internal_containers_equal_public_copies():
                 van = build_vandermonde(row, mod)
                 fac = lu_decompose(van)
                 assert product(fac.L.rows, fac.U.rows, p) == van.rows
-                assert lu + solve == (*unit_factors(fac),
-                                      *substitution_rows(fac))
+                assert lu + solve == (*unit_factors(fac, False),
+                                      *unit_factors(fac, True))
                 for rows in lu[:2] + solve[:2]:
                     assert type(rows) is tuple
                     assert all(canonical(r, p) for r in rows)

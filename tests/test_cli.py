@@ -294,7 +294,11 @@ def test_parse_sweep():
     for spec, message in [("n=3..1;d=1;D=nd", "n: empty range '3..1'"),
                           ("n=2;d;D=nd", "sweep entry 'd' is not key=value"),
                           ("n=2;d=1;D=nd;k=3", "unknown sweep key 'k'"),
-                          ("n=2;d=1;D=-1", "negative D = -1 in sweep")]:
+                          ("n=2;d=1;D=-1", "negative D = -1 in sweep"),
+                          ("n=a;d=1;D=nd", "n: 'a' is not an integer"),
+                          ("n=2..;d=1;D=nd",
+                           "n: '2..' is not an integer range"),
+                          ("n=1,;d=1;D=nd", "n: '' is not an integer")]:
         with pytest.raises(ValidationError) as excinfo:
             parse_sweep(spec)
         assert str(excinfo.value) == message

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from trimmedpoly.checks import product, substitution_rows, unit_factors
+from trimmedpoly.checks import product, unit_factors
 from trimmedpoly.field import PrimeModulus, active_counter, run_counted
 from trimmedpoly.linalg import (
     SingularMatrixError,
@@ -325,9 +325,9 @@ CLOSED_FORM_PRIMES = (2, 3, 5, 65537, 2**31 - 1, 2147483659, 2**61 - 1,
 
 
 def reference_factors(row, mod):
-    """(L, U', D) and their substitution rows, by elimination."""
+    """(L, U', D) and (L, U', 1/D), by elimination."""
     fac = lu_decompose(build_vandermonde(row, mod))
-    return unit_factors(fac), substitution_rows(fac)
+    return unit_factors(fac, False), unit_factors(fac, True)
 
 
 @pytest.mark.parametrize("p", CLOSED_FORM_PRIMES)
@@ -349,38 +349,39 @@ def test_closed_form_factors_equal_elimination(p):
             assert closed == reference_factors(row, mod), (p, row)
 
 
-def substitute(rows, x, order, p):
-    """Solve a triangular system with its substitution rows, in place of
-    the entries of x in ``order``."""
+def solve(rows, x, order, p):
+    """Solve a unit triangular system with its rows, in place of the
+    entries of x in ``order``: y_j is x_j minus the row's other terms."""
     y = list(x)
     for j in order:
-        y[j] = sum(c * v for c, v in zip(rows[j], y)) % p
+        y[j] = (y[j] - sum(c * v for i, (c, v) in enumerate(zip(rows[j], y))
+                           if i != j)) % p
     return y
 
 
 def test_substitution_rows_solve_the_factors():
-    # Substituting with the rows read off L and U' solves L y = x upwards
+    # Subtracting with the rows read off L and U' solves L y = x upwards
     # and U' y = x downwards, and the inverse scale row solves D: on the
     # columns of L and U = D * U' it gives the identity.
     mod = PrimeModulus(65537)
     for m in range(1, 7):
         row = random.Random(m).sample(range(mod.p), m)
         fac = lu_decompose(build_vandermonde(row, mod))
-        lower, unit, scale = substitution_rows(fac)
+        lower, unit, scale = unit_factors(fac, True)
         for k, col in enumerate(zip(*fac.L.rows)):
-            y = substitute(lower, col, range(m), mod.p)
+            y = solve(lower, col, range(m), mod.p)
             assert y == [int(i == k) for i in range(m)], (m, k)
         for k, col in enumerate(zip(*fac.U.rows)):
             y = [v * s % mod.p for v, s in zip(col, scale)]
-            y = substitute(unit, y, range(m - 1, -1, -1), mod.p)
+            y = solve(unit, y, range(m - 1, -1, -1), mod.p)
             assert y == [int(i == k) for i in range(m)], (m, k)
 
 
 @pytest.mark.parametrize("p", (2, 3, 65537, 2**62 - 57))
 def test_unit_factors_reconstruct_and_solve_on_edge_rows(p):
-    # L * diag(scale) * U' = V, and the substitution rows solve it: on
-    # each column of V, L, then 1/scale, then U' give the identity.
-    # m = 2..6 nodes holding 0 and p-1, all of F_p at p = 2 and 3.
+    # L * diag(scale) * U' = V, and the same L and U' solve it: on each
+    # column of V, L, then 1/scale, then U' give the identity. m = 2..6
+    # nodes holding 0 and p-1, all of F_p at p = 2 and 3.
     mod = PrimeModulus(p)
     rng = random.Random(p)
     for m in range(2, min(p, 6) + 1):
@@ -392,35 +393,36 @@ def test_unit_factors_reconstruct_and_solve_on_edge_rows(p):
         upper = [[s * v % p for v in r] for s, r in zip(scale, unit)]
         assert product(lower, upper, p) == van, (p, row)
         solve_l, solve_u, inv_scale = vandermonde_factors(row, p, True)
+        assert (solve_l, solve_u) == (lower, unit)
         assert all(s * t % p == 1 for s, t in zip(scale, inv_scale))
         for k, col in enumerate(zip(*van)):
-            y = substitute(solve_l, col, range(m), p)
+            y = solve(solve_l, col, range(m), p)
             y = [v * s % p for v, s in zip(y, inv_scale)]
-            y = substitute(solve_u, y, range(m - 1, -1, -1), p)
+            y = solve(solve_u, y, range(m - 1, -1, -1), p)
             assert y == [int(i == k) for i in range(m)], (p, row, k)
 
 
-# (mul, add, inv) per row for m = 1..8: factors, substitution rows
+# (mul, add, inv) per row for m = 1..8: evaluation, interpolation
 FACTOR_ROW_OPS = {
     1: ((0, 0, 0), (0, 0, 0)),
-    2: ((0, 1, 0), (0, 2, 1)),
-    3: ((3, 4, 1), (6, 6, 1)),
-    4: ((12, 9, 1), (15, 12, 1)),
-    5: ((24, 16, 1), (27, 20, 1)),
-    6: ((39, 25, 1), (42, 30, 1)),
-    7: ((57, 36, 1), (60, 42, 1)),
-    8: ((78, 49, 1), (81, 56, 1)),
+    2: ((0, 1, 0), (0, 1, 1)),
+    3: ((3, 4, 1), (6, 4, 1)),
+    4: ((12, 9, 1), (15, 9, 1)),
+    5: ((24, 16, 1), (27, 16, 1)),
+    6: ((39, 25, 1), (42, 25, 1)),
+    7: ((57, 36, 1), (60, 36, 1)),
+    8: ((78, 49, 1), (81, 49, 1)),
 }
 
 
 def docstring_ops(m, inverse):
-    """The per-row counts that the vandermonde_factors docstring states."""
+    """The per-row count that the vandermonde_factors docstring states,
+    with k = m-2 or m-1 (``inverse``) the batch length."""
     if m == 1:
         return 0, 0, 0
-    if inverse:
-        return 3 * (m - 2) * (m + 1) // 2, m * (m - 1), 1
-    return (3 * (m - 1) * (m - 2) // 2 + 3 * max(m - 3, 0), (m - 1) ** 2,
-            int(m > 2))
+    k = m - 1 if inverse else m - 2
+    return (3 * (m - 1) * (m - 2) // 2 + 3 * max(k - 1, 0), (m - 1) ** 2,
+            int(k >= 1))
 
 
 class Tracked:
@@ -478,9 +480,9 @@ def raw(value):
 def test_closed_form_factor_counts(m):
     # The tally is the docstring's formula, pinned, and equals the
     # operations that execute on tracked residues. At m = 3 the factors
-    # cost (3, 4, 1) against the elimination's (14, 5, 2), and the
-    # substitution rows (6, 6, 1) against the (86, 41, 8) of the
-    # elimination and two inverses.
+    # cost (3, 4, 1) against the elimination's (14, 5, 2), and with 1/D
+    # (6, 4, 1) against the (86, 41, 8) of the elimination and two
+    # inverses.
     p = 2**61 - 1
     nodes = random.Random(m).sample(range(p), m)
     for inverse, pinned in zip((False, True), FACTOR_ROW_OPS[m]):

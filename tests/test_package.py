@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,21 @@ def test_cli_import_leaves_checks_unloaded():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "False\n"
+
+
+def test_readme_quick_start_runs():
+    # README's python block, run as written in a fresh interpreter: its
+    # asserts hold, and it prints the three counts.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    src = str(Path(trimmedpoly.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", blocks[0]],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert re.fullmatch(r"\d+ \d+ \d+\n", out.stdout), out.stdout
 
 
 def test_perfbench_imports_resolve():
@@ -105,8 +121,8 @@ def test_transform_runs_no_elimination():
 
 def test_code_is_compiled_only_by_the_stage_kernel():
     # algo._kernel builds its comprehension from a checked sign pattern
-    # over (-1, 0, 1) alone; no other code in the package may run eval,
-    # exec or compile. The files are only parsed.
+    # over (0, 1) and a checked bool alone; no other code in the package
+    # may run eval, exec or compile. The files are only parsed.
     compilers = {"eval", "exec", "compile"}
     package = Path(trimmedpoly.__file__).resolve().parent
     allowed, offenders = [], []
