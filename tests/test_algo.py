@@ -647,6 +647,7 @@ def test_transform_op_counts_closed_form():
                         cases += 1
     assert cases > 600
 
+
 def test_interp_costs_what_eval_costs():
     # Interpolation builds the same L and U' as evaluation and runs the
     # same stages backwards, so it executes the same additions; its batch
