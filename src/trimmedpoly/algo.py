@@ -27,14 +27,14 @@ it (see Factors): output block j is block_j + sum_{i != j} T[j][i] *
 block_i over the row's nonzero range, on the first len(block_j)
 positions, or block_j minus that sum. One kernel, ``_kernel(signs,
 minus)``, computes each output position of a segment in one pass over
-the columns that cover it. Column 0 is the diagonal block, and every
-other column is added, or subtracted with ``minus``; a column's sign 0
-multiplies it by a coefficient, and 1 takes it as it is. Every lower row
-j >= 1 has L[j][0] = L[j][j] = 1 on any nodes, so it reads block j, then
-blocks 0..j-1, and multiplies only by its j-1 interior coefficients;
-lower row 0 multiplies block 0 by its one coefficient. The upper factor is unit:
-row j has U'[j][j] = 1, so it multiplies only by the coefficients right
-of its diagonal, and row jmax, the identity, is skipped. For a lower
+the columns that cover it. Column 0 is the diagonal block; a column's
+sign 0 multiplies it by a coefficient and adds the product, and 1 takes
+it as it is, added, or subtracted with ``minus`` after column 0. Every
+lower row j >= 1 has L[j][0] = L[j][j] = 1 on any nodes, so it reads
+block j, then blocks 0..j-1, and multiplies only by its j-1 interior
+coefficients. The upper factor is unit: row j has U'[j][j] = 1, so it
+multiplies only by the coefficients right of its diagonal. Lower row 0
+and upper row jmax are the identity and pass their block on. For a lower
 factor, row j reads blocks 0..j, whose budgets never fall below b-j, so
 the target is a prefix of each source and the whole target is one
 segment. For an upper factor, row j reads blocks j..d, whose budgets
@@ -53,8 +53,9 @@ delta_i = prod_{l<i} (x_i - x_l), and leaves U' unit upper triangular:
 the change of basis from the monomials to the Newton basis
 prod_{l<i} (x - x_l). No elimination finds the factors:
 ``linalg.vandermonde_factors`` writes L, U' and the scale row (delta_i)
-in closed form, and for interpolation the same L and U' and the scale
-row (1/delta_i); its docstring gives the formulas and the count. A row
+in closed form, and for interpolation the same L and U', their
+coefficients negated, and the scale row (1/delta_i); its docstring gives
+the formulas and the count. A row
 costs O((d+1)^2) field operations and one batched inversion.
 
 The stages run L and U'. D_m, the diagonal along variable m, scales an
@@ -69,9 +70,12 @@ Interpolation solves with the same factors. On a fiber of f entries a
 stage multiplies by the leading f x f block of L or U', which is unit
 triangular, so solving with that block undoes it: forward substitution
 for L, back substitution for U', where each entry is its own block minus
-the row's other terms on the entries already solved. A row solves at the
-cost at which it multiplies, with the same coefficients and the same
-kernel, and no second form of the factors is built.
+the row's other terms on the entries already solved. The interpolation
+factors hold those terms' coefficients negated, so a solving row adds
+every product, as an evaluation row does, and subtracts only block 0 of
+a lower row; a sum that is negative before ``% p`` costs CPython one
+more big-int addition, and a product term no longer makes one. A row
+solves at the cost at which it multiplies, with the same kernel.
 
 Stage order
 -----------
@@ -102,13 +106,14 @@ solved.
 
 A transform call tallies its stages and its weight pass once. With w_j =
 len(block_j), a unit upper stage executes sum_j j * w_j multiplications,
-a lower one w_0 + sum_{j>=2} (j-1) * w_j, the weight pass 2N - 1, and
-each stage sum_j j * w_j additions, a subtraction counted as one, in
-either direction. Its factors are tallied once per row, by
-``linalg.vandermonde_factors``: interpolation's batch also inverts
-delta_d, which costs 3 more products per row for d >= 2, and for d = 1
-the one inversion that evaluation does not need. So an interpolation
-executes exactly the additions of an evaluation on the same shape.
+a lower one sum_{j>=2} (j-1) * w_j, the weight pass 2N - 1, and each
+stage sum_j j * w_j additions, a subtraction counted as one, in either
+direction. Its factors are tallied once per row, by
+``linalg.vandermonde_factors``: interpolation's factors cost one
+negation more, and its batch also inverts delta_d, which costs 3 more
+products per row for d >= 2, and for d = 1 the one inversion that
+evaluation does not need. So an interpolation executes exactly n more
+additions than an evaluation on the same shape.
 """
 
 from __future__ import annotations
@@ -276,8 +281,9 @@ def _kernel(signs: tuple, minus: bool):
     """kernel(coefs, cols, p): [(term_0 +- term_1 +- ...) % p] for every
     position t that all columns cover, in one comprehension. term_i is c *
     cols[i][t], c the next coefficient of ``coefs``, if signs[i] is 0, and
-    cols[i][t] if it is 1. Column 0 is added; every other column is added,
-    or subtracted with ``minus``."""
+    cols[i][t] if it is 1. Column 0 and every coefficient column are
+    added; a structural column after column 0 is added, or subtracted with
+    ``minus``."""
     if (type(signs) is not tuple or not signs or type(minus) is not bool
             or any(type(s) is not int or s not in (0, 1) for s in signs)):
         raise ValueError(f"kernel sign pattern must be a non-empty tuple "
@@ -286,8 +292,9 @@ def _kernel(signs: tuple, minus: bool):
     general = [i for i, s in enumerate(signs) if s == 0]
     unpack = "".join(f"c{i}, " for i in general) + "= coefs" if general else ""
     xs = "".join(f"x{i}, " for i in range(len(signs)))
-    expr = (" - " if minus else " + ").join(
-        f"c{i} * x{i}" if s == 0 else f"x{i}" for i, s in enumerate(signs))
+    expr = "".join(f" + c{i} * x{i}" if s == 0 else
+                   f" - x{i}" if minus and i else f" + x{i}"
+                   for i, s in enumerate(signs))[3:]
     namespace = {}
     exec(f"def kernel(coefs, cols, p):\n"
          f"    {unpack}\n"
@@ -310,10 +317,10 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
     jmax, offs, enter, leave, up, fits = _level_plan(nv, b, d)
     widths = [offs[j + 1] - offs[j] for j in range(jmax + 1)]
     # A unit upper stage multiplies by every coefficient off the diagonal;
-    # a lower one skips the structural columns of rows j >= 1. The weight
-    # pass takes 2N - 1 products.
+    # a lower one skips row 0, the identity, and the structural columns of
+    # rows j >= 1. The weight pass takes 2N - 1 products.
     upper = sum(j * w for j, w in enumerate(widths))
-    lower = widths[0] + sum((j - 1) * widths[j] for j in range(2, jmax + 1))
+    lower = sum((j - 1) * widths[j] for j in range(2, jmax + 1))
     tally(mul=nv * (upper + lower) + 2 * offs[-1] - 1, add=2 * nv * upper)
     # Row j reads block j, then blocks first..stop-1, with its kernel, and
     # multiplies by its coefficients c0..c1-1 (see Stage scheme): a lower
@@ -322,11 +329,12 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
     # identity, passes its column's slice on as it is.
     unit = [lambda coefs, cols, p: cols[0]] + [
         _kernel((1,) + (0,) * k, inverse) for k in range(1, jmax + 1)]
-    # Lower row 0 keeps its product by 1: a bare x % p is x itself for
-    # x < p, and block 0 then shared earlier stages' ints, which spread
-    # live ints over more allocator pools (lib-bigprime max RSS +8%).
-    # Upper row jmax is the identity and is skipped.
-    plans = ([(_kernel((0,), inverse), 0, 0, 0, 1)]
+    # Lower row 0 and upper row jmax are the identity and pass their block
+    # on. Before the final ``| 0`` copy below, passing block 0 on raised
+    # lib-bigprime's max RSS by 8%; with it, one perfbench run read 29.1 /
+    # 30.0 MB (eval / interp) against 28.9 / 30.2 MB with the product by 1
+    # (CPython 3.11, 2 vCPUs).
+    plans = ([(unit[0], 0, 0, 0, 0)]
              + [(_kernel((1, 1) + (0,) * (j - 1), inverse), 0, j, 1, j)
                 for j in range(1, jmax + 1)],
              [(unit[jmax - j], j + 1, jmax + 1, j + 1, jmax + 1)

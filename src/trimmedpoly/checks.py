@@ -40,16 +40,25 @@ def product(left, right, p: int):
 
 
 def unit_factors(fac: LUFactors, inverse: bool):
-    """L, U' and D of U = D * U', or with ``inverse`` L, U' and 1/D, read
-    off the elimination's factors: the rows of L, the rows of U each
-    divided by its diagonal entry, and that diagonal or its inverse."""
+    """L, U' and D of U = D * U', read off the elimination's factors: the
+    rows of L, the rows of U each divided by its diagonal entry, and that
+    diagonal. With ``inverse``, the rows that solve with L and U', as
+    ``vandermonde_factors`` states them: every coefficient negated, lower
+    row j's L[j][1..j-1] and unit upper row i's entries right of the
+    diagonal, and 1/D."""
     p = fac.L.modulus.p
+    lower = fac.L.rows
     scale = tuple(row[i] for i, row in enumerate(fac.U.rows))
     unit = tuple(tuple(v * pow(s, -1, p) % p for v in row)
                  for s, row in zip(scale, fac.U.rows))
     if inverse:
+        lower = tuple(tuple(-v % p if 0 < i < j else v
+                            for i, v in enumerate(row))
+                      for j, row in enumerate(lower))
+        unit = tuple(tuple(-v % p if k > i else v for k, v in enumerate(row))
+                     for i, row in enumerate(unit))
         scale = tuple(pow(s, -1, p) for s in scale)
-    return fac.L.rows, unit, scale
+    return lower, unit, scale
 
 
 def lu_contract() -> int:

@@ -159,7 +159,13 @@ def _parse_range(text: str, key: str) -> list[range]:
             hi = int(hi_text) if dots else lo
         except ValueError:
             kind = "an integer range" if dots else "an integer"
-            raise ValidationError(f"{key}: {chunk!r} is not {kind}") from None
+            if len(chunk) <= 40:
+                raise ValidationError(
+                    f"{key}: {chunk!r} is not {kind}") from None
+            # quote a prefix: the chunk may run past int()'s own limit
+            raise ValidationError(
+                f"{key}: {chunk[:20]!r}... ({len(chunk)} characters) is not "
+                f"{kind} of at most 4300 digits, Python's limit") from None
         if hi < lo:
             raise ValidationError(f"{key}: empty range {chunk!r}")
         if lo < 1:

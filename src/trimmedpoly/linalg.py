@@ -5,8 +5,9 @@ and the elimination they are checked against.
 Vandermonde matrix, with U = D * U' split into its diagonal D and a unit
 upper triangular U', from closed forms: O(m^2) operations and one
 batched inversion per row, and no elimination; its docstring gives the
-per-row count. Interpolation solves with the same L and U' and needs only
-1/D besides. It is the only name here that ``algo`` uses.
+per-row count. Interpolation solves with the same L and U', with the
+coefficients that solving subtracts stored negated, and with 1/D. It is
+the only name here that ``algo`` uses.
 
 The rest is a reference, not the product path: ``build_vandermonde`` and
 ``lu_decompose`` find the factors by elimination, O(m^3) per matrix, on
@@ -183,10 +184,20 @@ def vandermonde_factors(row, p: int, inverse: bool):
     so U = D * U', D = diag(delta_0, ..., delta_{m-1}) and U'[i][k] =
     h_{k-i}(x_0..x_i) unit upper triangular, the change of basis from the
     monomials to the Newton basis. The factors are L, U' and the scale row
-    (delta_i) = (1, delta_1, ..., delta_{m-1}), or with ``inverse`` the
-    same L and U' and the scale row (1/delta_i). L and U' are unit
-    triangular, so they need no second form to solve with: y_j is x_j
-    minus the row's other terms.
+    (delta_i) = (1, delta_1, ..., delta_{m-1}).
+
+    With ``inverse`` they are the rows that solve with L and U', and the
+    scale row (1/delta_i). L and U' are unit triangular, so y_j is x_j
+    minus the row's other terms, and the rows carry those terms' signs:
+    lower row j is (1, -L[j][1], ..., -L[j][j-1], 1), its structural
+    column 0 still 1, and unit upper row i is (1, -h_1, -h_2, ...) from
+    its diagonal on. A solving stage then adds every product and
+    subtracts only the structural columns. The negation costs nothing in
+    L: since (x_0 - x_j)(x_{j-1} - x_j) = (x_j - x_0)(x_j - x_{j-1}),
+    taking a row j >= 2's first and last factors with their operands
+    swapped negates P[j][1..j-1] and keeps delta_j = P[j][j]. In U' it
+    costs one negation in all: h_1(x_0) = -x_0, and the recursion below
+    carries the sign into every row.
 
     One batch (P. L. Montgomery, Math. Comp. 48, 1987) inverts
     delta_1..delta_{m-2}, and delta_{m-1} too with ``inverse``.
@@ -194,16 +205,25 @@ def vandermonde_factors(row, p: int, inverse: bool):
     ``tally`` per row, made once the row is built (a row that raises on
     duplicate nodes tallies nothing), counts what executes: with k the
     batch length, 3(m-1)(m-2)/2 + 3 max(k-1, 0) multiplications, (m-1)^2
-    additions and one inversion if k >= 1.
+    additions, plus the one negation with ``inverse``, and one inversion
+    if k >= 1.
     """
     m = len(row)
-    # newton[j][i] = P[j][i] for i <= j
+    # newton[j][i] = P[j][i] for i <= j; with ``inverse``, rows j >= 2
+    # take their first and last factors as (x_0 - x_j) and (x_{j-1} - x_j),
+    # which negates P[j][1..j-1] and leaves delta_j as it is
     newton = [[1]]
     for j in range(1, m):
         x = row[j]
-        prods = [1, (x - row[0]) % p]
-        for y in row[1:j]:
-            prods.append(prods[-1] * (x - y) % p)
+        if inverse and j > 1:
+            prods = [1, (row[0] - x) % p]
+            for y in row[1:j - 1]:
+                prods.append(prods[-1] * (x - y) % p)
+            prods.append(prods[-1] * (row[j - 1] - x) % p)
+        else:
+            prods = [1, (x - row[0]) % p]
+            for y in row[1:j]:
+                prods.append(prods[-1] * (x - y) % p)
         newton.append(prods)
     delta = [prods[-1] for prods in newton]
     batch = delta[1:m if inverse else m - 1]
@@ -215,10 +235,11 @@ def vandermonde_factors(row, p: int, inverse: bool):
         lower.append((1, *body, 1) + (0,) * (m - 1 - j))
     # h[r] = h_r(x_0..x_i): h_r(x_0) = x_0^r, and h_r(x_0..x_i) =
     # h_r(x_0..x_{i-1}) + x_i * h_{r-1}(x_0..x_i), where h_0 = 1 enters
-    # only as x_i
+    # only as x_i; with ``inverse``, h[r] = -h_r for r >= 1, which the
+    # same recursion carries from -x_0 on, with h[1] - x_i
     h = [1]
     if m > 1:
-        h.append(row[0])
+        h.append(-row[0] % p if inverse else row[0])
     for _ in range(m - 2):
         h.append(h[-1] * row[0] % p)
     upper = [tuple(h)]
@@ -226,7 +247,7 @@ def vandermonde_factors(row, p: int, inverse: bool):
         x = row[i]
         new = [1]
         if i < m - 1:
-            new.append((h[1] + x) % p)
+            new.append((h[1] - x if inverse else h[1] + x) % p)
             for v in h[2:-1]:
                 new.append((v + x * new[-1]) % p)
         h = new
@@ -234,6 +255,6 @@ def vandermonde_factors(row, p: int, inverse: bool):
     if m > 1:
         k = len(batch)
         tally(mul=3 * (m - 1) * (m - 2) // 2 + 3 * max(k - 1, 0),
-              add=(m - 1) ** 2, inv=int(k >= 1))
+              add=(m - 1) ** 2 + int(inverse), inv=int(k >= 1))
     return (tuple(lower), tuple(upper),
             (1, *inv_delta) if inverse else tuple(delta))

@@ -6,16 +6,18 @@ whose constants are frozen here as regression thresholds:
 
 - C_MUL_BOUND: counted multiplications of the fast evaluation must stay
   below C * N * n * (d+1)^2. Measured maximum of the ratio across the
-  whole sweep is 15/32 = 0.469, at (n, d, D) = (2, 1, 2): at d=1 the two
-  stages along a variable cost one product per entry, w_1 in the unit
-  upper one and w_0 in the lower one (w_j the width of block j), the
-  weight pass costs 2N - 1, and a row of two nodes costs no factor
-  multiplication, so the ratio is 1/4 + (2N - 1)/(4nN).
+  whole sweep is 11/32 = 0.344, at (n, d, D) = (2, 1, 2): at d=1 the unit
+  upper stage along a variable costs one product per entry of block 1,
+  w_1 = N/2 on the full cube, and the lower one none, as its row 0 is the
+  identity and its row 1 structural; the weight pass costs 2N - 1, and a
+  row of two nodes costs no factor multiplication, so at D = n the ratio
+  is 1/8 + (2N - 1)/(4nN). Criterion 6's report line prints it.
   Counts are shape-determined, so 1.25 gives headroom only against
   future implementation changes.
 - MONOTONE_SLACK: within each (d, D-fraction) series the per-point ratio
   mul/(N*n) may exceed the running minimum over smaller n by at most 10%
-  (measured worst excursion: 1.5%, at d=3, D=nd/2, n=9).
+  (measured worst excursion: 9.3%, at d=1, D=nd/4, n=9, which the report
+  line prints too).
 - Separation: the quadratic oracle's multiplication count must exceed the
   fast transform's by a factor that grows with N (measured: 7.4x at N=8
   up to 434.5x at N=435 on the feasible subrange).
@@ -171,7 +173,10 @@ def test_criterion_6_operation_count_scaling():
                 assert counter.mul_count <= bound, \
                     (n, d, D, counter.mul_count, bound)
                 measured[(d, kind, n)] = (size, counter.mul_count)
+    c_max = max(muls / (size * key[2] * (key[0] + 1) ** 2)
+                for key, (size, muls) in measured.items())
     # per-point ratio must not grow with n (10% slack over the running min)
+    worst = (0.0, None)
     for d in (1, 2, 3):
         for kind in ("nd/4", "nd/2", "nd"):
             running_min = None
@@ -181,6 +186,7 @@ def test_criterion_6_operation_count_scaling():
                 if running_min is not None:
                     assert ratio <= MONOTONE_SLACK * running_min, \
                         (d, kind, n, ratio, running_min)
+                    worst = max(worst, (ratio / running_min, (d, kind, n)))
                 running_min = ratio if running_min is None \
                     else min(running_min, ratio)
     # sanity separation from the quadratic oracle on the feasible subrange
@@ -201,8 +207,9 @@ def test_criterion_6_operation_count_scaling():
     assert factors[-1][1] >= SEPARATION_MIN_FINAL, factors[-1]
     elapsed = time.perf_counter() - start
     _report(6, "near-linear operation count", True,
-            f"{len(measured)} instances bound C={C_MUL_BOUND}, monotone "
-            f"within {MONOTONE_SLACK}, oracle separation "
+            f"{len(measured)} instances bound C={C_MUL_BOUND} (max "
+            f"{c_max:.3f}), monotone within {MONOTONE_SLACK} (worst "
+            f"{worst[0]:.3f} at (d, kind, n) = {worst[1]}), oracle separation "
             f"{factors[0][1]:.1f}x -> {factors[-1][1]:.1f}x, {elapsed:.1f}s")
 
 

@@ -555,9 +555,9 @@ def test_run_counted_counts_every_distinct_modulus():
     for grid_mod in (PrimeModulus(65537), poly.modulus):
         grid = Grid.random(grid_mod, 4, 2, 0)
         _, counter = run_counted(trimmed_eval, poly, grid)
-        # the stages' (375, 296, 0) plus four rows' factors at (4, 4, 1)
+        # the stages' (283, 296, 0) plus four rows' factors at (4, 4, 1)
         assert (counter.mul_count, counter.add_count,
-                counter.inv_count) == (391, 312, 4)
+                counter.inv_count) == (299, 312, 4)
         assert active_counter.get() is None
 
 
@@ -571,7 +571,7 @@ def test_run_counted_counts_every_calling_form():
             run_counted(lambda: trimmed_eval(poly, grid)))
     for _, counter in runs:
         assert (counter.mul_count, counter.add_count,
-                counter.inv_count) == (391, 312, 4)
+                counter.inv_count) == (299, 312, 4)
 
 
 
@@ -580,8 +580,8 @@ def _stage_ops(n: int, d: int, D: int) -> tuple[int, int]:
     along variable m, the fiber whose other coordinates sum to s has l =
     min(d, D-s) + 1 entries. Its unit upper stage costs l(l-1)/2
     products, one per nonzero of the factor's leading l x l block off
-    its diagonal. Its lower stage skips the structural +-1 in columns 0
-    and j of rows j >= 1 but keeps row 0's product by 1: 1 + (l-1)(l-2)/2
+    its diagonal. Its lower stage skips row 0, the identity, and the
+    structural 1 in columns 0 and j of rows j >= 1: (l-1)(l-2)/2
     products. Each stage costs l(l+1)/2 - l additions. Each fiber is
     named by its vector with e_m = 0. The weight pass costs 2N - 1
     products when n >= 1."""
@@ -594,7 +594,7 @@ def _stage_ops(n: int, d: int, D: int) -> tuple[int, int]:
         for e in exps:
             if e[m] == 0:
                 ell = min(d, D - sum(e)) + 1
-                mul += ell * (ell - 1) // 2 + 1 + (ell - 1) * (ell - 2) // 2
+                mul += ell * (ell - 1) // 2 + (ell - 1) * (ell - 2) // 2
                 add += ell * (ell + 1) - 2 * ell
     return mul, add
 
@@ -602,11 +602,11 @@ def _stage_ops(n: int, d: int, D: int) -> tuple[int, int]:
 # (mul, add, inv) per row of m = d+1 nodes, pinned as in
 # tests/test_linalg.py: evaluation, interpolation
 ROW_OPS = {
-    2: ((0, 1, 0), (0, 1, 1)),
-    3: ((3, 4, 1), (6, 4, 1)),
-    4: ((12, 9, 1), (15, 9, 1)),
-    5: ((24, 16, 1), (27, 16, 1)),
-    6: ((39, 25, 1), (42, 25, 1)),
+    2: ((0, 1, 0), (0, 2, 1)),
+    3: ((3, 4, 1), (6, 5, 1)),
+    4: ((12, 9, 1), (15, 10, 1)),
+    5: ((24, 16, 1), (27, 17, 1)),
+    6: ((39, 25, 1), (42, 26, 1)),
 }
 
 
@@ -649,11 +649,12 @@ def test_transform_op_counts_closed_form():
 
 
 def test_interp_costs_what_eval_costs():
-    # Interpolation builds the same L and U' as evaluation and runs the
-    # same stages backwards, so it executes the same additions; its batch
-    # also inverts delta_d, at 3 more products per variable for d >= 2 and
-    # one inversion in place of none for d = 1. With n = 0 or D < 0 neither
-    # direction builds factors.
+    # Interpolation builds the same L and U' as evaluation, with the
+    # coefficients negated, and runs the same stages backwards, so it
+    # executes the same stage operations. Its factors cost one negation
+    # per variable more, and its batch also inverts delta_d, at 3 more
+    # products per variable for d >= 2 and one inversion in place of none
+    # for d = 1. With n = 0 or D < 0 neither direction builds factors.
     cases = 0
     for p in (2, 3, 65537, 2**61 - 1):
         mod = PrimeModulus(p)
@@ -665,7 +666,7 @@ def test_interp_costs_what_eval_costs():
                     table, ev = run_counted(trimmed_eval, poly, grid)
                     _, inv = run_counted(trimmed_interp, table, grid)
                     extra = ((0, 0, 0) if n == 0 or D < 0
-                             else (3 * n, 0, 0) if d >= 2 else (0, 0, n))
+                             else (3 * n, n, 0) if d >= 2 else (0, n, n))
                     assert (inv.mul_count - ev.mul_count,
                             inv.add_count - ev.add_count,
                             inv.inv_count - ev.inv_count) == extra, \
@@ -735,9 +736,11 @@ def test_transform_counts_what_executes():
 
 def test_stage_kernel_sign_patterns():
     # Every sign pattern of up to 4 columns, in both directions, against
-    # the direct sum, on columns of unequal length holding 0 and p-1: a
-    # subtracted column makes sums negative before the reduction, and the
-    # output stops where the shortest column does.
+    # the direct sum, on columns of unequal length holding 0 and p-1:
+    # column 0 and every coefficient column are added, a structural column
+    # after column 0 is subtracted under ``minus`` and can make sums
+    # negative before the reduction, and the output stops where the
+    # shortest column does.
     rng = random.Random(16)
     for p in (2, 3, 65537, 2**62 - 57):
         for k in range(1, 5):
@@ -751,7 +754,8 @@ def test_stage_kernel_sign_patterns():
                     weights = iter(coefs)
                     scale = [next(weights) if s == 0 else 1 for s in signs]
                     if minus:
-                        scale[1:] = [-c for c in scale[1:]]
+                        scale[1:] = [-c if s else c
+                                     for c, s in zip(scale[1:], signs[1:])]
                     want = [sum(c * x for c, x in zip(scale, xs)) % p
                             for xs in zip(*cols)]
                     got = _kernel(signs, minus)(coefs, cols, p)
@@ -885,9 +889,9 @@ def test_public_constructors_still_canonicalise_and_reject():
 
 def test_transform_at_budget_zero_runs_only_products_by_one():
     # At b = 0 the layout is the one point 0. No upper row runs, each lower
-    # stage multiplies by L[0][0] = 1 and the weight pass by w(0) = 1: the
-    # value is the constant coefficient, at n + 1 products and no sums
-    # beyond the factors'.
+    # stage passes it on through row 0, the identity, and the weight pass
+    # multiplies it by w(0) = 1: the value is the constant coefficient, at
+    # 1 product and no sums beyond the factors'.
     for p in (2, 3, 65537, 2**62 - 57):
         mod = PrimeModulus(p)
         for n in range(1, 4):
@@ -901,4 +905,4 @@ def test_transform_at_budget_zero_runs_only_products_by_one():
                 for counter, inverse in ((ev, False), (inv, True)):
                     fmul, fadd, finv = _factor_ops(grid, inverse)
                     assert (counter.mul_count - fmul, counter.add_count - fadd,
-                            counter.inv_count - finv) == (n + 1, 0, 0)
+                            counter.inv_count - finv) == (1, 0, 0)

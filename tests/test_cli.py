@@ -298,10 +298,16 @@ def test_parse_sweep():
                           ("n=a;d=1;D=nd", "n: 'a' is not an integer"),
                           ("n=2..;d=1;D=nd",
                            "n: '2..' is not an integer range"),
-                          ("n=1,;d=1;D=nd", "n: '' is not an integer")]:
+                          ("n=1,;d=1;D=nd", "n: '' is not an integer"),
+                          # one line, not the whole 5,000-digit value
+                          (f"n={'1' * 5000};d=1;D=1",
+                           "n: '11111111111111111111'... (5000 characters) "
+                           "is not an integer of at most 4300 digits, "
+                           "Python's limit")]:
         with pytest.raises(ValidationError) as excinfo:
             parse_sweep(spec)
         assert str(excinfo.value) == message
+        assert "\n" not in message and len(message) < 200
 
 
 def test_bench_refuses_huge_sweep_before_expanding(tmp_path, capsys):

@@ -350,19 +350,24 @@ def test_closed_form_factors_equal_elimination(p):
 
 
 def solve(rows, x, order, p):
-    """Solve a unit triangular system with its rows, in place of the
-    entries of x in ``order``: y_j is x_j minus the row's other terms."""
+    """Solve a unit triangular system with its solving rows, in place of
+    the entries of x in ``order``, as a solving stage does: y_j is x_j
+    plus the row's other terms, whose coefficients the rows hold negated,
+    minus column 0 where it is off the diagonal, the structural 1 of a
+    lower row j >= 1 (0 in an upper row)."""
     y = list(x)
     for j in order:
-        y[j] = (y[j] - sum(c * v for i, (c, v) in enumerate(zip(rows[j], y))
-                           if i != j)) % p
+        terms = [c * v for i, (c, v) in enumerate(zip(rows[j], y)) if i != j]
+        if j:
+            terms[0] = -terms[0]
+        y[j] = (y[j] + sum(terms)) % p
     return y
 
 
 def test_substitution_rows_solve_the_factors():
-    # Subtracting with the rows read off L and U' solves L y = x upwards
-    # and U' y = x downwards, and the inverse scale row solves D: on the
-    # columns of L and U = D * U' it gives the identity.
+    # The solving rows read off L and U' solve L y = x upwards and U' y = x
+    # downwards, and the inverse scale row solves D: on the columns of L
+    # and U = D * U' it gives the identity.
     mod = PrimeModulus(65537)
     for m in range(1, 7):
         row = random.Random(m).sample(range(mod.p), m)
@@ -379,9 +384,9 @@ def test_substitution_rows_solve_the_factors():
 
 @pytest.mark.parametrize("p", (2, 3, 65537, 2**62 - 57))
 def test_unit_factors_reconstruct_and_solve_on_edge_rows(p):
-    # L * diag(scale) * U' = V, and the same L and U' solve it: on each
-    # column of V, L, then 1/scale, then U' give the identity. m = 2..6
-    # nodes holding 0 and p-1, all of F_p at p = 2 and 3.
+    # L * diag(scale) * U' = V, and the solving rows of L and U' solve it:
+    # on each column of V, L, then 1/scale, then U' give the identity.
+    # m = 2..6 nodes holding 0 and p-1, all of F_p at p = 2 and 3.
     mod = PrimeModulus(p)
     rng = random.Random(p)
     for m in range(2, min(p, 6) + 1):
@@ -393,7 +398,6 @@ def test_unit_factors_reconstruct_and_solve_on_edge_rows(p):
         upper = [[s * v % p for v in r] for s, r in zip(scale, unit)]
         assert product(lower, upper, p) == van, (p, row)
         solve_l, solve_u, inv_scale = vandermonde_factors(row, p, True)
-        assert (solve_l, solve_u) == (lower, unit)
         assert all(s * t % p == 1 for s, t in zip(scale, inv_scale))
         for k, col in enumerate(zip(*van)):
             y = solve(solve_l, col, range(m), p)
@@ -402,16 +406,47 @@ def test_unit_factors_reconstruct_and_solve_on_edge_rows(p):
             assert y == [int(i == k) for i in range(m)], (p, row, k)
 
 
+def test_solving_rows_negate_the_coefficients_on_edge_rows():
+    # The interpolation rows are the evaluation rows with every coefficient
+    # negated, L[j][1..j-1] and U'[i][i+1..], and the structural entries
+    # and zeros as they are; they equal the elimination's solving rows, and
+    # solving with them, then 1/scale, inverts V: on each column of the
+    # identity, L, then 1/scale, then U' give that column of V^-1. m = 2..6
+    # nodes holding 0 and p-1, all of F_p at p = 2 and 3.
+    for p in (2, 3, 65537, 2**62 - 57):
+        mod = PrimeModulus(p)
+        rng = random.Random(p + 1)
+        for m in range(2, min(p, 6) + 1):
+            row = [0, p - 1] + rng.sample(range(1, min(p - 1, 10**6)), m - 2)
+            rng.shuffle(row)
+            lower, unit, _ = vandermonde_factors(row, p, False)
+            solve_l, solve_u, inv_scale = vandermonde_factors(row, p, True)
+            for j in range(m):
+                assert solve_l[j] == tuple(-v % p if 0 < i < j else v
+                                           for i, v in enumerate(lower[j]))
+                assert solve_u[j] == tuple(-v % p if k > j else v
+                                           for k, v in enumerate(unit[j]))
+            van = build_vandermonde(row, mod)
+            fac = lu_decompose(van)
+            assert (solve_l, solve_u, inv_scale) == unit_factors(fac, True)
+            inv_van = invert(van).rows
+            for k, col in enumerate(eye(m)):
+                y = solve(solve_l, col, range(m), p)
+                y = [v * s % p for v, s in zip(y, inv_scale)]
+                y = solve(solve_u, y, range(m - 1, -1, -1), p)
+                assert y == [r[k] for r in inv_van], (p, row, k)
+
+
 # (mul, add, inv) per row for m = 1..8: evaluation, interpolation
 FACTOR_ROW_OPS = {
     1: ((0, 0, 0), (0, 0, 0)),
-    2: ((0, 1, 0), (0, 1, 1)),
-    3: ((3, 4, 1), (6, 4, 1)),
-    4: ((12, 9, 1), (15, 9, 1)),
-    5: ((24, 16, 1), (27, 16, 1)),
-    6: ((39, 25, 1), (42, 25, 1)),
-    7: ((57, 36, 1), (60, 36, 1)),
-    8: ((78, 49, 1), (81, 49, 1)),
+    2: ((0, 1, 0), (0, 2, 1)),
+    3: ((3, 4, 1), (6, 5, 1)),
+    4: ((12, 9, 1), (15, 10, 1)),
+    5: ((24, 16, 1), (27, 17, 1)),
+    6: ((39, 25, 1), (42, 26, 1)),
+    7: ((57, 36, 1), (60, 37, 1)),
+    8: ((78, 49, 1), (81, 50, 1)),
 }
 
 
@@ -421,8 +456,8 @@ def docstring_ops(m, inverse):
     if m == 1:
         return 0, 0, 0
     k = m - 1 if inverse else m - 2
-    return (3 * (m - 1) * (m - 2) // 2 + 3 * max(k - 1, 0), (m - 1) ** 2,
-            int(k >= 1))
+    return (3 * (m - 1) * (m - 2) // 2 + 3 * max(k - 1, 0),
+            (m - 1) ** 2 + int(inverse), int(k >= 1))
 
 
 class Tracked:
@@ -481,7 +516,7 @@ def test_closed_form_factor_counts(m):
     # The tally is the docstring's formula, pinned, and equals the
     # operations that execute on tracked residues. At m = 3 the factors
     # cost (3, 4, 1) against the elimination's (14, 5, 2), and with 1/D
-    # (6, 4, 1) against the (86, 41, 8) of the elimination and two
+    # (6, 5, 1) against the (86, 41, 8) of the elimination and two
     # inverses.
     p = 2**61 - 1
     nodes = random.Random(m).sample(range(p), m)
