@@ -177,7 +177,7 @@ class Grid:
     def sequential(cls, modulus: PrimeModulus, n: int, d: int) -> "Grid":
         """Nodes z[i][j] = j; the reproducible human-checkable choice."""
         _check_params(n, d)
-        return cls(modulus, [list(range(d + 1))] * n, d=d)
+        return cls(modulus, [range(d + 1)] * n, d=d)  # no node list at n = 0
 
     @classmethod
     def random(cls, modulus: PrimeModulus, n: int, d: int,

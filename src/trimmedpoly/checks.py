@@ -3,18 +3,18 @@ suite (criteria 3, 4, 5 and 7).
 
 Each check runs a fixed, seeded set of exact cases, raises
 AssertionError naming the failing parameters, and returns the number of
-cases it checked.
+cases it checked. No check runs an elimination: ``lu_contract`` checks
+the closed-form factors by the definition of the factorization.
 """
 
 from __future__ import annotations
 
 import random
 
-from .algo import Grid, trimmed_eval, yates_eval
+from .algo import EvalTable, Grid, trimmed_eval, trimmed_interp, yates_eval
 from .combinat import ebc, enumerate_trimmed, rank, unrank
 from .field import PrimeModulus
-from .linalg import (LUFactors, ZeroPivotError, build_vandermonde,
-                     lu_decompose, vandermonde_factors)
+from .linalg import vandermonde_factors
 from .poly import random_poly
 
 
@@ -39,55 +39,43 @@ def product(left, right, p: int):
                        for col in cols) for row in left)
 
 
-def unit_factors(fac: LUFactors, inverse: bool):
-    """L, U' and D of U = D * U', read off the elimination's factors: the
-    rows of L, the rows of U each divided by its diagonal entry, and that
-    diagonal. With ``inverse``, the rows that solve with L and U', as
-    ``vandermonde_factors`` states them: every coefficient negated, lower
-    row j's L[j][1..j-1] and unit upper row i's entries right of the
-    diagonal, and 1/D."""
-    p = fac.L.modulus.p
-    lower = fac.L.rows
-    scale = tuple(row[i] for i, row in enumerate(fac.U.rows))
-    unit = tuple(tuple(v * pow(s, -1, p) % p for v in row)
-                 for s, row in zip(scale, fac.U.rows))
-    if inverse:
-        lower = tuple(tuple(-v % p if 0 < i < j else v
-                            for i, v in enumerate(row))
-                      for j, row in enumerate(lower))
-        unit = tuple(tuple(-v % p if k > i else v for k, v in enumerate(row))
-                     for i, row in enumerate(unit))
-        scale = tuple(pow(s, -1, p) for s in scale)
-    return lower, unit, scale
-
-
 def lu_contract() -> int:
-    """L * U reconstructs random Vandermonde matrices on distinct nodes,
-    the closed-form factors L, U' and D, and 1/D, which the transforms use,
-    equal the elimination's, and a duplicated node always raises
-    ZeroPivotError."""
+    """The closed-form factors of random Vandermonde matrices V on distinct
+    nodes are V's one Doolittle factorization, which a nonsingular V
+    has: L is unit lower triangular, U' unit upper triangular, the scale
+    row D holds no zero, and L * D * U' = V, V's rows of powers built
+    here. The interpolation factors invert V: ``trimmed_interp`` of each
+    column of V, the values of one monomial on the nodes, is that column
+    of the identity. A duplicated node makes the interpolation factors,
+    which invert every delta_i, raise ValueError."""
     moduli = [PrimeModulus(p) for p in (11, 101, 65537, 2**31 - 1, 2**61 - 1)]
     rng = random.Random(44)
     trials = 100
     for trial in range(trials):
         mod = moduli[trial % len(moduli)]
+        p = mod.p
         d = rng.randint(1, 8)
-        nodes = rng.sample(range(min(mod.p, 10**7)), d + 1)
-        van = build_vandermonde(nodes, mod)
-        fac = lu_decompose(van)
-        assert product(fac.L.rows, fac.U.rows, mod.p) == van.rows, \
-            (mod.p, nodes)
-        for inverse in (False, True):
-            assert vandermonde_factors(nodes, mod.p, inverse) == \
-                unit_factors(fac, inverse), (mod.p, nodes)
+        nodes = rng.sample(range(min(p, 10**7)), d + 1)
+        van = tuple(tuple(pow(z, k, p) for k in range(d + 1)) for z in nodes)
+        lower, unit, scale = vandermonde_factors(nodes, p, False)
+        for i in range(d + 1):
+            assert lower[i][i:] == (1,) + (0,) * (d - i) and scale[i] and \
+                unit[i][:i + 1] == (0,) * i + (1,), (p, nodes)
+        upper = tuple(tuple(s * v % p for v in row)
+                      for s, row in zip(scale, unit))
+        assert product(lower, upper, p) == van, (p, nodes)
+        grid = Grid(mod, [nodes])
+        for k, column in enumerate(zip(*van)):
+            back = trimmed_interp(EvalTable(mod, 1, d, d, column), grid)
+            assert back.coeffs == tuple(int(i == k) for i in range(d + 1)), \
+                (p, nodes)
         dup = list(nodes)
         dup[rng.randrange(1, d + 1)] = dup[0]
         try:
-            lu_decompose(build_vandermonde(dup, mod))
-        except ZeroPivotError:
-            pass
-        else:
-            raise AssertionError(f"duplicate nodes must fail: {dup}")
+            vandermonde_factors(dup, p, True)
+        except ValueError:
+            continue
+        raise AssertionError(f"duplicate nodes must fail: {dup}")
     return trials
 
 

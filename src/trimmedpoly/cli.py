@@ -28,6 +28,7 @@ from .field import PrimeModulus, run_counted
 from .jsonio import (
     eval_table_from_dict,
     grid_from_dict,
+    quote_number,
     trimmed_poly_from_dict,
     write_eval_table,
     write_trimmed_poly,
@@ -159,13 +160,9 @@ def _parse_range(text: str, key: str) -> list[range]:
             hi = int(hi_text) if dots else lo
         except ValueError:
             kind = "an integer range" if dots else "an integer"
-            if len(chunk) <= 40:
-                raise ValidationError(
-                    f"{key}: {chunk!r} is not {kind}") from None
-            # quote a prefix: the chunk may run past int()'s own limit
+            shown, limit = quote_number(chunk)
             raise ValidationError(
-                f"{key}: {chunk[:20]!r}... ({len(chunk)} characters) is not "
-                f"{kind} of at most 4300 digits, Python's limit") from None
+                f"{key}: {shown} is not {kind}{limit}") from None
         if hi < lo:
             raise ValidationError(f"{key}: empty range {chunk!r}")
         if lo < 1:

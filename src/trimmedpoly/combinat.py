@@ -160,8 +160,13 @@ def layout_size(n: int, d: int, D: int) -> int:
     if cube > SIZE_LIMIT:
         raise CapacityError(f"factors of (n={n}, d={d}): n*(d+1)^3 is "
                             f"{cube}, more than the limit {SIZE_LIMIT}")
-    size = _cum(n, d, clamp_budget(n, d, D))
+    b = clamp_budget(n, d, D)
     what = f"layout of (n={n}, d={d}, D={D})"
+    # N >= n + 1 at b >= 1: refuse a wide shape before its count rows
+    if b >= 1 and n * (n + 1) > WORK_LIMIT:
+        raise CapacityError(f"{what}: n*N is at least {n * (n + 1)}, more "
+                            f"than the limit {WORK_LIMIT}")
+    size = _cum(n, d, b)
     _check_size(size, what)
     if n * size > WORK_LIMIT:
         raise CapacityError(f"{what}: n*N is {n * size}, more than the "

@@ -65,13 +65,24 @@ def _get(obj: dict, key: str, kinds, what: str):
     return value
 
 
+def quote_number(text: str) -> tuple[str, str]:
+    """(quote, limit) for a message on a text that is not an integer: its
+    repr and "", or past 40 characters a prefix, its length and the limit
+    of Python's int(), which the text may only exceed."""
+    if len(text) <= 40:
+        return repr(text), ""
+    return (f"{text[:20]!r}... ({len(text)} characters)",
+            " of at most 4300 digits, Python's limit")
+
+
 def _parse_scalar(value, what: str) -> int:
     if isinstance(value, str):
         try:
             return int(value, 10)
         except ValueError as exc:
-            raise ValidationError(f"{what} is not a decimal string: "
-                                  f"{value!r}") from exc
+            shown, limit = quote_number(value)
+            raise ValidationError(f"{what} is not a decimal string{limit}: "
+                                  f"{shown}") from exc
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValidationError(f"{what} must be a decimal string, got "

@@ -1,5 +1,5 @@
 """Vandermonde LU factors over F_p: the closed forms the transforms use,
-and the elimination they are checked against.
+and the elimination that the tests compare them with.
 
 ``vandermonde_factors`` builds the Doolittle factors L, U of one row's
 Vandermonde matrix, with U = D * U' split into its diagonal D and a unit
@@ -7,21 +7,18 @@ upper triangular U', from closed forms: O(m^2) operations and one
 batched inversion per row, and no elimination; its docstring gives the
 per-row count. Interpolation solves with the same L and U', with the
 coefficients that solving subtracts stored negated, and with 1/D. It is
-the only name here that ``algo`` uses.
+the only name here that ``algo`` and ``checks`` use.
 
-The rest is a reference, not the product path: ``build_vandermonde`` and
+The rest is a reference for the tests and perfbench only, which compare
+the closed forms with it and time it; ``trimmedpoly selftest`` runs none
+of it, as ``checks.lu_contract`` checks the closed forms by the
+definition of the factorization. ``build_vandermonde`` and
 ``lu_decompose`` find the factors by elimination, O(m^3) per matrix, on
-``SquareMatrix`` rows, and ``invert`` inverts by Gauss-Jordan. The tests
-and ``trimmedpoly selftest`` (``checks.lu_contract``, which carries its
-own matrix product) compare the closed forms with them, and perfbench
-times them. ``lu_decompose`` deliberately never pivots: the staged
-evaluation and interpolation transforms rely on the triangular shape of
-both factors to control degree budgets, and row swaps would destroy it.
-For Vandermonde matrices on distinct nodes every leading principal minor
-is itself a nonzero Vandermonde determinant, so a zero pivot cannot
-occur; hitting one therefore signals duplicate nodes (or a
-non-LU-decomposable input). ``invert`` works on the augmented rows
-[A | I] and may pivot freely.
+``SquareMatrix`` rows, and ``invert`` inverts by Gauss-Jordan on the
+augmented rows [A | I], pivoting freely. ``lu_decompose`` never pivots,
+as the factors it is compared with are triangular: on distinct nodes
+every leading principal minor is a nonzero Vandermonde determinant, so a
+zero pivot signals duplicate nodes (or a matrix with no LU factors).
 
 The residue math is inlined on raw ints; the ``field`` docstring states
 how its operations are counted.

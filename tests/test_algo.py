@@ -18,7 +18,7 @@ from trimmedpoly.algo import (
     trimmed_interp,
     yates_eval,
 )
-from trimmedpoly.checks import product, unit_factors
+from trimmedpoly.checks import product
 from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, rank, unrank
 from trimmedpoly.field import PrimeModulus, active_counter, run_counted, tally
 from trimmedpoly.linalg import (
@@ -77,6 +77,12 @@ def test_grid_generators():
         with pytest.raises(ValidationError,
                            match="^variable count must be >= 0, got -"):
             make()
+
+
+def test_sequential_grid_without_variables_lists_no_node():
+    # n = 0 builds no row, whatever d is: no list of d + 1 nodes
+    grid = Grid.sequential(PrimeModulus(2**61 - 1), 0, 2**60)
+    assert grid.rows == () and grid.n == 0 and grid.d == 2**60
 
 
 def test_value_objects_repr_hash_and_foreign_equality():
@@ -269,6 +275,28 @@ def test_transform_edge_shapes():
     assert {p for p, _, D in cases if D == 0} == {2, 3, 2**62 - 57}
     assert {5, 6, 7} <= {d for _, d, _ in cases}
     assert any(0 < D < d for _, d, D in cases)
+
+
+@pytest.mark.parametrize("n, d, D, p", [
+    (2, 100, 150, 2**62 - 57),
+    (1, 127, 127, 2**61 - 1),
+    (3, 30, 45, 2**31 - 1),
+])
+def test_high_degree_shapes_match_the_oracle_on_sampled_slots(n, d, D, p):
+    # jmax = min(d, D) >= 8, past the oracle sweeps: with n >= 2 an upper
+    # row splits into up to jmax - j + 1 segments. The first and last slots
+    # and five seeded ones equal the oracle, on grids holding 0 and p - 1,
+    # and the table round-trips.
+    mod = PrimeModulus(p)
+    grid = Grid(mod, _edge_rows(p, n, d, seed=d + D))
+    poly = random_poly(n, d, D, mod, seed=n + d)
+    table = trimmed_eval(poly, grid)
+    size = len(table.values)
+    rng = random.Random(size)
+    for slot in {0, size - 1, *rng.sample(range(size), 5)}:
+        point = grid.point(unrank(slot, n, d, D))
+        assert table.values[slot] == naive_eval_point(poly, point), slot
+    assert trimmed_interp(table, grid) == poly
 
 
 def _stack_depth() -> int:
@@ -835,8 +863,10 @@ def test_internal_containers_equal_public_copies():
                 van = build_vandermonde(row, mod)
                 fac = lu_decompose(van)
                 assert product(fac.L.rows, fac.U.rows, p) == van.rows
-                assert lu + solve == (*unit_factors(fac, False),
-                                      *unit_factors(fac, True))
+                lower, unit, scale = lu
+                assert lower == fac.L.rows
+                assert fac.U.rows == tuple(tuple(s * v % p for v in r)
+                                           for s, r in zip(scale, unit))
                 for rows in lu[:2] + solve[:2]:
                     assert type(rows) is tuple
                     assert all(canonical(r, p) for r in rows)

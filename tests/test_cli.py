@@ -147,6 +147,49 @@ def test_interp_writes_without_exponent_tuples(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["terms"] == WORKED_POLY["terms"]
 
 
+def test_eval_seq_grid_without_variables_at_huge_degree(tmp_path):
+    # n = 0 passes every cap, as n*(d+1)^3 = 0; the sequential grid then
+    # lists no node, and the one-point table is the constant term
+    poly = write(tmp_path / "poly.json",
+                 {"p": str(2**61 - 1), "n": 0, "d": 2**60, "D": 0,
+                  "terms": []})
+    out = tmp_path / "table.json"
+    assert main(["eval", "--poly", poly, "--grid-gen", "seq",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["values"] == ["0"]
+
+
+LONG = "9" * 5000
+PREFIX = "'99999999999999999999'... (5000 characters)"
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("eval", {**WORKED_POLY, "terms": [{"exp": [0, 0], "coeff": LONG}]},
+     "term 0 coefficient"),
+    ("interp", {"p": "5", "n": 2, "d": 1, "D": 1,
+                "values": ["1", LONG, "2"]}, "table value"),
+    ("grid", {**WORKED_GRID, "nodes": [["0", "1"], [LONG, "1"]]},
+     "node row 2 entry"),
+    ("eval", {**WORKED_POLY, "p": LONG},
+     "polynomial document key 'p'"),
+], ids=["coefficient", "table-value", "node", "p"])
+def test_over_long_decimal_is_quoted_by_its_prefix(tmp_path, capsys, command,
+                                                   doc, message):
+    # A value past Python's 4,300-digit limit gets one short line that
+    # names the limit, not the whole value
+    path = write(tmp_path / "doc.json", doc)
+    poly = write(tmp_path / "poly.json", WORKED_POLY)
+    grid = write(tmp_path / "grid.json", WORKED_GRID)
+    argv = {"eval": ["eval", "--poly", path, "--grid", grid],
+            "interp": ["interp", "--evals", path, "--grid", grid],
+            "grid": ["eval", "--poly", poly, "--grid", path]}[command]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {message} is not a decimal string of at most "
+                   f"4300 digits, Python's limit: {PREFIX}\n")
+    assert len(err) < 200
+
+
 def test_eval_duplicate_node_exits_1(tmp_path, capsys):
     poly = write(tmp_path / "poly.json", WORKED_POLY)
     grid = write(tmp_path / "grid.json",

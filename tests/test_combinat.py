@@ -136,11 +136,12 @@ def test_size_limit_bounds_every_table():
     with pytest.raises(CapacityError, match="layout"):
         enumerate_trimmed(30, 1, 30)
     # n*N, the stages' entry visits per direction and the layout codes'
-    # bytes, is capped at WORK_LIMIT = 2^26, after the layout's own check
+    # bytes, is capped at WORK_LIMIT = 2^26; a budget b >= 1 gives
+    # N >= n + 1, which is checked first
     assert WORK_LIMIT == 1 << 26
     assert layout_size(8191, 1, 1) == 8192  # n*N = 2^26 - 1
-    with pytest.raises(CapacityError, match=r"n\*N is 67117056, more than "
-                       r"the limit 67108864"):
+    with pytest.raises(CapacityError, match=r"n\*N is at least 67117056, "
+                       r"more than the limit 67108864"):
         layout_size(8192, 1, 1)
     with pytest.raises(CapacityError, match=r"n\*N"):
         layout_size(200, 1, 3)  # N = 1,333,501, within SIZE_LIMIT
@@ -150,6 +151,20 @@ def test_size_limit_bounds_every_table():
     assert layout_size(10, 3, 30) == 4 ** 10
     assert layout_size(2000, 1, 1) == 2001
     assert ebc_cum(20, 20, 3) > SIZE_LIMIT  # counting alone is not capped
+
+
+@pytest.mark.parametrize("n, d, D", [(262144, 1, 1), (100000, 1, 2),
+                                     (100000, 1, 20), (8192, 2, 5)])
+def test_wide_shapes_are_refused_before_their_count_rows(n, d, D):
+    # At b >= 1, N >= n + 1, so n*(n+1) over WORK_LIMIT refuses the shape
+    # before count_rows builds, and caches, its rows.
+    entries = count_rows.cache_info().currsize
+    with pytest.raises(CapacityError) as excinfo:
+        layout_size(n, d, D)
+    assert count_rows.cache_info().currsize == entries
+    assert str(excinfo.value) == (
+        f"layout of (n={n}, d={d}, D={D}): n*N is at least {n * (n + 1)}, "
+        f"more than the limit {WORK_LIMIT}")
 
 
 def test_enumerate_examples():

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from trimmedpoly.checks import product, unit_factors
+from trimmedpoly.checks import product
 from trimmedpoly.field import PrimeModulus, active_counter, run_counted
 from trimmedpoly.linalg import (
     SingularMatrixError,
@@ -324,16 +324,16 @@ CLOSED_FORM_PRIMES = (2, 3, 5, 65537, 2**31 - 1, 2147483659, 2**61 - 1,
                       2**62 - 57)
 
 
-def reference_factors(row, mod):
-    """(L, U', D) and (L, U', 1/D), by elimination."""
-    fac = lu_decompose(build_vandermonde(row, mod))
-    return unit_factors(fac, False), unit_factors(fac, True)
+def scaled(scale, unit, p):
+    """The rows of D * U', for the scale row D and the unit upper rows U'."""
+    return tuple(tuple(s * v % p for v in row) for s, row in zip(scale, unit))
 
 
 @pytest.mark.parametrize("p", CLOSED_FORM_PRIMES)
 def test_closed_form_factors_equal_elimination(p):
-    # m = 2..8 nodes, or all of F_p at p = 2 and 3; half the rows hold
-    # both 0 and p-1
+    # L and D * U' are the elimination's L and U; the interpolation rows
+    # are left to the solving tests below. m = 2..8 nodes, or all of F_p
+    # at p = 2 and 3; half the rows hold both 0 and p-1
     mod = PrimeModulus(p)
     rng = random.Random(p)
     pool = range(1, min(p - 1, 10**6))
@@ -344,9 +344,10 @@ def test_closed_form_factors_equal_elimination(p):
             else:
                 row = rng.sample(range(min(p, 10**6)), m)
             rng.shuffle(row)
-            closed = (vandermonde_factors(row, p, False),
-                      vandermonde_factors(row, p, True))
-            assert closed == reference_factors(row, mod), (p, row)
+            lower, unit, scale = vandermonde_factors(row, p, False)
+            fac = lu_decompose(build_vandermonde(row, mod))
+            assert lower == fac.L.rows, (p, row)
+            assert scaled(scale, unit, p) == fac.U.rows, (p, row)
 
 
 def solve(rows, x, order, p):
@@ -365,14 +366,14 @@ def solve(rows, x, order, p):
 
 
 def test_substitution_rows_solve_the_factors():
-    # The solving rows read off L and U' solve L y = x upwards and U' y = x
-    # downwards, and the inverse scale row solves D: on the columns of L
-    # and U = D * U' it gives the identity.
+    # The closed-form solving rows solve the elimination's factors, L y = x
+    # upwards and U' y = x downwards, and the inverse scale row solves D:
+    # on the columns of L and U = D * U' it gives the identity.
     mod = PrimeModulus(65537)
     for m in range(1, 7):
         row = random.Random(m).sample(range(mod.p), m)
         fac = lu_decompose(build_vandermonde(row, mod))
-        lower, unit, scale = unit_factors(fac, True)
+        lower, unit, scale = vandermonde_factors(row, mod.p, True)
         for k, col in enumerate(zip(*fac.L.rows)):
             y = solve(lower, col, range(m), mod.p)
             assert y == [int(i == k) for i in range(m)], (m, k)
@@ -395,8 +396,7 @@ def test_unit_factors_reconstruct_and_solve_on_edge_rows(p):
         van = build_vandermonde(row, mod).rows
         lower, unit, scale = vandermonde_factors(row, p, False)
         assert scale[0] == 1 and all(unit[i][i] == 1 for i in range(m))
-        upper = [[s * v % p for v in r] for s, r in zip(scale, unit)]
-        assert product(lower, upper, p) == van, (p, row)
+        assert product(lower, scaled(scale, unit, p), p) == van, (p, row)
         solve_l, solve_u, inv_scale = vandermonde_factors(row, p, True)
         assert all(s * t % p == 1 for s, t in zip(scale, inv_scale))
         for k, col in enumerate(zip(*van)):
@@ -409,10 +409,10 @@ def test_unit_factors_reconstruct_and_solve_on_edge_rows(p):
 def test_solving_rows_negate_the_coefficients_on_edge_rows():
     # The interpolation rows are the evaluation rows with every coefficient
     # negated, L[j][1..j-1] and U'[i][i+1..], and the structural entries
-    # and zeros as they are; they equal the elimination's solving rows, and
-    # solving with them, then 1/scale, inverts V: on each column of the
-    # identity, L, then 1/scale, then U' give that column of V^-1. m = 2..6
-    # nodes holding 0 and p-1, all of F_p at p = 2 and 3.
+    # and zeros as they are, and solving with them, then 1/scale, inverts
+    # V: on each column of the identity, L, then 1/scale, then U' give that
+    # column of V^-1. m = 2..6 nodes holding 0 and p-1, all of F_p at p = 2
+    # and 3.
     for p in (2, 3, 65537, 2**62 - 57):
         mod = PrimeModulus(p)
         rng = random.Random(p + 1)
@@ -426,10 +426,7 @@ def test_solving_rows_negate_the_coefficients_on_edge_rows():
                                            for i, v in enumerate(lower[j]))
                 assert solve_u[j] == tuple(-v % p if k > j else v
                                            for k, v in enumerate(unit[j]))
-            van = build_vandermonde(row, mod)
-            fac = lu_decompose(van)
-            assert (solve_l, solve_u, inv_scale) == unit_factors(fac, True)
-            inv_van = invert(van).rows
+            inv_van = invert(build_vandermonde(row, mod)).rows
             for k, col in enumerate(eye(m)):
                 y = solve(solve_l, col, range(m), p)
                 y = [v * s % p for v, s in zip(y, inv_scale)]
