@@ -231,6 +231,20 @@ def layout_vectors(n: int, d: int, b: int, selectors):
                repeat(n), repeat("little"))
 
 
+def layout_fill(n: int, d: int, b: int, vectors, values) -> list | None:
+    """The inverse of ``layout_vectors`` on the checked shape (n, d, b):
+    the dense vector with values[i] at the slot of vectors[i], a sequence
+    of n-int vectors, and 0 elsewhere, or None if a vector repeats or is
+    not in the layout. bytes() takes only ints in [0, 256), so equal byte
+    codes are equal vectors."""
+    table = dict(zip(map(int.from_bytes, map(bytes, vectors),
+                         repeat("little")), values))
+    if len(table) < len(vectors):
+        return None
+    dense = list(map(table.pop, layout_codes(n, d, b), repeat(0)))
+    return None if table else dense  # a code left: exponent > d or sum > b
+
+
 def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
     """All admissible exponent vectors for (n, d, D) in canonical order."""
     layout_size(n, d, D)
@@ -240,17 +254,6 @@ def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
                                            repeat(1))))
 
 
-def _rank(exps, rows, b: int) -> int:
-    """The rank of a vector that passed ``check_index``: rows are
-    S_{n-1}, ..., S_0 of ``count_rows(n, d, b)``, b the clamped budget."""
-    r = 0
-    b += 1
-    for sums, e in zip(rows, reversed(exps)):
-        r += sums[b] - sums[b - e]
-        b -= e
-    return r
-
-
 def rank(exponents, n: int, d: int, D: int) -> int:
     """Position of an exponent vector in the canonical order.
 
@@ -258,8 +261,12 @@ def rank(exponents, n: int, d: int, D: int) -> int:
     """
     _check_params(n, d)
     exps = check_index(exponents, n, d, D)
-    b = clamp_budget(n, d, D)
-    return _rank(exps, count_rows(n, d, b)[:n][::-1], b)
+    top = clamp_budget(n, d, D)
+    r, b = 0, top + 1
+    for sums, e in zip(reversed(count_rows(n, d, top)[:n]), reversed(exps)):
+        r += sums[b] - sums[b - e]
+        b -= e
+    return r
 
 
 def unrank(position: int, n: int, d: int, D: int) -> tuple[int, ...]:

@@ -43,8 +43,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 
 from .algo import EvalTable, Grid
-from .combinat import (clamp_budget, layout_codes, layout_size,
-                       layout_vectors)
+from .combinat import clamp_budget, layout_fill, layout_size, layout_vectors
 from .field import PrimeModulus
 from .poly import SparsePoly, TrimmedPoly, ValidationError, from_sparse
 
@@ -181,18 +180,10 @@ def _bulk_poly(obj: dict) -> TrimmedPoly | None:
             and set(map(len, exps)) <= {n}
             and set(map(type, chain.from_iterable(exps))) <= {int}):
         return None
-    # bytes() takes only ints in [0, 256), and every vector has n of them,
-    # so equal codes are equal vectors
-    table = dict(zip(map(int.from_bytes, map(bytes, exps), repeat("little")),
-                     coeffs))
-    if len(table) < len(terms):
-        return None  # a duplicated term
+    coeffs = layout_fill(n, d, D, exps, coeffs)
     p = modulus.p
-    coeffs = [c % p for c in map(table.pop, layout_codes(n, d, D),
-                                 repeat(0))]
-    # a code left over is a vector outside the layout: an exponent above
-    # d, or a sum above D
-    return None if table else TrimmedPoly._trusted(modulus, n, d, D, coeffs)
+    return None if coeffs is None else TrimmedPoly._trusted(
+        modulus, n, d, D, [c % p for c in coeffs])
 
 
 def _parse_term(i: int, term) -> tuple[list, int]:

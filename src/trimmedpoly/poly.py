@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import random
 
-from .combinat import (ValidationError, _check_params, _rank, check_index,
-                       clamp_budget, count_rows, layout_size, layout_vectors)
+from .combinat import (ValidationError, _check_params, check_index,
+                       clamp_budget, layout_fill, layout_size, layout_vectors)
 from .field import PrimeModulus, tally
 
 
@@ -166,10 +166,9 @@ class SparsePoly:
 def from_sparse(sparse: SparsePoly) -> TrimmedPoly:
     """Densify a term list into canonical-order coefficients."""
     n, d, b = sparse.n, sparse.d, sparse.D
-    coeffs = [0] * layout_size(n, d, b)
-    rows = count_rows(n, d, b)[:n][::-1]
-    for exps, coeff in sparse.terms:  # validated when sparse was built
-        coeffs[_rank(exps, rows, b)] = coeff
+    layout_size(n, d, b)
+    terms = sparse.terms  # validated when sparse was built: never None
+    coeffs = layout_fill(n, d, b, [e for e, _ in terms], [c for _, c in terms])
     return TrimmedPoly._trusted(sparse.modulus, n, d, b, coeffs)
 
 
