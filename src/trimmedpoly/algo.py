@@ -125,7 +125,7 @@ from itertools import accumulate, compress, repeat
 from operator import itemgetter
 
 from .combinat import (ValidationError, _check_params, _layout_walk,
-                       layout_vectors)
+                       layout_vectors, quote)
 from .field import PrimeModulus, tally
 from .linalg import vandermonde_factors
 from .poly import TrimmedPoly, _DenseTable, _term_sum, to_sparse
@@ -167,7 +167,7 @@ class Grid:
                     f"variable {i + 1} has {len(row)} nodes, expected {d + 1}")
             if len(set(row)) != d + 1:
                 raise ValidationError(
-                    f"variable {i + 1} has duplicate nodes: {row}")
+                    f"variable {i + 1} has duplicate nodes: {quote(row)}")
         self.modulus = modulus
         self.n = len(normalized)
         self.d = d

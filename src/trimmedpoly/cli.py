@@ -23,12 +23,12 @@ from .algo import (
     trimmed_interp,
     yates_eval,
 )
-from .combinat import CapacityError, _check_size, layout_size
+from .combinat import (CapacityError, _check_size, layout_size, quote,
+                       quote_number)
 from .field import PrimeModulus, run_counted
 from .jsonio import (
     eval_table_from_dict,
     grid_from_dict,
-    quote_number,
     trimmed_poly_from_dict,
     write_eval_table,
     write_trimmed_poly,
@@ -164,7 +164,7 @@ def _parse_range(text: str, key: str) -> list[range]:
             raise ValidationError(
                 f"{key}: {shown} is not {kind}{limit}") from None
         if hi < lo:
-            raise ValidationError(f"{key}: empty range {chunk!r}")
+            raise ValidationError(f"{key}: empty range {quote(chunk)}")
         if lo < 1:
             raise ValidationError(f"{key}: values must be >= 1")
         values.append(range(lo, hi + 1))
@@ -191,7 +191,8 @@ def parse_sweep(spec: str) -> list[tuple[int, int, int]]:
         if not assign:
             continue
         if "=" not in assign:
-            raise ValidationError(f"sweep entry {assign!r} is not key=value")
+            raise ValidationError(
+                f"sweep entry {quote(assign)} is not key=value")
         key, _, value = assign.partition("=")
         key = key.strip()
         if key == "n":
@@ -201,7 +202,7 @@ def parse_sweep(spec: str) -> list[tuple[int, int, int]]:
         elif key == "D":
             dtokens = [tok.strip() for tok in value.split(",") if tok.strip()]
         else:
-            raise ValidationError(f"unknown sweep key {key!r}")
+            raise ValidationError(f"unknown sweep key {quote(key)}")
     if not ns or not ds or not dtokens:
         raise ValidationError("sweep must assign n, d and D")
     _check_size(_count(ns) * _count(ds) * len(dtokens), "sweep", "instances")
@@ -220,13 +221,14 @@ def parse_sweep(spec: str) -> list[tuple[int, int, int]]:
                     try:
                         budgets.append(int(tok))
                     except ValueError:
+                        shown, limit = quote_number(tok)
                         raise ValidationError(
-                            f"D token {tok!r} is not nd, nd/2, nd/4 or an "
-                            f"integer") from None
+                            f"D token {shown} is not nd, nd/2, nd/4 or an "
+                            f"integer{limit}") from None
             seen = set()
             for D in budgets:
                 if D < 0:
-                    raise ValidationError(f"negative D = {D} in sweep")
+                    raise ValidationError(f"negative D = {quote(D)} in sweep")
                 if D not in seen:
                     seen.add(D)
                     instances.append((n, d, D))
@@ -240,7 +242,7 @@ def cmd_bench(args) -> int:
     for name in algos:
         if name not in _BENCH_ALGOS:
             raise ValidationError(
-                f"unknown algorithm {name!r}; choose from "
+                f"unknown algorithm {quote(name)}; choose from "
                 f"{sorted(_BENCH_ALGOS)}")
     instances = parse_sweep(args.sweep)
     modulus = PrimeModulus(args.prime)

@@ -21,12 +21,13 @@ so that fixing the last coordinate always selects a contiguous slice.
 The layout of (n, d, b), b a budget, is built here only. The cached
 ``count_rows``, keyed on the clamped budget, is its one table: row m
 holds the running sums S_m[k] = sum_{y<k} ebc_cum(m, y, d) for m <= n
-and k <= b+1, so ebc_cum(m, k, d) = S_m[k+1] - S_m[k]. ``ebc_cum``, the
-capacity checks, ``rank`` and ``unrank`` all read it; ``ebc(n, k, d)``
-builds the rows of budget k uncached, so no table is kept per k. Under the
-remaining budget b, the vectors that precede value e in coordinate m+1
-number sum_{j<e} ebc_cum(m, b-j, d) = S_m[b+1] - S_m[b+1-e], so a rank
-is n table differences and an unrank is n bisections.
+and k <= b+1, so ebc_cum(m, k, d) = S_m[k+1] - S_m[k]. The count rows
+answer sizes (``ebc_cum`` and the capacity checks), ``rank`` and
+``unrank`` only; ``ebc(n, k, d)`` builds the rows of budget k uncached,
+so no table is kept per k. Under the remaining budget b, the vectors
+that precede value e in coordinate m+1 number sum_{j<e} ebc_cum(m, b-j,
+d) = S_m[b+1] - S_m[b+1-e], so a rank is n table differences and an
+unrank is n bisections, of one vector each.
 
 One walk, ``_layout_walk(n, d, b, unit)``, lists sum_i e_i * unit^(i-1)
 for each admissible vector e in canonical order: with unit 256 it gives
@@ -39,15 +40,24 @@ and the numeric order of the codes is the canonical order.
 ``layout_codes`` lists a layout's codes in that order. A code is exact,
 one byte per coordinate, while d <= 255, and ``layout_size``'s cube cap
 n * (d+1)^3 <= 2^21 keeps d <= 127 for n >= 1. The codes take n bytes
-per vector, n * N in all, which ``WORK_LIMIT`` bounds. The bulk decode
-of ``jsonio`` reads them, and every other listing of a layout's vectors
-reads ``layout_vectors``, the selected slots' code bytes:
-``enumerate_trimmed``, ``poly.to_sparse``, the oracle and the writer of
-``jsonio``. None of them is cached.
+per vector, n * N in all, which ``WORK_LIMIT`` bounds. Every conversion
+of a whole layout between vectors and slots goes through them, in one of
+two maps, and no other module converts a vector to a code or back:
+
+- ``layout_vectors``, slots to vectors: the selected slots' code bytes,
+  for ``enumerate_trimmed``, ``poly.to_sparse``, the oracle and the
+  writer of ``jsonio``;
+- ``layout_fill``, vectors to slots, its inverse: each value keyed by
+  its vector's code, and the dense vector filled in one pass over the
+  codes, for ``poly.from_sparse`` and the bulk decode of ``jsonio``.
+
+None of them is cached.
 
 A shape (n, d, D) needs n >= 0 and d >= 1; ``_check_params`` is the one
 place that rule is raised, as ValidationError, for every module of the
 package. A public construction checks it once, through ``layout_size``.
+An error message shows a user value through ``quote``, the one rule for
+every module: whole while short, else its head and its length.
 
 Counts are guarded at 2^63: parameter choices whose vector count exceeds
 that are not materializable anyway and raise CapacityError. The count
@@ -80,6 +90,25 @@ class CapacityError(OverflowError):
 
 class ValidationError(ValueError):
     """Malformed domain input (bad exponent, shape mismatch, bad table)."""
+
+
+def quote(value) -> str:
+    """``repr(value)`` for an error line, or, if the str itself or else
+    that repr is longer than 40 characters, its first 20 characters and
+    its length: a str's head quoted, any other value's head as it is."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    head = repr(text[:20]) if isinstance(value, str) else text[:20]
+    return f"{head}... ({len(text)} characters)"
+
+
+def quote_number(text: str) -> tuple[str, str]:
+    """(quote, limit) for a message on a text that is not an integer: its
+    ``quote``, and past 40 characters the limit of Python's int(), which
+    the text may only exceed."""
+    return quote(text), ("" if len(text) <= 40 else
+                         " of at most 4300 digits, Python's limit")
 
 
 def _check_size(size: int, what: str, unit: str = "entries") -> None:
@@ -181,14 +210,14 @@ def check_index(exponents, n: int, d: int, D: int) -> tuple[int, ...]:
         raise ValueError(f"expected {n} exponents, got {len(exps)}")
     for i, e in enumerate(exps):
         if not isinstance(e, int) or isinstance(e, bool):
-            raise ValueError(f"exponent {i + 1} is not an int: {e!r}")
+            raise ValueError(f"exponent {i + 1} is not an int: {quote(e)}")
         if not 0 <= e <= d:
-            raise ValueError(
-                f"exponent {i + 1} = {e} outside [0, {d}] in {exps}")
+            raise ValueError(f"exponent {i + 1} = {quote(e)} outside "
+                             f"[0, {d}] in {quote(exps)}")
     if sum(exps) > D:
         raise ValueError(
             f"exponent sum {sum(exps)} exceeds total degree bound {D} "
-            f"in {exps}")
+            f"in {quote(exps)}")
     return exps
 
 
@@ -233,10 +262,10 @@ def layout_vectors(n: int, d: int, b: int, selectors):
 
 def layout_fill(n: int, d: int, b: int, vectors, values) -> list | None:
     """The inverse of ``layout_vectors`` on the checked shape (n, d, b):
-    the dense vector with values[i] at the slot of vectors[i], a sequence
-    of n-int vectors, and 0 elsewhere, or None if a vector repeats or is
-    not in the layout. bytes() takes only ints in [0, 256), so equal byte
-    codes are equal vectors."""
+    the dense vector with values[i] at the slot of vectors[i] and 0
+    elsewhere, or None if a vector repeats or is not in the layout. Each
+    vector holds n ints, and bytes() takes only ints in [0, 256), so equal
+    byte codes are equal vectors."""
     table = dict(zip(map(int.from_bytes, map(bytes, vectors),
                          repeat("little")), values))
     if len(table) < len(vectors):

@@ -11,23 +11,22 @@ one list element per chunk, without building the dict or the whole text.
 
 Encoding. ``write_trimmed_poly`` writes a term for each nonzero
 coefficient, straight from the dense vector: it pairs the coefficients
-with the layout's byte codes (``combinat.layout_codes``), and byte i of a
-code is exponent i, so each exponent list is the code's bytes looked up
-in a table of digit strings. No exponent tuple is built per slot.
+with their slots' vectors from ``combinat.layout_vectors``, the bytes of
+the layout codes, and byte i is exponent i, so each exponent list is a
+code's bytes looked up in a table of digit strings. No exponent tuple is
+built per slot.
 
 Decoding. ``trimmed_poly_from_dict`` takes a parsed polynomial document
 straight to its dense ``TrimmedPoly``, as
 ``from_sparse(sparse_poly_from_dict(obj))`` would, in bulk: it reads the
 exponent lists and the coefficients with ``map``, checks the types of the
 terms, of the exponent lists and of every exponent, and the lengths, each
-as one ``set(map(...))``, and keys each coefficient by the exponent
-vector's byte code ``int.from_bytes(bytes(e), "little")``. A code table
-shorter than the term list holds a duplicate. One pass over the layout's
-codes (``combinat.layout_codes``) then fills the dense vector, popping
-each code it finds; a code left over is a vector outside the layout, with
-an exponent above d or a sum above D. ``eval_table_from_dict`` parses
-its values with one ``map(int, ...)`` and leaves the range check to
-``EvalTable``, which checks all of them at once.
+as one ``set(map(...))``, and fills the dense vector with
+``combinat.layout_fill``, as ``from_sparse`` does. That gives None for a
+duplicated vector or one outside the layout, with an exponent above d or
+a sum above D. ``eval_table_from_dict`` parses its values with one
+``map(int, ...)`` and leaves the range check to ``EvalTable``, which
+checks all of them at once.
 
 A bulk decode raises no error of its own. Whatever a bulk check rejects,
 and whatever makes a bulk step raise, goes through the per-entry decode
@@ -43,7 +42,8 @@ from itertools import chain, repeat
 from operator import itemgetter
 
 from .algo import EvalTable, Grid
-from .combinat import clamp_budget, layout_fill, layout_size, layout_vectors
+from .combinat import (clamp_budget, layout_fill, layout_size, layout_vectors,
+                       quote_number)
 from .field import PrimeModulus
 from .poly import SparsePoly, TrimmedPoly, ValidationError, from_sparse
 
@@ -62,16 +62,6 @@ def _get(obj: dict, key: str, kinds, what: str):
         raise ValidationError(
             f"{what} key {key!r} has type {type(value).__name__}")
     return value
-
-
-def quote_number(text: str) -> tuple[str, str]:
-    """(quote, limit) for a message on a text that is not an integer: its
-    repr and "", or past 40 characters a prefix, its length and the limit
-    of Python's int(), which the text may only exceed."""
-    if len(text) <= 40:
-        return repr(text), ""
-    return (f"{text[:20]!r}... ({len(text)} characters)",
-            " of at most 4300 digits, Python's limit")
 
 
 def _parse_scalar(value, what: str) -> int:

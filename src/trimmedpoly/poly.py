@@ -12,7 +12,9 @@ SparsePoly is a term list, kept as library API and as the form of the
 per-term decode (``jsonio.sparse_poly_from_dict``), which names the first
 bad term of a document that the bulk decode rejects. Otherwise the CLI
 reads and writes polynomial documents straight to and from the dense
-coefficients, and no algorithm reads it.
+coefficients, and no algorithm reads it. ``from_sparse`` and ``to_sparse``
+convert through ``combinat``'s two whole-layout maps, ``layout_fill`` and
+``layout_vectors``, so neither ranks nor unranks a term.
 
 ``naive_eval_point``, the term-by-term oracle, reads the terms of
 ``to_sparse`` and shares its term sum with ``algo.naive_trimmed_eval``,
@@ -25,7 +27,8 @@ from __future__ import annotations
 import random
 
 from .combinat import (ValidationError, _check_params, check_index,
-                       clamp_budget, layout_fill, layout_size, layout_vectors)
+                       clamp_budget, layout_fill, layout_size, layout_vectors,
+                       quote)
 from .field import PrimeModulus, tally
 
 
@@ -125,9 +128,11 @@ class SparsePoly:
             try:
                 key = check_index(exps, n, d, D)
             except ValueError as exc:
-                raise ValidationError(f"bad term {tuple(exps)!r}: {exc}") from exc
+                raise ValidationError(
+                    f"bad term {quote(tuple(exps))}: {exc}") from exc
             if key in seen:
-                raise ValidationError(f"duplicate term for exponents {key}")
+                raise ValidationError(
+                    f"duplicate term for exponents {quote(key)}")
             seen.add(key)
             c = modulus.residue(coeff)
             if c:

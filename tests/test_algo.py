@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pickle
 import random
@@ -12,6 +13,7 @@ from trimmedpoly.algo import (
     _factors,
     _kernel,
     _level_plan,
+    _level_tables,
     _transform,
     naive_trimmed_eval,
     trimmed_eval,
@@ -362,6 +364,27 @@ def test_level_plan_blocks_are_degree_ordered():
         for _ in range(2 * n - 1):
             perm = relabel(perm)
         assert [perm[i] for i in leave] == ident, (n, d, b)
+
+
+# sha256 of the plans below, computed when this test was added
+PLAN_DIGEST = \
+    "eee60cf4c60cc1f4ad7a454e0ffce65eb6a5155c2b168d9311433a8e3c7cf524"
+
+
+def test_level_tables_equal_the_pinned_plans():
+    # 238 plans: every shape with 1 <= n <= 6, d <= 4 and 0 <= b <= nd,
+    # and the benchmark's shapes. A rewrite of the planner must give the
+    # same tables, entry for entry, not only tables that pass the checks
+    # above.
+    shapes = [(n, d, b) for n in range(1, 7) for d in range(1, 5)
+              for b in range(n * d + 1)]
+    digest = hashlib.sha256()
+    for n, d, b in shapes + [(12, 2, 6), (12, 2, 12), (8, 3, 12),
+                             (2000, 1, 1)]:
+        _, offs, enter, leave, up, fits = _level_tables(n, b, d)
+        digest.update(repr((n, d, b, offs, enter.tolist(), leave.tolist(),
+                            up.tolist(), fits)).encode())
+    assert digest.hexdigest() == PLAN_DIGEST
 
 
 # Why interpolation does not factor V^-1: a lower*upper factorization of

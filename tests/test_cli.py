@@ -190,6 +190,57 @@ def test_over_long_decimal_is_quoted_by_its_prefix(tmp_path, capsys, command,
     assert len(err) < 200
 
 
+def _term_doc(exp, n=2, copies=1):
+    return {"p": "5", "n": n, "d": 1, "D": 1,
+            "terms": [{"exp": exp, "coeff": "1"}] * copies}
+
+
+def _sweep(spec, algos="trimmed"):
+    return ["bench", "--sweep", spec, "--algos", algos]
+
+
+@pytest.mark.parametrize("doc, argv, shown", [
+    (_term_doc([LONG, 0]), None, "'99999999999999999999'... (5000 characters)"),
+    (_term_doc([0] * 5000), None, "(0, 0, 0, 0, 0, 0, 0... (15000 characters)"),
+    (_term_doc([int("9" * 3800), 0]), None,
+     " = 99999999999999999999... (3800 characters) outside [0, 1] in "),
+    (_term_doc([1, 1] + [0] * 4998, n=5000), None,
+     "exponent sum 2 exceeds total degree bound 1 in (1, 1, 0,"),
+    (_term_doc([0] * 5000, n=5000, copies=2), None,
+     "duplicate term for exponents (0, 0, 0, 0, 0, 0, 0... (15000 "),
+    ({"p": "65537", "n": 1, "d": 5001,
+      "nodes": [[str(z) for z in range(5001)] + ["7"]]}, None,
+     "duplicate nodes: (0, 1, 2, 3, 4, 5, 6... (28899 characters)"),
+    (None, _sweep("n=1;d=1;D=" + "x" * 5000),
+     "D token 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters) is not nd, nd/2, "
+     "nd/4 or an integer of at most 4300 digits, Python's limit"),
+    (None, _sweep("n=1;d=1;D=1;" + "x" * 5000), "sweep entry 'xxxx"),
+    (None, _sweep("n=1;d=1;D=1;" + "k" * 5000 + "=1"), "sweep key 'kkkk"),
+    (None, _sweep("n=" + "9" * 4000 + "..1;d=1;D=1"),
+     "empty range '99999999999999999999'... (4003 characters)"),
+    (None, _sweep("n=1;d=1;D=-" + "9" * 4000),
+     "negative D = -9999999999999999999... (4001 characters) in sweep"),
+    (None, _sweep("n=1;d=1;D=1", "a" * 5000),
+     "'aaaaaaaaaaaaaaaaaaaa'... (5000 characters); choose from"),
+], ids=["str-exponent", "long-exponent-list", "int-exponent", "exponent-sum",
+        "duplicate-term", "duplicate-node", "sweep-D-token", "sweep-entry",
+        "sweep-key", "sweep-empty-range", "sweep-negative-D", "bench-algo"])
+def test_long_values_are_quoted_by_their_head(tmp_path, capsys, doc, argv,
+                                              shown):
+    # Any user value whose repr passes 40 characters is shown as its
+    # first 20 and its length, so each error is one short line
+    path = write(tmp_path / "doc.json", doc)
+    if argv is None and "nodes" in doc:
+        argv = ["eval", "--poly", write(tmp_path / "poly.json", WORKED_POLY),
+                "--grid", path]
+    elif argv is None:
+        argv = ["eval", "--poly", path, "--grid-gen", "seq"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert shown in err and len(err) < 200
+
+
 def test_eval_duplicate_node_exits_1(tmp_path, capsys):
     poly = write(tmp_path / "poly.json", WORKED_POLY)
     grid = write(tmp_path / "grid.json",

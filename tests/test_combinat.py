@@ -17,7 +17,10 @@ from trimmedpoly.combinat import (
     clamp_budget,
     enumerate_trimmed,
     layout_codes,
+    layout_fill,
     layout_size,
+    layout_vectors,
+    quote,
     rank,
     unrank,
 )
@@ -207,6 +210,40 @@ def test_layout_codes_are_the_byte_codes_in_order():
     assert layout_codes(1, 127, 127) == list(range(128))
     assert layout_codes(3, 2, 0) == [0]
     assert layout_codes(3, 2, 1) == [0, 1, 256, 65536]
+
+
+def test_layout_fill_inverts_layout_vectors():
+    for n, d, b in [(0, 1, 0), (2, 1, 1), (3, 2, 4), (4, 3, 12)]:
+        size = layout_size(n, d, b)
+        vectors = [list(e) for e in layout_vectors(n, d, b, [1] * size)]
+        assert layout_fill(n, d, b, vectors, range(1, size + 1)) == \
+            list(range(1, size + 1))
+        assert layout_fill(n, d, b, vectors[::-1], range(size, 0, -1)) == \
+            list(range(1, size + 1))
+    dense = layout_fill(3, 2, 4, [(0, 1, 2)], [7])
+    assert dense[rank((0, 1, 2), 3, 2, 4)] == 7 and sum(dense) == 7
+    assert layout_fill(2, 1, -1, [], []) == []
+
+
+@pytest.mark.parametrize("vectors", [
+    [(0, 1), (1, 0), (0, 1)],  # a repeated vector
+    [(0, 2)],  # an exponent above d
+    [(2, 0), (0, 0)],  # an exponent above d, in the first byte
+    [(1, 1)],  # a sum above b
+], ids=["repeat", "above-d", "above-d-first", "above-b"])
+def test_layout_fill_refuses_vectors_outside_the_layout(vectors):
+    assert layout_fill(2, 1, 1, vectors, range(1, len(vectors) + 1)) is None
+
+
+def test_quote_keeps_short_values_whole():
+    # a str is measured as its text, anything else as its repr
+    edge = (12,) + (1,) * 12
+    for value in ["", "x" * 40, edge, -10**38, "'" * 40, [0] * 13]:
+        assert quote(value) == repr(value)
+    assert len(repr(edge)) == 40 and len(str(-10**38)) == 40
+    assert quote("x" * 41) == "'xxxxxxxxxxxxxxxxxxxx'... (41 characters)"
+    assert quote((1,) * 14) == "(1, 1, 1, 1, 1, 1, 1... (42 characters)"
+    assert quote(10**40) == "10000000000000000000... (41 characters)"
 
 
 def test_one_point_layouts_walk_in_linear_time():

@@ -122,30 +122,46 @@ def test_only_field_records_operations():
     assert not offenders, offenders
 
 
-def test_transform_runs_no_elimination():
-    # algo builds its factors in closed form, and selftest checks them by
-    # the definition of the factorization; the elimination in linalg is a
-    # reference for the tests and perfbench only, which reach it through
-    # linalg and the package root. The files are only parsed.
-    reference = {"lu_decompose", "invert", "build_vandermonde",
-                 "SquareMatrix", "LUFactors", "ZeroPivotError",
-                 "SingularMatrixError"}
+def _modules_naming(names, exempt):
+    """(file, line) of each import, name or attribute that is one of
+    ``names`` in the package's modules other than ``exempt``. The files
+    are only parsed."""
     package = Path(trimmedpoly.__file__).resolve().parent
     offenders = []
     for path in sorted(package.glob("*.py")):
-        if path.name in ("linalg.py", "__init__.py"):
+        if path.name in exempt:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.alias):
-                hit = node.name.split(".")[-1] in reference
+                hit = node.name.split(".")[-1] in names
             elif isinstance(node, ast.Name):
-                hit = node.id in reference
+                hit = node.id in names
             elif isinstance(node, ast.Attribute):
-                hit = node.attr in reference
+                hit = node.attr in names
             else:
                 continue
             if hit:
                 offenders.append((path.name, node.lineno))
+    return offenders
+
+
+def test_transform_runs_no_elimination():
+    # algo builds its factors in closed form, and selftest checks them by
+    # the definition of the factorization; the elimination in linalg is a
+    # reference for the tests and perfbench only, which reach it through
+    # linalg and the package root.
+    reference = {"lu_decompose", "invert", "build_vandermonde",
+                 "SquareMatrix", "LUFactors", "ZeroPivotError",
+                 "SingularMatrixError"}
+    offenders = _modules_naming(reference, ("linalg.py", "__init__.py"))
+    assert not offenders, offenders
+
+
+def test_only_combinat_converts_vectors_and_byte_codes():
+    # A vector's slot is its layout byte code, and combinat alone knows
+    # that rule: its whole-layout maps, layout_vectors and layout_fill,
+    # are the only conversions between vectors and codes.
+    offenders = _modules_naming({"from_bytes", "to_bytes"}, ("combinat.py",))
     assert not offenders, offenders
 
 

@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from trimmedpoly.combinat import ebc_cum, enumerate_trimmed, layout_size
+from trimmedpoly.combinat import (ebc_cum, enumerate_trimmed, layout_size,
+                                  rank)
 from trimmedpoly.field import PrimeModulus
 from trimmedpoly.poly import (
     SparsePoly,
@@ -61,6 +62,22 @@ def test_to_sparse_round_trip():
         assert from_sparse(to_sparse(poly)) == poly
 
 
+def test_from_sparse_puts_each_term_at_its_rank():
+    rng = random.Random(27)
+    for n in range(0, 6):
+        for d in range(1, 5):
+            for D in range(-1, n * d + 1):
+                terms = [(e, rng.randrange(1, 5))
+                         for e in enumerate_trimmed(n, d, max(D, 0))
+                         if D >= 0 and rng.random() < 0.5]
+                rng.shuffle(terms)
+                expected = [0] * ebc_cum(n, D, d)
+                for e, c in terms:
+                    expected[rank(e, n, d, D)] = c
+                poly = from_sparse(SparsePoly(MOD5, n, d, D, terms))
+                assert list(poly.coeffs) == expected, (n, d, D)
+
+
 def _traced(call):
     """The traced peak of call(), and what stays allocated once its
     result is dropped, in bytes."""
@@ -85,6 +102,9 @@ def test_wide_shapes_keep_no_enumeration():
     n = 1999
     poly = TrimmedPoly(MOD5, n, 1, 1, [0] * layout_size(n, 1, 1))
     peak, kept = _traced(lambda: to_sparse(poly))
+    assert peak < 4 << 20 and kept < 1 << 16
+    zero = SparsePoly(MOD5, n, 1, 1, [])
+    peak, kept = _traced(lambda: from_sparse(zero))
     assert peak < 4 << 20 and kept < 1 << 16
     peak, kept = _traced(lambda: naive_eval_point(poly, (1,) * n))
     assert peak < 4 << 20 and kept < 1 << 16
