@@ -140,7 +140,8 @@ def _check_node_count(modulus: PrimeModulus, d: int) -> None:
     """The node rule: a row of d+1 distinct nodes needs p >= d+1."""
     if modulus.p < d + 1:
         raise ValidationError(
-            f"need p >= d+1 for distinct nodes, got p={modulus.p}, d={d}")
+            f"need p >= d+1 for distinct nodes, got p={modulus.p}, "
+            f"d={quote(d)}")
 
 
 class Grid:

@@ -22,12 +22,13 @@ The layout of (n, d, b), b a budget, is built here only. The cached
 ``count_rows``, keyed on the clamped budget, is its one table: row m
 holds the running sums S_m[k] = sum_{y<k} ebc_cum(m, y, d) for m <= n
 and k <= b+1, so ebc_cum(m, k, d) = S_m[k+1] - S_m[k]. The count rows
-answer sizes (``ebc_cum`` and the capacity checks), ``rank`` and
-``unrank`` only; ``ebc(n, k, d)`` builds the rows of budget k uncached,
-so no table is kept per k. Under the remaining budget b, the vectors
-that precede value e in coordinate m+1 number sum_{j<e} ebc_cum(m, b-j,
-d) = S_m[b+1] - S_m[b+1-e], so a rank is n table differences and an
-unrank is n bisections, of one vector each.
+answer sizes (``ebc_cum`` and the capacity checks) and the ranks and
+unranks of single vectors: ``rank``, ``unrank`` and the per-term ranks
+of ``poly.from_sparse``. ``ebc(n, k, d)`` builds the rows of budget k
+uncached, so no table is kept per k. Under the remaining budget b, the
+vectors that precede value e in coordinate m+1 number sum_{j<e}
+ebc_cum(m, b-j, d) = S_m[b+1] - S_m[b+1-e], so a rank is n table
+differences and an unrank is n bisections.
 
 One walk, ``_layout_walk(n, d, b, unit)``, lists sum_i e_i * unit^(i-1)
 for each admissible vector e in canonical order: with unit 256 it gives
@@ -49,7 +50,9 @@ two maps, and no other module converts a vector to a code or back:
   writer of ``jsonio``;
 - ``layout_fill``, vectors to slots, its inverse: each value keyed by
   its vector's code, and the dense vector filled in one pass over the
-  codes, for ``poly.from_sparse`` and the bulk decode of ``jsonio``.
+  codes, for the bulk decode of ``jsonio``. It costs n * N however few
+  the vectors, so ``poly.from_sparse``, whose term lists may be short,
+  ranks each term instead, at n lookups a term.
 
 None of them is cached.
 
@@ -120,9 +123,10 @@ def _check_size(size: int, what: str, unit: str = "entries") -> None:
 def _check_params(n: int, d: int) -> None:
     """The shape rule: n >= 0 variables, individual degree d >= 1."""
     if n < 0:
-        raise ValidationError(f"variable count must be >= 0, got {n}")
+        raise ValidationError(f"variable count must be >= 0, got {quote(n)}")
     if d < 1:
-        raise ValidationError(f"individual degree must be >= 1, got {d}")
+        raise ValidationError(
+            f"individual degree must be >= 1, got {quote(d)}")
 
 
 @lru_cache(maxsize=None)
@@ -187,10 +191,11 @@ def layout_size(n: int, d: int, D: int) -> int:
     _check_params(n, d)
     cube = n * (d + 1) ** 3
     if cube > SIZE_LIMIT:
-        raise CapacityError(f"factors of (n={n}, d={d}): n*(d+1)^3 is "
-                            f"{cube}, more than the limit {SIZE_LIMIT}")
+        raise CapacityError(f"factors of (n={quote(n)}, d={quote(d)}): "
+                            f"n*(d+1)^3 is {quote(cube)}, more than the "
+                            f"limit {SIZE_LIMIT}")
     b = clamp_budget(n, d, D)
-    what = f"layout of (n={n}, d={d}, D={D})"
+    what = f"layout of (n={n}, d={d}, D={quote(D)})"
     # N >= n + 1 at b >= 1: refuse a wide shape before its count rows
     if b >= 1 and n * (n + 1) > WORK_LIMIT:
         raise CapacityError(f"{what}: n*N is at least {n * (n + 1)}, more "
@@ -207,7 +212,7 @@ def check_index(exponents, n: int, d: int, D: int) -> tuple[int, ...]:
     """Validate an exponent vector against (n, d, D); returns it as a tuple."""
     exps = tuple(exponents)
     if len(exps) != n:
-        raise ValueError(f"expected {n} exponents, got {len(exps)}")
+        raise ValueError(f"expected {quote(n)} exponents, got {len(exps)}")
     for i, e in enumerate(exps):
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"exponent {i + 1} is not an int: {quote(e)}")
@@ -283,6 +288,17 @@ def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
                                            repeat(1))))
 
 
+def _rank(exps, rows, b: int) -> int:
+    """The rank of a vector that passed ``check_index``: rows are
+    S_{n-1}, ..., S_0 of ``count_rows(n, d, b)``, b the clamped budget."""
+    r = 0
+    b += 1
+    for sums, e in zip(rows, reversed(exps)):
+        r += sums[b] - sums[b - e]
+        b -= e
+    return r
+
+
 def rank(exponents, n: int, d: int, D: int) -> int:
     """Position of an exponent vector in the canonical order.
 
@@ -290,12 +306,8 @@ def rank(exponents, n: int, d: int, D: int) -> int:
     """
     _check_params(n, d)
     exps = check_index(exponents, n, d, D)
-    top = clamp_budget(n, d, D)
-    r, b = 0, top + 1
-    for sums, e in zip(reversed(count_rows(n, d, top)[:n]), reversed(exps)):
-        r += sums[b] - sums[b - e]
-        b -= e
-    return r
+    b = clamp_budget(n, d, D)
+    return _rank(exps, count_rows(n, d, b)[:n][::-1], b)
 
 
 def unrank(position: int, n: int, d: int, D: int) -> tuple[int, ...]:

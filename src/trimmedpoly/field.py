@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 
+from .combinat import quote
+
 MAX_MODULUS = (1 << 62) - 1
 
 # Witness set proving n prime for all n < 3.3 * 10^24, far above 2^62.
@@ -106,7 +108,7 @@ class PrimeModulus:
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError(f"modulus must be an int, got {type(p).__name__}")
         if not 2 <= p <= MAX_MODULUS:
-            raise ValueError(f"modulus must lie in [2, 2^62), got {p}")
+            raise ValueError(f"modulus must lie in [2, 2^62), got {quote(p)}")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

@@ -22,9 +22,9 @@ straight to its dense ``TrimmedPoly``, as
 exponent lists and the coefficients with ``map``, checks the types of the
 terms, of the exponent lists and of every exponent, and the lengths, each
 as one ``set(map(...))``, and fills the dense vector with
-``combinat.layout_fill``, as ``from_sparse`` does. That gives None for a
-duplicated vector or one outside the layout, with an exponent above d or
-a sum above D. ``eval_table_from_dict`` parses its values with one
+``combinat.layout_fill``, in one pass over the layout's codes. That gives
+None for a duplicated vector or one outside the layout, with an exponent
+above d or a sum above D. ``eval_table_from_dict`` parses its values with one
 ``map(int, ...)`` and leaves the range check to ``EvalTable``, which
 checks all of them at once.
 
@@ -43,7 +43,7 @@ from operator import itemgetter
 
 from .algo import EvalTable, Grid
 from .combinat import (clamp_budget, layout_fill, layout_size, layout_vectors,
-                       quote_number)
+                       quote, quote_number)
 from .field import PrimeModulus
 from .poly import SparsePoly, TrimmedPoly, ValidationError, from_sparse
 
@@ -202,7 +202,8 @@ def grid_from_dict(obj: dict) -> Grid:
     raw_rows = _get(obj, "nodes", list, what)
     if len(raw_rows) != n:
         raise ValidationError(
-            f"grid document declares n={n} but has {len(raw_rows)} node rows")
+            f"grid document declares n={quote(n)} but has {len(raw_rows)} "
+            "node rows")
     rows = []
     for i, row in enumerate(raw_rows):
         if not isinstance(row, list):

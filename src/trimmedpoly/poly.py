@@ -12,9 +12,10 @@ SparsePoly is a term list, kept as library API and as the form of the
 per-term decode (``jsonio.sparse_poly_from_dict``), which names the first
 bad term of a document that the bulk decode rejects. Otherwise the CLI
 reads and writes polynomial documents straight to and from the dense
-coefficients, and no algorithm reads it. ``from_sparse`` and ``to_sparse``
-convert through ``combinat``'s two whole-layout maps, ``layout_fill`` and
-``layout_vectors``, so neither ranks nor unranks a term.
+coefficients, and no algorithm reads it. ``from_sparse`` ranks each term
+in the count rows, at O(n) a term on top of the N zeros, so a short term
+list in a large layout costs little more than its zeros; ``to_sparse``
+reads the selected slots' vectors from ``combinat.layout_vectors``.
 
 ``naive_eval_point``, the term-by-term oracle, reads the terms of
 ``to_sparse`` and shares its term sum with ``algo.naive_trimmed_eval``,
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 import random
 
-from .combinat import (ValidationError, _check_params, check_index,
-                       clamp_budget, layout_fill, layout_size, layout_vectors,
+from .combinat import (ValidationError, _check_params, _rank, check_index,
+                       clamp_budget, count_rows, layout_size, layout_vectors,
                        quote)
 from .field import PrimeModulus, tally
 
@@ -171,9 +172,10 @@ class SparsePoly:
 def from_sparse(sparse: SparsePoly) -> TrimmedPoly:
     """Densify a term list into canonical-order coefficients."""
     n, d, b = sparse.n, sparse.d, sparse.D
-    layout_size(n, d, b)
-    terms = sparse.terms  # validated when sparse was built: never None
-    coeffs = layout_fill(n, d, b, [e for e, _ in terms], [c for _, c in terms])
+    coeffs = [0] * layout_size(n, d, b)
+    rows = count_rows(n, d, b)[:n][::-1]
+    for exps, coeff in sparse.terms:  # validated when sparse was built
+        coeffs[_rank(exps, rows, b)] = coeff
     return TrimmedPoly._trusted(sparse.modulus, n, d, b, coeffs)
 
 

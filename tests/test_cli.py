@@ -160,6 +160,7 @@ def test_eval_seq_grid_without_variables_at_huge_degree(tmp_path):
 
 
 LONG = "9" * 5000
+BIG = int("9" * 4000)
 PREFIX = "'99999999999999999999'... (5000 characters)"
 
 
@@ -222,9 +223,26 @@ def _sweep(spec, algos="trimmed"):
      "negative D = -9999999999999999999... (4001 characters) in sweep"),
     (None, _sweep("n=1;d=1;D=1", "a" * 5000),
      "'aaaaaaaaaaaaaaaaaaaa'... (5000 characters); choose from"),
+    ({**WORKED_POLY, "n": -BIG}, None,
+     "variable count must be >= 0, got -9999999999999999999... (4001 "),
+    ({**WORKED_GRID, "d": -BIG}, None,
+     "individual degree must be >= 1, got -9999999999999999999... (4001 "),
+    ({**WORKED_POLY, "p": BIG}, None,
+     "modulus must lie in [2, 2^62), got 99999999999999999999... (4000 "),
+    ({**WORKED_POLY, "n": BIG}, None,
+     "expected 99999999999999999999... (4000 characters) exponents, got 2"),
+    ({**WORKED_POLY, "n": BIG, "terms": []}, None,
+     "factors of (n=99999999999999999999... (4000 characters), d=1): "
+     "n*(d+1)^3 is 79999999999999999999... (4001 characters), more than"),
+    ({**WORKED_GRID, "n": -BIG}, None,
+     "grid document declares n=-9999999999999999999... (4001 characters)"),
+    ({**WORKED_GRID, "d": BIG}, None,
+     "got p=5, d=99999999999999999999... (4000 characters)"),
 ], ids=["str-exponent", "long-exponent-list", "int-exponent", "exponent-sum",
         "duplicate-term", "duplicate-node", "sweep-D-token", "sweep-entry",
-        "sweep-key", "sweep-empty-range", "sweep-negative-D", "bench-algo"])
+        "sweep-key", "sweep-empty-range", "sweep-negative-D", "bench-algo",
+        "variable-count", "degree", "modulus", "exponent-count", "factors",
+        "grid-n", "grid-d"])
 def test_long_values_are_quoted_by_their_head(tmp_path, capsys, doc, argv,
                                               shown):
     # Any user value whose repr passes 40 characters is shown as its

@@ -246,6 +246,15 @@ def test_quote_keeps_short_values_whole():
     assert quote(10**40) == "10000000000000000000... (41 characters)"
 
 
+def test_layout_size_quotes_a_long_budget():
+    # The library takes D unclamped, so the message must not show it whole
+    with pytest.raises(CapacityError) as err:
+        layout_size(9000, 1, 10**4000)
+    assert str(err.value) == (
+        "layout of (n=9000, d=1, D=10000000000000000000... (4001 "
+        "characters)): n*N is at least 81009000, more than the limit 67108864")
+
+
 def test_one_point_layouts_walk_in_linear_time():
     # At D = 0 no block j >= 1 exists, so the walk computes no shift
     # unit^(m-1): an m-byte int per level would make 50,000 levels take

@@ -98,14 +98,16 @@ def test_wide_shapes_keep_no_enumeration():
     # other test enumerates this shape, so nothing is cached before.
     # Converting or evaluating the zero polynomial walks the layout codes,
     # about 2 MB, and keeps none of it; an enumeration is dropped with
-    # its result.
+    # its result. A short term list is ranked term by term, so densifying
+    # it builds its N zeros, 16 KB here, and no codes.
     n = 1999
     poly = TrimmedPoly(MOD5, n, 1, 1, [0] * layout_size(n, 1, 1))
     peak, kept = _traced(lambda: to_sparse(poly))
     assert peak < 4 << 20 and kept < 1 << 16
-    zero = SparsePoly(MOD5, n, 1, 1, [])
-    peak, kept = _traced(lambda: from_sparse(zero))
-    assert peak < 4 << 20 and kept < 1 << 16
+    for terms in [], [((0,) * (n - 1) + (1,), 2)]:
+        short = SparsePoly(MOD5, n, 1, 1, terms)
+        peak, kept = _traced(lambda: from_sparse(short))
+        assert peak < 1 << 17 and kept < 1 << 16
     peak, kept = _traced(lambda: naive_eval_point(poly, (1,) * n))
     assert peak < 4 << 20 and kept < 1 << 16
     peak, kept = _traced(lambda: enumerate_trimmed(n, 1, 1))
