@@ -218,11 +218,11 @@ def check_index(exponents, n: int, d: int, D: int) -> tuple[int, ...]:
             raise ValueError(f"exponent {i + 1} is not an int: {quote(e)}")
         if not 0 <= e <= d:
             raise ValueError(f"exponent {i + 1} = {quote(e)} outside "
-                             f"[0, {d}] in {quote(exps)}")
+                             f"[0, {quote(d)}] in {quote(exps)}")
     if sum(exps) > D:
         raise ValueError(
-            f"exponent sum {sum(exps)} exceeds total degree bound {D} "
-            f"in {quote(exps)}")
+            f"exponent sum {quote(sum(exps))} exceeds total degree bound "
+            f"{quote(D)} in {quote(exps)}")
     return exps
 
 

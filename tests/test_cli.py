@@ -238,11 +238,14 @@ def _sweep(spec, algos="trimmed"):
      "grid document declares n=-9999999999999999999... (4001 characters)"),
     ({**WORKED_GRID, "d": BIG}, None,
      "got p=5, d=99999999999999999999... (4000 characters)"),
+    (_term_doc([-1], n=1) | {"d": BIG}, None,
+     "exponent 1 = -1 outside [0, 99999999999999999999... (4000 "
+     "characters)] in (-1,)"),
 ], ids=["str-exponent", "long-exponent-list", "int-exponent", "exponent-sum",
         "duplicate-term", "duplicate-node", "sweep-D-token", "sweep-entry",
         "sweep-key", "sweep-empty-range", "sweep-negative-D", "bench-algo",
         "variable-count", "degree", "modulus", "exponent-count", "factors",
-        "grid-n", "grid-d"])
+        "grid-n", "grid-d", "exponent-range-d"])
 def test_long_values_are_quoted_by_their_head(tmp_path, capsys, doc, argv,
                                               shown):
     # Any user value whose repr passes 40 characters is shown as its
@@ -257,6 +260,23 @@ def test_long_values_are_quoted_by_their_head(tmp_path, capsys, doc, argv,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert shown in err and len(err) < 200
+
+
+def test_long_budget_in_an_exponent_sum_error_is_quoted(tmp_path, capsys):
+    # A sum above a long D quotes four long values (the term, the sum, D
+    # and the vector), so the line is longer than one value's quote, but
+    # no longer for a longer value
+    lines = []
+    for digits in (3000, 4000):
+        budget = int("9" * digits)
+        doc = _term_doc([budget + 1], n=1) | {"d": budget * 10, "D": budget}
+        argv = ["eval", "--poly", write(tmp_path / "doc.json", doc),
+                "--grid-gen", "seq", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        lines.append(capsys.readouterr().err)
+    assert lines[0].count("\n") == 1 and len(lines[0]) == len(lines[1]) < 250
+    assert ("exceeds total degree bound 99999999999999999999... "
+            "(4000 characters) in (1000000000000000000") in lines[1]
 
 
 def test_eval_duplicate_node_exits_1(tmp_path, capsys):
