@@ -248,23 +248,22 @@ def cmd_bench(args) -> int:
     modulus = PrimeModulus(args.prime)
     lines = [BENCH_HEADER]
     for n, d, D in instances:
+        shape = f"n={quote(n)} d={quote(d)} D={quote(D)}"
         try:
             _check_node_count(modulus, d)
             size = layout_size(n, d, D)
         except (ValidationError, CapacityError) as exc:
-            sys.stderr.write(f"skip n={n} d={d} D={D}: {exc}\n")
+            sys.stderr.write(f"skip {shape}: {exc}\n")
             continue
         poly = random_poly(n, d, D, modulus, args.seed + _instance_seed(n, d, D))
         grid = Grid.sequential(modulus, n, d)
         for name in algos:
             if name == "yates" and D != n * d:
-                sys.stderr.write(
-                    f"skip yates for n={n} d={d} D={D}: needs D = n*d\n")
+                sys.stderr.write(f"skip yates for {shape}: needs D = n*d\n")
                 continue
             refusal = _oracle_refusal(n, size) if name == "naive" else None
             if refusal:
-                sys.stderr.write(
-                    f"skip naive for n={n} d={d} D={D}: {refusal}\n")
+                sys.stderr.write(f"skip naive for {shape}: {refusal}\n")
                 continue
             # time a plain run; the counts come from a separate one
             start = time.perf_counter_ns()

@@ -530,6 +530,19 @@ def test_bench_node_rule_skip(tmp_path, capsys):
     assert out.read_text().strip() == BENCH_HEADER
 
 
+@pytest.mark.parametrize("spec, algos, shown", [
+    ("n=" + "9" * 4000 + ";d=1;D=1", "trimmed",
+     "skip n=99999999999999999999... (4000 characters) d=1 D=1: factors"),
+    ("n=1;d=1;D=" + "9" * 4000, "yates",
+     "skip yates for n=1 d=1 D=99999999999999999999... (4000 characters): "),
+], ids=["capacity", "yates"])
+def test_bench_skip_quotes_a_long_shape(tmp_path, capsys, spec, algos, shown):
+    assert main(_sweep(spec, algos) + ["--out", str(tmp_path / "x.csv")]) == 0
+    # the capacity line quotes three long values: n twice, and n*(d+1)^3
+    err = capsys.readouterr().err
+    assert err.startswith(shown) and err.count("\n") == 1 and len(err) < 250
+
+
 def test_bench_yates_needs_full_cube(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--sweep", "n=2;d=2;D=nd/2,nd", "--algos",
