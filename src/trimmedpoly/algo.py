@@ -225,23 +225,12 @@ def _level_plan(nv: int, b: int, d: int):
     i in enter]`` puts canonical data into the degree-ordered blocks of
     the module docstring; in that internal order, ``up(data)`` relabels
     (e_1, ..., e_nv) as (e_2, ..., e_nv, e_1), a gather by one cached
-    ``itemgetter``. The stages apply ``up`` 2*nv - 1 times, one short of
-    the identity, so ``leave`` applies it once more and then undoes
-    ``enter``. ``fits[j]`` is a bytes row over the canonical (nv-1, b)
-    listing, 1 where a prefix's sum is at most b-j.
+    ``itemgetter``, and ``list(up(range(N)))`` is its index array. The
+    stages apply ``up`` 2*nv - 1 times, one short of the identity, so
+    ``leave`` applies it once more and then undoes ``enter``. ``fits[j]``
+    is a bytes row over the canonical (nv-1, b) listing, 1 where a
+    prefix's sum is at most b-j.
     """
-    jmax, offs, enter, leave, up, fits = _level_tables(nv, b, d)
-    # The getter's N index objects are made once the tables' temporaries
-    # are gone, into the memory they held. One index would make itemgetter
-    # return the bare item; the only relabelling of one entry is the
-    # identity, a copy.
-    return (jmax, offs, enter, leave,
-            itemgetter(*up) if len(up) > 1 else itemgetter(slice(None)),
-            fits)
-
-
-def _level_tables(nv: int, b: int, d: int):
-    """``_level_plan`` with ``up`` as an index array."""
     jmax = min(d, b)
     sums = _layout_walk(nv - 1, d, b, 1)
     # Block j lists the width_j prefixes (e_1, ..., e_{nv-1}) with sum <=
@@ -267,7 +256,15 @@ def _level_tables(nv: int, b: int, d: int):
     start = list(accumulate((min(d, b - s) + 1 for s in sums), initial=0))
     up = array("i", [back[start[g] + j] for j, w in enumerate(widths)
                      for g in graded[:w]])
-    return jmax, offs, enter, array("i", [up[i] for i in back]), up, fits
+    leave = array("i", [up[i] for i in back])
+    # The getter's N index objects are made once the temporaries are gone,
+    # into the memory they held. One index would make itemgetter return
+    # the bare item; the only relabelling of one entry is the identity, a
+    # copy.
+    del sums, graded, grank, back, start, index
+    return (jmax, offs, enter, leave,
+            itemgetter(*up) if len(up) > 1 else itemgetter(slice(None)),
+            fits)
 
 
 # The stage kernel: one comprehension per segment, one pass over its
@@ -314,7 +311,7 @@ def _transform(data, grid: Grid, b: int, inverse: bool):
     nv, d, p = grid.n, grid.d, grid.modulus.p
     if nv == 0 or b < 0:
         return data
-    factors = _factors(grid, inverse)
+    factors = [vandermonde_factors(row, p, inverse) for row in grid.rows]
     jmax, offs, enter, leave, up, fits = _level_plan(nv, b, d)
     widths = [offs[j + 1] - offs[j] for j in range(jmax + 1)]
     # A unit upper stage multiplies by every coefficient off the diagonal;
@@ -427,14 +424,6 @@ def _check_grid_match(obj, grid: Grid, what: str) -> None:
         raise ValidationError(
             f"{what} is over F_{obj.modulus.p} but grid is over "
             f"F_{grid.modulus.p}")
-
-
-def _factors(grid: Grid, inverse: bool):
-    """Per-variable (lower rows, unit upper rows, scale row): the factors
-    L, U', D of the row's Vandermonde matrix, or with ``inverse`` L, U' and
-    1/D."""
-    p = grid.modulus.p
-    return [vandermonde_factors(row, p, inverse) for row in grid.rows]
 
 
 def trimmed_eval(poly: TrimmedPoly, grid: Grid) -> EvalTable:

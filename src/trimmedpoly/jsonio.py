@@ -141,7 +141,11 @@ def sparse_poly_from_dict(obj: dict) -> SparsePoly:
     modulus, n, d, D, raw_terms = _header(obj, "polynomial document", "terms")
     terms = []
     for i, term in enumerate(raw_terms):
-        exp, coeff = _parse_term(i, term)
+        if not isinstance(term, dict):
+            raise ValidationError(f"term {i} is not an object")
+        exp = _get(term, "exp", list, f"term {i}")
+        coeff = _parse_scalar(_get(term, "coeff", (str, int), f"term {i}"),
+                              f"term {i} coefficient")
         terms.append((tuple(exp), coeff))
     return SparsePoly(modulus, n, d, D, terms)
 
@@ -174,15 +178,6 @@ def _bulk_poly(obj: dict) -> TrimmedPoly | None:
     p = modulus.p
     return None if coeffs is None else TrimmedPoly._trusted(
         modulus, n, d, D, [c % p for c in coeffs])
-
-
-def _parse_term(i: int, term) -> tuple[list, int]:
-    if not isinstance(term, dict):
-        raise ValidationError(f"term {i} is not an object")
-    exp = _get(term, "exp", list, f"term {i}")
-    coeff = _parse_scalar(_get(term, "coeff", (str, int), f"term {i}"),
-                          f"term {i} coefficient")
-    return exp, coeff
 
 
 def grid_to_dict(grid: Grid) -> dict:

@@ -15,7 +15,9 @@ of it, as ``checks.lu_contract`` checks the closed forms by the
 definition of the factorization. ``build_vandermonde`` and
 ``lu_decompose`` find the factors by elimination, O(m^3) per matrix, on
 ``SquareMatrix`` rows, and ``invert`` inverts by Gauss-Jordan on the
-augmented rows [A | I], pivoting freely. ``lu_decompose`` never pivots,
+augmented rows [A | I], pivoting freely. No product path builds a
+matrix, so every one, these functions' results too, goes through the
+one checked constructor. ``lu_decompose`` never pivots,
 as the factors it is compared with are triangular: on distinct nodes
 every leading principal minor is a nonzero Vandermonde determinant, so a
 zero pivot signals duplicate nodes (or a matrix with no LU factors).
@@ -41,7 +43,8 @@ class SingularMatrixError(ArithmeticError):
 
 
 class SquareMatrix:
-    """Row-major (m x m) matrix of residues over a shared modulus."""
+    """Row-major (m x m) matrix of residues over a shared modulus, built
+    only by this checked constructor: no product path builds one."""
 
     __slots__ = ("modulus", "size", "rows")
 
@@ -54,16 +57,6 @@ class SquareMatrix:
         self.modulus = modulus
         self.size = m
         self.rows = normalized
-
-    @classmethod
-    def _trusted(cls, modulus: PrimeModulus, rows) -> "SquareMatrix":
-        """Wrap rows that are valid by construction: a non-empty square
-        tuple of tuples of canonical residues."""
-        self = cls.__new__(cls)
-        self.modulus = modulus
-        self.size = len(rows)
-        self.rows = rows
-        return self
 
 
 class LUFactors(NamedTuple):
@@ -78,16 +71,14 @@ def build_vandermonde(nodes, modulus: PrimeModulus) -> SquareMatrix:
     p = modulus.p
     residues = [modulus.residue(z) for z in nodes]
     m = len(residues)
-    if m == 0:
-        raise ValueError("matrix must be square and non-empty")
     rows = []
     for z in residues:
         row = [1]
         for _ in range(m - 1):
             row.append(row[-1] * z % p)
-        rows.append(tuple(row))
+        rows.append(row)
     tally(mul=m * (m - 1))
-    return SquareMatrix._trusted(modulus, tuple(rows))
+    return SquareMatrix(modulus, rows)
 
 
 def lu_decompose(matrix: SquareMatrix) -> LUFactors:
@@ -120,9 +111,8 @@ def lu_decompose(matrix: SquareMatrix) -> LUFactors:
                              for a, b in zip(row_i[k + 1:], tail)]
         r = m - k - 1
         tally(mul=r + r * r, add=r * r, inv=1)
-    upper = tuple((0,) * i + tuple(work[i][i:]) for i in range(m))
-    return LUFactors(SquareMatrix._trusted(mod, tuple(map(tuple, lower))),
-                     SquareMatrix._trusted(mod, upper))
+    upper = [[0] * i + work[i][i:] for i in range(m)]
+    return LUFactors(SquareMatrix(mod, lower), SquareMatrix(mod, upper))
 
 
 def invert(matrix: SquareMatrix) -> SquareMatrix:
@@ -147,8 +137,7 @@ def invert(matrix: SquareMatrix) -> SquareMatrix:
                 work[r] = [(a - factor * b) % p for a, b in zip(row, top)]
                 eliminated += 1
         tally(mul=2 * m * (1 + eliminated), add=2 * m * eliminated, inv=1)
-    return SquareMatrix._trusted(matrix.modulus,
-                                 tuple(tuple(row[m:]) for row in work))
+    return SquareMatrix(matrix.modulus, [row[m:] for row in work])
 
 
 def _inverses(values, p: int) -> list[int]:
