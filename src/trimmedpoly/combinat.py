@@ -59,8 +59,10 @@ None of them is cached.
 A shape (n, d, D) needs n >= 0 and d >= 1; ``_check_params`` is the one
 place that rule is raised, as ValidationError, for every module of the
 package. A public construction checks it once, through ``layout_size``.
-An error message shows a user value through ``quote``, the one rule for
-every module: whole while short, else its head and its length.
+An error message shows a user value of any size through ``quote``, the
+one rule for every module: whole while short, else its head and its
+length, and an int too long for Python's str() by its digit count. A
+message's text is built only when it is raised.
 
 Counts are guarded at 2^63: parameter choices whose vector count exceeds
 that are not materializable anyway and raise CapacityError. The count
@@ -98,8 +100,18 @@ class ValidationError(ValueError):
 def quote(value) -> str:
     """``repr(value)`` for an error line, or, if the str itself or else
     that repr is longer than 40 characters, its first 20 characters and
-    its length: a str's head quoted, any other value's head as it is."""
-    text = value if isinstance(value, str) else repr(value)
+    its length: a str's head quoted, any other value's head as it is. An
+    int past Python's limit on int-to-str conversion, which has no repr,
+    shows its sign and its approximate digit count, and any other value
+    without a repr its type."""
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:  # Python's limit on int-to-str conversion
+        if isinstance(value, int):
+            digits = int(abs(value).bit_length() * 0.30103) + 1
+            sign = "negative " if value < 0 else ""
+            return f"<{sign}int of about {digits} digits>"
+        return f"<{type(value).__name__} too long to show>"
     if len(text) <= 40:
         return repr(value)
     head = repr(text[:20]) if isinstance(value, str) else text[:20]
@@ -116,7 +128,7 @@ def quote_number(text: str) -> tuple[str, str]:
 
 def _check_size(size: int, what: str, unit: str = "entries") -> None:
     if size > SIZE_LIMIT:
-        raise CapacityError(f"{what} would need {size} {unit}, more than "
+        raise CapacityError(f"{what} would need {quote(size)} {unit}, more than "
                             f"the limit {SIZE_LIMIT}")
 
 
@@ -141,14 +153,17 @@ def count_rows(n: int, d: int, b: int) -> tuple[tuple[int, ...], ...]:
     soon as a last count passes COUNT_LIMIT. With b = -1, the budget of an
     empty layout, every row is (0,).
     """
-    _check_size((n + 1) * (b + 1), f"count table of (n={n}, d={d}, D={b})")
+    size = (n + 1) * (b + 1)
+    if size > SIZE_LIMIT:  # the text is built only to raise
+        _check_size(size, f"count table of (n={quote(n)}, d={quote(d)}, "
+                          f"D={quote(b)})")
     run = tuple(range(b + 2))  # every count of row 0 is 1
     rows = [run]
     for m in range(1, n + 1):
         row = [run[k + 1] - run[max(0, k - d)] for k in range(b + 1)]
         if row and row[-1] > COUNT_LIMIT:
-            raise CapacityError(
-                f"more than 2^63 - 1 vectors for (n={n}, d={d}, D={b})")
+            raise CapacityError(f"more than 2^63 - 1 vectors for (n="
+                                f"{quote(n)}, d={quote(d)}, D={quote(b)})")
         run = tuple(accumulate(row, initial=0))
         rows.append(run)
     return tuple(rows)
@@ -195,16 +210,15 @@ def layout_size(n: int, d: int, D: int) -> int:
                             f"n*(d+1)^3 is {quote(cube)}, more than the "
                             f"limit {SIZE_LIMIT}")
     b = clamp_budget(n, d, D)
-    what = f"layout of (n={n}, d={d}, D={quote(D)})"
-    # N >= n + 1 at b >= 1: refuse a wide shape before its count rows
-    if b >= 1 and n * (n + 1) > WORK_LIMIT:
-        raise CapacityError(f"{what}: n*N is at least {n * (n + 1)}, more "
-                            f"than the limit {WORK_LIMIT}")
-    size = _cum(n, d, b)
-    _check_size(size, what)
-    if n * size > WORK_LIMIT:
-        raise CapacityError(f"{what}: n*N is {n * size}, more than the "
-                            f"limit {WORK_LIMIT}")
+    # N >= n + 1 at b >= 1: refuse a wide shape before its count rows; n
+    # is below SIZE_LIMIT once the cube fits
+    wide = b >= 1 and n * (n + 1) > WORK_LIMIT
+    size = n + 1 if wide else _cum(n, d, b)
+    if size > SIZE_LIMIT or n * size > WORK_LIMIT:
+        what = f"layout of (n={n}, d={d}, D={quote(D)})"
+        _check_size(size, what)
+        raise CapacityError(f"{what}: n*N is {'at least ' if wide else ''}"
+                            f"{n * size}, more than the limit {WORK_LIMIT}")
     return size
 
 
@@ -316,8 +330,8 @@ def unrank(position: int, n: int, d: int, D: int) -> tuple[int, ...]:
     total = ebc_cum(n, D, d)
     if not 0 <= position < total:
         raise ValueError(
-            f"position {position} outside [0, {total}) for "
-            f"(n={n}, d={d}, D={D})")
+            f"position {quote(position)} outside [0, {total}) for "
+            f"(n={quote(n)}, d={quote(d)}, D={quote(D)})")
     top = clamp_budget(n, d, D)
     r = position
     b = top + 1

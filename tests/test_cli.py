@@ -423,6 +423,9 @@ def test_parse_sweep():
         parse_sweep("n=0..2;d=1;D=nd")
     # a blank assignment is skipped
     assert parse_sweep("n=2;;d=1;D=nd") == [(2, 1, 2)]
+    # nd/4 rounds up, and collapses into nd/2 where they meet
+    assert parse_sweep("n=3;d=3;D=nd/4") == [(3, 3, 3)]
+    assert parse_sweep("n=2;d=1;D=nd/4,nd/2,nd") == [(2, 1, 1), (2, 1, 2)]
     for spec, message in [("n=3..1;d=1;D=nd", "n: empty range '3..1'"),
                           ("n=2;d;D=nd", "sweep entry 'd' is not key=value"),
                           ("n=2;d=1;D=nd;k=3", "unknown sweep key 'k'"),
@@ -541,6 +544,17 @@ def test_bench_skip_quotes_a_long_shape(tmp_path, capsys, spec, algos, shown):
     # the capacity line quotes three long values: n twice, and n*(d+1)^3
     err = capsys.readouterr().err
     assert err.startswith(shown) and err.count("\n") == 1 and len(err) < 250
+
+
+def test_bench_quotes_an_over_long_sweep_count(tmp_path, capsys):
+    # each range bound fits Python's int(), but the instance count they
+    # give does not fit its str()
+    top = "1" + "0" * 4000
+    argv = _sweep(f"n=1..{top};d=1..{top};D=nd")
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: sweep would need <int of about 8001 digits> "
+                   "instances, more than the limit 2097152\n")
 
 
 def test_bench_yates_needs_full_cube(tmp_path, capsys):

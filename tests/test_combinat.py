@@ -24,6 +24,7 @@ from trimmedpoly.combinat import (
     rank,
     unrank,
 )
+from trimmedpoly.algo import Grid
 from trimmedpoly.field import PrimeModulus
 from trimmedpoly.poly import TrimmedPoly
 
@@ -244,6 +245,49 @@ def test_quote_keeps_short_values_whole():
     assert quote("x" * 41) == "'xxxxxxxxxxxxxxxxxxxx'... (41 characters)"
     assert quote((1,) * 14) == "(1, 1, 1, 1, 1, 1, 1... (42 characters)"
     assert quote(10**40) == "10000000000000000000... (41 characters)"
+
+
+def test_quote_shows_an_int_past_the_str_limit_by_its_size():
+    # such an int has no repr, nor does a value that holds one
+    assert quote(10**5000) == "<int of about 5001 digits>"
+    assert quote(-10**5000) == "<negative int of about 5001 digits>"
+    assert quote((10**5000, 0)) == "<tuple too long to show>"
+
+
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: layout_size(1, 1, -HUGE), None),
+    (lambda: layout_size(HUGE, 1, 1), CapacityError),
+    (lambda: TrimmedPoly(PrimeModulus(5), HUGE, 1, 1, []), CapacityError),
+    (lambda: ebc_cum(HUGE, 5, 1), CapacityError),
+    (lambda: ebc_cum(1000, 100, HUGE), CapacityError),
+    (lambda: rank((0,), 1, 1, -HUGE), ValueError),
+    (lambda: Grid(PrimeModulus(5), [[0, 1]], d=HUGE), ValidationError),
+    (lambda: unrank(HUGE, 1, 1, 1), ValueError),
+    (lambda: unrank(0, HUGE, 1, -1), ValueError),
+], ids=["layout-size-D", "layout-size-n", "trimmed-poly-n", "ebc-cum-n",
+        "ebc-cum-d", "rank-D", "grid-d", "unrank-position", "unrank-n"])
+def test_ints_past_the_str_limit_get_their_own_result(call, error):
+    # an int past Python's 4,300-digit str() limit must not turn a call's
+    # own result into Python's conversion ValueError
+    if error is None:
+        assert call() == 0
+        return
+    with pytest.raises(error) as err:
+        call()
+    text = str(err.value)
+    assert "Exceeds the limit" not in text
+    assert "\n" not in text and len(text) < 200
+
+
+def test_unrank_quotes_its_position_and_budget():
+    with pytest.raises(ValueError) as err:
+        unrank(10**4000, 2, 1, 10**4000)
+    long = "10000000000000000000... (4001 characters)"
+    assert str(err.value) == (
+        f"position {long} outside [0, 4) for (n=2, d=1, D={long})")
 
 
 def test_layout_size_quotes_a_long_budget():
