@@ -8,7 +8,9 @@ import sys
 from pathlib import Path
 
 import trimmedpoly
-from trimmedpoly import cli
+from trimmedpoly import Grid, PrimeModulus, cli
+from trimmedpoly.linalg import (build_vandermonde, lu_decompose,
+                                vandermonde_factors)
 
 
 def test_star_import_binds_every_exported_name():
@@ -94,6 +96,28 @@ def test_perfbench_imports_resolve():
     missing = [(module, name) for module, name in sorted(imported)
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, missing
+
+
+def test_perfbench_trace_factor_calls_run():
+    # The trace's factor calls are the only callers of the elimination
+    # outside the tests, and the gated benchmark runs skip the trace, so
+    # run them here, on the same rows as the closed forms
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    names = ("worker", "calibrate", "spans", "workloads")
+    sys.path.insert(0, str(perfbench))
+    try:
+        worker = importlib.import_module("worker")
+        mod = PrimeModulus(65537)
+        grid = Grid.random(mod, 3, 3, seed=28)
+        worker.eval_factor_calls(grid)
+        worker.interp_factor_calls(grid)
+    finally:
+        sys.path.remove(str(perfbench))
+        for name in names:
+            sys.modules.pop(name, None)
+    for row in grid.rows:
+        lower = vandermonde_factors(row, mod.p, False)[0]
+        assert lu_decompose(build_vandermonde(row, mod)).L.rows == lower
 
 
 def test_only_field_records_operations():
