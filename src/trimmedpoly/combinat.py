@@ -108,7 +108,7 @@ def quote(value) -> str:
         text = value if isinstance(value, str) else repr(value)
     except ValueError:  # Python's limit on int-to-str conversion
         if isinstance(value, int):
-            digits = int(abs(value).bit_length() * 0.30103) + 1
+            digits = int(value.bit_length() * 0.30103) + 1
             sign = "negative " if value < 0 else ""
             return f"<{sign}int of about {digits} digits>"
         return f"<{type(value).__name__} too long to show>"
@@ -128,8 +128,8 @@ def quote_number(text: str) -> tuple[str, str]:
 
 def _check_size(size: int, what: str, unit: str = "entries") -> None:
     if size > SIZE_LIMIT:
-        raise CapacityError(f"{what} would need {quote(size)} {unit}, more than "
-                            f"the limit {SIZE_LIMIT}")
+        raise CapacityError(f"{what} would need {quote(size)} {unit}, more "
+                            f"than the limit {SIZE_LIMIT}")
 
 
 def _check_params(n: int, d: int) -> None:

@@ -17,10 +17,10 @@ definition of the factorization. ``build_vandermonde`` and
 ``SquareMatrix`` rows, and ``invert`` inverts by Gauss-Jordan on the
 augmented rows [A | I], pivoting freely. No product path builds a
 matrix, so every one, these functions' results too, goes through the
-one checked constructor. ``lu_decompose`` never pivots,
-as the factors it is compared with are triangular: on distinct nodes
-every leading principal minor is a nonzero Vandermonde determinant, so a
-zero pivot signals duplicate nodes (or a matrix with no LU factors).
+one checked constructor. ``lu_decompose`` never pivots, as the factors
+it is compared with are triangular: on distinct nodes every leading
+principal minor is a nonzero Vandermonde determinant, so a zero pivot
+signals duplicate nodes (or a matrix with no LU factors).
 
 The residue math is inlined on raw ints; the ``field`` docstring states
 how its operations are counted.
