@@ -297,7 +297,8 @@ def enumerate_trimmed(n: int, d: int, D: int) -> tuple[tuple[int, ...], ...]:
     """All admissible exponent vectors for (n, d, D) in canonical order."""
     layout_size(n, d, D)
     if D < 0:
-        raise ValueError(f"total degree bound must be >= 0, got {D}")
+        raise ValueError(
+            f"total degree bound must be >= 0, got {quote(D)}")
     return tuple(map(tuple, layout_vectors(n, d, clamp_budget(n, d, D),
                                            repeat(1))))
 

@@ -267,8 +267,10 @@ HUGE = 10**5000
     (lambda: Grid(PrimeModulus(5), [[0, 1]], d=HUGE), ValidationError),
     (lambda: unrank(HUGE, 1, 1, 1), ValueError),
     (lambda: unrank(0, HUGE, 1, -1), ValueError),
+    (lambda: enumerate_trimmed(1, 1, -HUGE), ValueError),
 ], ids=["layout-size-D", "layout-size-n", "trimmed-poly-n", "ebc-cum-n",
-        "ebc-cum-d", "rank-D", "grid-d", "unrank-position", "unrank-n"])
+        "ebc-cum-d", "rank-D", "grid-d", "unrank-position", "unrank-n",
+        "enumerate-D"])
 def test_ints_past_the_str_limit_get_their_own_result(call, error):
     # an int past Python's 4,300-digit str() limit must not turn a call's
     # own result into Python's conversion ValueError
