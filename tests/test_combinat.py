@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from trimmedpoly.algo import Grid
 from trimmedpoly.checks import extended_pascal
 from trimmedpoly.combinat import (
     SIZE_LIMIT,
@@ -24,7 +25,6 @@ from trimmedpoly.combinat import (
     rank,
     unrank,
 )
-from trimmedpoly.algo import Grid
 from trimmedpoly.field import PrimeModulus
 from trimmedpoly.poly import TrimmedPoly
 
